@@ -11,10 +11,14 @@ bool KindEvaluated(const CompletenessOptions& options, ApiKind kind) {
          options.evaluated_kinds.contains(kind);
 }
 
-// Weighted completeness from a per-package "self-supported" vector,
-// applying dependency poisoning through closures.
-double CompletenessFromSelfOk(const StudyDataset& dataset,
-                              const std::vector<bool>& self_ok) {
+// Dependency poisoning and install weighting over a per-package
+// "self-supported" vector: a package is supported iff every member of its
+// dependency closure is self-supported. Returns the weighted completeness,
+// summed in package-id order so it is bit-reproducible. A non-null
+// `supported_packages` (sized to the package count) receives each flag.
+double PoisonAndWeigh(const StudyDataset& dataset,
+                      const std::vector<bool>& self_ok,
+                      std::vector<bool>* supported_packages) {
   double supported_weight = 0.0;
   double total_weight = 0.0;
   for (PackageId id = 0; id < dataset.package_count(); ++id) {
@@ -26,6 +30,9 @@ double CompletenessFromSelfOk(const StudyDataset& dataset,
         ok = false;
         break;
       }
+    }
+    if (supported_packages != nullptr) {
+      (*supported_packages)[id] = ok;
     }
     if (ok) {
       supported_weight += p;
@@ -39,9 +46,9 @@ double CompletenessFromSelfOk(const StudyDataset& dataset,
 
 }  // namespace
 
-std::vector<bool> SupportedPackages(const StudyDataset& dataset,
-                                    const std::set<ApiId>& supported,
-                                    const CompletenessOptions& options) {
+SupportEvaluation EvaluateSupport(const StudyDataset& dataset,
+                                  const std::set<ApiId>& supported,
+                                  const CompletenessOptions& options) {
   std::vector<bool> self_ok(dataset.package_count(), true);
   for (PackageId id = 0; id < dataset.package_count(); ++id) {
     for (const ApiId& api : dataset.Footprint(id)) {
@@ -54,95 +61,61 @@ std::vector<bool> SupportedPackages(const StudyDataset& dataset,
       }
     }
   }
-  // Apply dependency poisoning.
-  std::vector<bool> out(dataset.package_count(), true);
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (PackageId member : dataset.DependencyClosure(id)) {
-      if (!self_ok[member]) {
-        out[id] = false;
-        break;
-      }
-    }
-  }
-  return out;
+  SupportEvaluation result;
+  result.supported_packages.resize(dataset.package_count());
+  result.weighted_completeness =
+      PoisonAndWeigh(dataset, self_ok, &result.supported_packages);
+  return result;
+}
+
+std::vector<bool> SupportedPackages(const StudyDataset& dataset,
+                                    const std::set<ApiId>& supported,
+                                    const CompletenessOptions& options) {
+  return EvaluateSupport(dataset, supported, options).supported_packages;
 }
 
 double WeightedCompleteness(const StudyDataset& dataset,
                             const std::set<ApiId>& supported,
                             const CompletenessOptions& options) {
-  std::vector<bool> self_ok(dataset.package_count(), true);
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (const ApiId& api : dataset.Footprint(id)) {
-      if (!KindEvaluated(options, api.kind)) {
-        continue;
-      }
-      if (supported.find(api) == supported.end()) {
-        self_ok[id] = false;
-        break;
-      }
-    }
-  }
-  return CompletenessFromSelfOk(dataset, self_ok);
+  return EvaluateSupport(dataset, supported, options).weighted_completeness;
 }
 
 std::vector<PathPoint> GreedyCompletenessPath(
     const StudyDataset& dataset, ApiKind kind,
     const std::vector<ApiId>& universe) {
-  std::vector<ApiId> order = dataset.RankByImportance(kind, universe);
-
-  // missing[pkg] = number of `kind` APIs in the footprint not yet supported.
-  std::vector<uint32_t> missing(dataset.package_count(), 0);
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (const ApiId& api : dataset.Footprint(id)) {
-      if (api.kind == kind) {
-        ++missing[id];
-      }
-    }
-  }
-
-  std::vector<PathPoint> path;
-  path.reserve(order.size());
-  std::vector<bool> self_ok(dataset.package_count());
-  for (const ApiId& api : order) {
-    for (PackageId pkg : dataset.Dependents(api)) {
-      --missing[pkg];
-    }
-    for (PackageId id = 0; id < dataset.package_count(); ++id) {
-      self_ok[id] = missing[id] == 0;
-    }
-    PathPoint point;
-    point.api = api;
-    point.importance = dataset.ApiImportance(api);
-    point.weighted_completeness = CompletenessFromSelfOk(dataset, self_ok);
-    path.push_back(point);
-  }
-  return path;
+  return GreedyCompletenessPathMultiKind(dataset, {kind}, universe);
 }
 
 std::vector<PathPoint> GreedyCompletenessPathMultiKind(
     const StudyDataset& dataset, const std::set<ApiKind>& kinds,
     const std::vector<ApiId>& universe) {
-  // Merge the per-kind rankings into one importance-ordered list.
-  std::vector<ApiId> order;
+  // Merge the per-kind rankings into one importance-ordered list. Each
+  // ranking is already in this order, so a single kind stays as ranked.
+  // Scores are computed once per API, not once per comparison.
+  struct Ranked {
+    double importance;
+    double unweighted;
+    ApiId api;
+  };
+  std::vector<Ranked> order;
   for (ApiKind kind : kinds) {
-    auto ranked = dataset.RankByImportance(kind, universe);
-    order.insert(order.end(), ranked.begin(), ranked.end());
+    for (const ApiId& api : dataset.RankByImportance(kind, universe)) {
+      order.push_back(Ranked{dataset.ApiImportance(api),
+                             dataset.UnweightedImportance(api), api});
+    }
   }
   std::stable_sort(order.begin(), order.end(),
-                   [&dataset](const ApiId& a, const ApiId& b) {
-                     double ia = dataset.ApiImportance(a);
-                     double ib = dataset.ApiImportance(b);
-                     if (ia != ib) {
-                       return ia > ib;
+                   [](const Ranked& a, const Ranked& b) {
+                     if (a.importance != b.importance) {
+                       return a.importance > b.importance;
                      }
-                     double ua = dataset.UnweightedImportance(a);
-                     double ub = dataset.UnweightedImportance(b);
-                     if (ua != ub) {
-                       return ua > ub;
+                     if (a.unweighted != b.unweighted) {
+                       return a.unweighted > b.unweighted;
                      }
-                     return a < b;
+                     return a.api < b.api;
                    });
 
+  // missing[pkg] = number of footprint APIs of `kinds` not yet supported.
   std::vector<uint32_t> missing(dataset.package_count(), 0);
   for (PackageId id = 0; id < dataset.package_count(); ++id) {
     for (const ApiId& api : dataset.Footprint(id)) {
@@ -155,17 +128,17 @@ std::vector<PathPoint> GreedyCompletenessPathMultiKind(
   std::vector<PathPoint> path;
   path.reserve(order.size());
   std::vector<bool> self_ok(dataset.package_count());
-  for (const ApiId& api : order) {
-    for (PackageId pkg : dataset.Dependents(api)) {
+  for (const Ranked& ranked : order) {
+    for (PackageId pkg : dataset.Dependents(ranked.api)) {
       --missing[pkg];
     }
     for (PackageId id = 0; id < dataset.package_count(); ++id) {
       self_ok[id] = missing[id] == 0;
     }
     PathPoint point;
-    point.api = api;
-    point.importance = dataset.ApiImportance(api);
-    point.weighted_completeness = CompletenessFromSelfOk(dataset, self_ok);
+    point.api = ranked.api;
+    point.importance = ranked.importance;
+    point.weighted_completeness = PoisonAndWeigh(dataset, self_ok, nullptr);
     path.push_back(point);
   }
   return path;

@@ -22,13 +22,25 @@ struct CompletenessOptions {
   std::set<ApiKind> evaluated_kinds;
 };
 
-// Expected fraction of an installation's packages that work on a system
-// supporting exactly `supported` (§A.2 approximation).
+// The one completeness kernel: per-package self-support, then dependency
+// poisoning and install weighting.
+struct SupportEvaluation {
+  // Per package, after dependency poisoning.
+  std::vector<bool> supported_packages;
+  // Expected fraction of an installation's packages that work on a system
+  // supporting exactly `supported` (§A.2 approximation).
+  double weighted_completeness = 0.0;
+};
+SupportEvaluation EvaluateSupport(const StudyDataset& dataset,
+                                  const std::set<ApiId>& supported,
+                                  const CompletenessOptions& options = {});
+
+// EvaluateSupport(...).weighted_completeness.
 double WeightedCompleteness(const StudyDataset& dataset,
                             const std::set<ApiId>& supported,
                             const CompletenessOptions& options = {});
 
-// Per-package support vector (before weighting); exposed for tests and the
+// EvaluateSupport(...).supported_packages; exposed for tests and the
 // system-evaluation report.
 std::vector<bool> SupportedPackages(const StudyDataset& dataset,
                                     const std::set<ApiId>& supported,
@@ -45,7 +57,7 @@ struct PathPoint {
 // Implements §3.2: rank APIs of `kind` by importance, add them one at a
 // time, record cumulative weighted completeness. `universe` adds
 // zero-importance APIs (they land at the tail). Runs incrementally: O(path
-// length x packages x closure).
+// length x packages x closure). Same as the multi-kind path over {kind}.
 std::vector<PathPoint> GreedyCompletenessPath(
     const StudyDataset& dataset, ApiKind kind,
     const std::vector<ApiId>& universe = {});

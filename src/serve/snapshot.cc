@@ -11,6 +11,7 @@
 #include "src/corpus/syscall_table.h"
 #include "src/corpus/system_profiles.h"
 #include "src/plan/planner.h"
+#include "src/util/io.h"
 
 namespace lapis::serve {
 
@@ -110,17 +111,8 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::FromArtifactBytes(
 
 Result<std::shared_ptr<const Snapshot>> Snapshot::FromFile(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return IoError("cannot open " + path);
-  }
-  std::vector<uint8_t> bytes;
-  uint8_t buffer[65536];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    bytes.insert(bytes.end(), buffer, buffer + n);
-  }
-  std::fclose(f);
+  LAPIS_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                         io::ReadFileBytes(path, io::Profile::kArtifactIo));
   return FromArtifactBytes(bytes, path);
 }
 
@@ -291,10 +283,10 @@ QueryResponse Snapshot::ExecuteEvalProfile(const QueryRequest& request) const {
       options.evaluated_kinds.insert(static_cast<core::ApiKind>(k));
     }
   }
-  result.weighted_completeness =
-      core::WeightedCompleteness(dataset(), supported, options);
-  auto flags = core::SupportedPackages(dataset(), supported, options);
-  for (bool ok : flags) {
+  core::SupportEvaluation evaluation =
+      core::EvaluateSupport(dataset(), supported, options);
+  result.weighted_completeness = evaluation.weighted_completeness;
+  for (bool ok : evaluation.supported_packages) {
     result.supported_packages += ok ? 1 : 0;
   }
   result.total_packages = static_cast<uint32_t>(dataset().package_count());

@@ -45,7 +45,8 @@ class Snapshot {
   static Result<std::shared_ptr<const Snapshot>> FromArtifactBytes(
       std::span<const uint8_t> bytes, std::string source);
 
-  // Reads + deserializes a saved study artifact file.
+  // Reads (through io::ReadFileBytes, so the artifact_open/artifact_read
+  // fault sites apply) and deserializes a saved study artifact file.
   static Result<std::shared_ptr<const Snapshot>> FromFile(
       const std::string& path);
 

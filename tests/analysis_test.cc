@@ -12,6 +12,7 @@
 #include "src/codegen/function_builder.h"
 #include "src/elf/elf_builder.h"
 #include "src/elf/elf_reader.h"
+#include "src/runtime/executor.h"
 
 namespace lapis::analysis {
 namespace {
@@ -559,6 +560,243 @@ TEST(LibraryResolver, ExporterLookup) {
   ASSERT_TRUE(resolver.AddLibrary(MiniLibc()).ok());
   EXPECT_EQ(resolver.ExporterOf("printf"), "libmini.so");
   EXPECT_EQ(resolver.ExporterOf("nope"), "");
+}
+
+// ---------------- Resolver closure over the import graph ----------------
+
+// A shared library `soname` exporting `name`, which makes syscall `nr` and
+// then calls each of `imports` through the PLT.
+std::shared_ptr<const BinaryAnalysis> HopLib(
+    const std::string& soname, const std::string& name, uint32_t nr,
+    const std::vector<std::string>& imports) {
+  ElfBuilder builder(BinaryType::kSharedLibrary);
+  builder.SetSoname(soname);
+  std::vector<uint32_t> import_ids;
+  for (const std::string& symbol : imports) {
+    import_ids.push_back(builder.AddImport(symbol));
+  }
+  FunctionBuilder fn(name);
+  fn.EmitPrologue();
+  fn.MovRegImm32(disasm::kRax, nr);
+  fn.Syscall();
+  for (uint32_t id : import_ids) {
+    fn.CallImport(id);
+  }
+  fn.EmitEpilogue();
+  builder.AddFunction(fn.Finish(true));
+  return std::make_shared<BinaryAnalysis>(Analyze(Parse(builder.Build())));
+}
+
+// An executable whose entry calls each of `imports` through the PLT.
+BinaryAnalysis ExeCalling(const std::vector<std::string>& imports) {
+  ElfBuilder builder(BinaryType::kExecutable);
+  std::vector<uint32_t> import_ids;
+  for (const std::string& symbol : imports) {
+    import_ids.push_back(builder.AddImport(symbol));
+  }
+  FunctionBuilder fn("_start");
+  for (uint32_t id : import_ids) {
+    fn.CallImport(id);
+  }
+  fn.Ret();
+  uint32_t idx = builder.AddFunction(fn.Finish(false));
+  EXPECT_TRUE(builder.SetEntryFunction(idx).ok());
+  return Analyze(Parse(builder.Build()));
+}
+
+void ExpectSameResolution(const LibraryResolver::Resolution& got,
+                          const LibraryResolver::Resolution& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.footprint.syscalls, want.footprint.syscalls) << label;
+  EXPECT_EQ(got.footprint.ioctl_ops, want.footprint.ioctl_ops) << label;
+  EXPECT_EQ(got.footprint.pseudo_paths, want.footprint.pseudo_paths) << label;
+  EXPECT_EQ(got.used_exports, want.used_exports) << label;
+  EXPECT_EQ(got.unresolved_imports, want.unresolved_imports) << label;
+  EXPECT_EQ(got.reachable_function_count, want.reachable_function_count)
+      << label;
+}
+
+TEST(LibraryResolver, ImportCycleAcrossLibrariesSharesFootprint) {
+  // ping imports pong; pong imports ping.
+  LibraryResolver resolver;
+  ASSERT_TRUE(
+      resolver.AddLibrary(HopLib("libping.so", "ping", 1, {"pong"})).ok());
+  ASSERT_TRUE(
+      resolver.AddLibrary(HopLib("libpong.so", "pong", 2, {"ping"})).ok());
+  for (const char* root : {"ping", "pong"}) {
+    auto resolution = resolver.ResolveFromSymbols({root});
+    EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{1, 2})) << root;
+    EXPECT_EQ(resolution.used_exports.size(), 2u) << root;
+    EXPECT_EQ(resolution.reachable_function_count, 2u) << root;
+    EXPECT_TRUE(resolution.unresolved_imports.empty()) << root;
+  }
+}
+
+TEST(LibraryResolver, DiamondImportsResolveEachExportOnce) {
+  // exe -> {left, right} -> base.
+  LibraryResolver resolver;
+  ASSERT_TRUE(
+      resolver.AddLibrary(HopLib("libleft.so", "left", 10, {"base"})).ok());
+  ASSERT_TRUE(
+      resolver.AddLibrary(HopLib("libright.so", "right", 11, {"base"})).ok());
+  ASSERT_TRUE(resolver.AddLibrary(HopLib("libbase.so", "base", 12, {})).ok());
+  auto resolution = resolver.ResolveExecutable(ExeCalling({"left", "right"}));
+  EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{10, 11, 12}));
+  EXPECT_EQ(resolution.used_exports.at("libbase.so"),
+            (std::set<std::string>{"base"}));
+  // _start plus one function per export; the shared base counts once.
+  EXPECT_EQ(resolution.reachable_function_count, 4u);
+}
+
+TEST(LibraryResolver, SelfImportAndUnreachedLibrary) {
+  // `again` calls itself through its own PLT slot; nothing imports `idle`.
+  LibraryResolver resolver;
+  ASSERT_TRUE(
+      resolver.AddLibrary(HopLib("libself.so", "again", 3, {"again"})).ok());
+  ASSERT_TRUE(resolver.AddLibrary(HopLib("libidle.so", "idle", 99, {})).ok());
+  auto resolution = resolver.ResolveExecutable(ExeCalling({"again"}));
+  EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{3}));
+  EXPECT_EQ(resolution.used_exports,
+            (std::map<std::string, std::set<std::string>>{
+                {"libself.so", {"again"}}}));
+  EXPECT_TRUE(resolution.unresolved_imports.empty());
+}
+
+TEST(LibraryResolver, DeepImportChainResolvesIteratively) {
+  // One library whose exports each call the next through the PLT; only the
+  // last makes a system call (exit_group).
+  constexpr int kDepth = 20000;
+  ElfBuilder builder(BinaryType::kSharedLibrary);
+  builder.SetSoname("libdeep.so");
+  for (int i = 0; i < kDepth; ++i) {
+    FunctionBuilder fn("link_" + std::to_string(i));
+    if (i + 1 < kDepth) {
+      fn.TailJmpImport(builder.AddImport("link_" + std::to_string(i + 1)));
+    } else {
+      fn.MovRegImm32(disasm::kRax, 231);
+      fn.Syscall();
+      fn.Ret();
+    }
+    builder.AddFunction(fn.Finish(true));
+  }
+  LibraryResolver resolver;
+  ASSERT_TRUE(resolver
+                  .AddLibrary(std::make_shared<BinaryAnalysis>(
+                      Analyze(Parse(builder.Build()))))
+                  .ok());
+  auto resolution = resolver.ResolveExecutable(ExeCalling({"link_0"}));
+  EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{231}));
+  EXPECT_EQ(resolution.used_exports.at("libdeep.so").size(),
+            static_cast<size_t>(kDepth));
+  EXPECT_TRUE(resolution.unresolved_imports.empty());
+}
+
+TEST(LibraryResolver, FirstRegisteredExporterWins) {
+  auto first = HopLib("libfirst.so", "dup", 1, {});
+  auto second = HopLib("libsecond.so", "dup", 2, {});
+  LibraryResolver resolver;
+  ASSERT_TRUE(resolver.AddLibrary(first).ok());
+  ASSERT_TRUE(resolver.AddLibrary(second).ok());
+  EXPECT_EQ(resolver.ExporterOf("dup"), "libfirst.so");
+  auto resolution = resolver.ResolveFromSymbols({"dup"});
+  EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{1}));
+  EXPECT_EQ(resolution.used_exports,
+            (std::map<std::string, std::set<std::string>>{
+                {"libfirst.so", {"dup"}}}));
+
+  LibraryResolver reversed;
+  ASSERT_TRUE(reversed.AddLibrary(second).ok());
+  ASSERT_TRUE(reversed.AddLibrary(first).ok());
+  EXPECT_EQ(reversed.ExporterOf("dup"), "libsecond.so");
+  EXPECT_EQ(reversed.ResolveFromSymbols({"dup"}).footprint.syscalls,
+            (std::set<int>{2}));
+}
+
+TEST(LibraryResolver, VectoredOpsAndPseudoPathsFlowThroughImports) {
+  ElfBuilder builder(BinaryType::kSharedLibrary);
+  builder.SetSoname("libtty.so");
+  uint32_t open_imp = builder.AddImport("open");
+  uint32_t path = builder.AddRodataString("/dev/tty");
+  FunctionBuilder fn("tty_probe");
+  fn.EmitPrologue();
+  fn.LeaRodata(disasm::kRdi, path);
+  fn.CallImport(open_imp);
+  fn.MovRegImm32(disasm::kRsi, 0x5401);  // ioctl(fd, TCGETS)
+  fn.MovRegImm32(disasm::kRax, 16);
+  fn.Syscall();
+  fn.MovRegImm32(disasm::kRsi, 3);  // fcntl(fd, F_GETFL)
+  fn.MovRegImm32(disasm::kRax, 72);
+  fn.Syscall();
+  fn.MovRegImm32(disasm::kRdi, 15);  // prctl(PR_SET_NAME, ...)
+  fn.MovRegImm32(disasm::kRax, 157);
+  fn.Syscall();
+  fn.EmitEpilogue();
+  builder.AddFunction(fn.Finish(true));
+
+  LibraryResolver resolver;
+  ASSERT_TRUE(resolver
+                  .AddLibrary(std::make_shared<BinaryAnalysis>(
+                      Analyze(Parse(builder.Build()))))
+                  .ok());
+  ASSERT_TRUE(resolver.AddLibrary(HopLib("libopen.so", "open", 2, {})).ok());
+  auto resolution = resolver.ResolveExecutable(ExeCalling({"tty_probe"}));
+  const Footprint& fp = resolution.footprint;
+  EXPECT_EQ(fp.syscalls, (std::set<int>{2, 16, 72, 157}));
+  EXPECT_EQ(fp.ioctl_ops, (std::set<uint32_t>{0x5401}));
+  EXPECT_EQ(fp.fcntl_ops, (std::set<uint32_t>{3}));
+  EXPECT_EQ(fp.prctl_ops, (std::set<uint32_t>{15}));
+  EXPECT_EQ(fp.pseudo_paths, (std::set<std::string>{"/dev/tty"}));
+  EXPECT_EQ(resolution.used_exports.at("libopen.so"),
+            (std::set<std::string>{"open"}));
+}
+
+TEST(LibraryResolver, PrecomputedExportReachMatchesFreshRegistration) {
+  // A warm cache registers libraries with decoded reachability instead of
+  // recomputing it; resolution must not tell the two apart.
+  auto libc = MiniLibc();
+  auto util = MiniUtilLib();
+  LibraryResolver fresh;
+  ASSERT_TRUE(fresh.AddLibrary(libc).ok());
+  ASSERT_TRUE(fresh.AddLibrary(util).ok());
+  LibraryResolver warm;
+  ASSERT_TRUE(warm.AddLibrary(libc, libc->PerExportReachable()).ok());
+  ASSERT_TRUE(warm.AddLibrary(util, util->PerExportReachable()).ok());
+  for (const std::vector<std::string>& roots :
+       {std::vector<std::string>{"util_log"},
+        std::vector<std::string>{"read", "printf"},
+        std::vector<std::string>{"nonexistent"}}) {
+    ExpectSameResolution(warm.ResolveFromSymbols(roots),
+                         fresh.ResolveFromSymbols(roots), roots.front());
+  }
+  ASSERT_NE(warm.ExportReachOf("libmini.so"), nullptr);
+  EXPECT_EQ(warm.ExportReachOf("libmini.so")->size(), 3u);
+  EXPECT_EQ(warm.ExportReachOf("libmissing.so"), nullptr);
+}
+
+TEST(LibraryResolver, ExecutorRegistrationMatchesSerial) {
+  runtime::Executor executor(4);
+  LibraryResolver parallel(&executor);
+  LibraryResolver serial;
+  for (const auto& library : {MiniLibc(), MiniUtilLib()}) {
+    ASSERT_TRUE(parallel.AddLibrary(library).ok());
+    ASSERT_TRUE(serial.AddLibrary(library).ok());
+  }
+  for (const char* soname : {"libmini.so", "libutil.so"}) {
+    const auto* got = parallel.ExportReachOf(soname);
+    const auto* want = serial.ExportReachOf(soname);
+    ASSERT_NE(got, nullptr) << soname;
+    ASSERT_NE(want, nullptr) << soname;
+    ASSERT_EQ(got->size(), want->size()) << soname;
+    for (const auto& [symbol, reach] : *want) {
+      ASSERT_TRUE(got->contains(symbol)) << symbol;
+      EXPECT_EQ(got->at(symbol).footprint.syscalls, reach.footprint.syscalls)
+          << symbol;
+      EXPECT_EQ(got->at(symbol).plt_calls, reach.plt_calls) << symbol;
+    }
+  }
+  ExpectSameResolution(parallel.ResolveWholeLibrary("libutil.so").value(),
+                       serial.ResolveWholeLibrary("libutil.so").value(),
+                       "libutil.so");
 }
 
 TEST(Footprint, MergeAndCounts) {

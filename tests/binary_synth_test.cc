@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <utility>
 
 #include "src/analysis/binary_analyzer.h"
 #include "src/analysis/library_resolver.h"
@@ -17,6 +20,8 @@ namespace {
 
 using analysis::BinaryAnalysis;
 using analysis::BinaryAnalyzer;
+using analysis::Footprint;
+using analysis::FunctionInfo;
 using analysis::LibraryResolver;
 
 DistroOptions TestOptions() {
@@ -126,24 +131,71 @@ TEST(BinarySynth, LibcSymbolSizesMatchUniverse) {
   EXPECT_EQ(checked, kLibcSymbolCount);
 }
 
-// Resolves one package's executables against the core libraries and
-// verifies the recovered syscall set equals the plan's ground truth.
+// Independent oracle for LibraryResolver::ResolveExecutable: a naive
+// function-level BFS over (binary, function) nodes. It starts at the
+// entry, follows local_callees within a binary, sends each plt_calls symbol
+// to the first-registered library that exports it, and unions the local
+// footprint of every function it visits.
+Footprint ReferenceClosure(
+    const BinaryAnalysis& exe,
+    const std::vector<std::shared_ptr<const BinaryAnalysis>>& libraries) {
+  using Node = std::pair<const BinaryAnalysis*, uint64_t>;
+  std::set<Node> visited;
+  std::deque<Node> queue = {{&exe, exe.entry()}};
+  Footprint footprint;
+  while (!queue.empty()) {
+    auto [binary, vaddr] = queue.front();
+    queue.pop_front();
+    if (!visited.insert({binary, vaddr}).second) {
+      continue;
+    }
+    const FunctionInfo* fn = binary->FunctionAt(vaddr);
+    if (fn == nullptr) {
+      continue;
+    }
+    footprint.MergeFrom(fn->local);
+    for (uint64_t callee : fn->local_callees) {
+      queue.emplace_back(binary, callee);
+    }
+    for (const std::string& symbol : fn->plt_calls) {
+      for (const auto& library : libraries) {
+        const auto& exports = library->exports();
+        const FunctionInfo* target = library->FunctionNamed(symbol);
+        if (target != nullptr &&
+            std::find(exports.begin(), exports.end(), symbol) !=
+                exports.end()) {
+          queue.emplace_back(library.get(), target->vaddr);
+          break;
+        }
+      }
+    }
+  }
+  return footprint;
+}
+
+// Resolves one package's executables against the core libraries, checks
+// each resolution field by field against the reference closure, and
+// returns the union of the recovered syscall sets.
 std::set<int> ResolvePackage(size_t pkg_index) {
   auto& fixture = Fixture();
   auto binaries = fixture.synthesizer->PackageBinaries(pkg_index);
   EXPECT_TRUE(binaries.ok());
   // Package-local libraries need a package-local resolver overlay; simplest
   // is a fresh resolver seeded with the core libs each time, so build one.
+  // `libraries` mirrors its registration order for the reference closure.
   LibraryResolver local;
+  std::vector<std::shared_ptr<const BinaryAnalysis>> libraries;
+  auto add_library = [&](BinaryAnalysis analysis) {
+    auto library = std::make_shared<const BinaryAnalysis>(std::move(analysis));
+    libraries.push_back(library);
+    EXPECT_TRUE(local.AddLibrary(library).ok());
+  };
   {
     auto core_libs = fixture.synthesizer->CoreLibraries();
     EXPECT_TRUE(core_libs.ok());
     for (const auto& binary : core_libs.value()) {
       auto image = elf::ElfReader::Parse(binary.bytes);
-      auto analysis = BinaryAnalyzer::Analyze(image.value());
-      EXPECT_TRUE(
-          local.AddLibrary(std::make_shared<BinaryAnalysis>(analysis.take()))
-              .ok());
+      add_library(BinaryAnalyzer::Analyze(image.value()).take());
     }
   }
   std::set<int> recovered;
@@ -153,18 +205,21 @@ std::set<int> ResolvePackage(size_t pkg_index) {
     auto analysis = BinaryAnalyzer::Analyze(image.value());
     EXPECT_TRUE(analysis.ok()) << binary.name;
     if (binary.is_library) {
-      EXPECT_TRUE(local
-                      .AddLibrary(std::make_shared<BinaryAnalysis>(
-                          analysis.take()))
-                      .ok());
+      add_library(analysis.take());
       continue;
     }
     auto resolution = local.ResolveExecutable(analysis.value());
     EXPECT_TRUE(resolution.unresolved_imports.empty())
         << binary.name << ": "
         << *resolution.unresolved_imports.begin();
-    recovered.insert(resolution.footprint.syscalls.begin(),
-                     resolution.footprint.syscalls.end());
+    const Footprint& got = resolution.footprint;
+    const Footprint want = ReferenceClosure(analysis.value(), libraries);
+    EXPECT_EQ(got.syscalls, want.syscalls) << binary.name;
+    EXPECT_EQ(got.ioctl_ops, want.ioctl_ops) << binary.name;
+    EXPECT_EQ(got.fcntl_ops, want.fcntl_ops) << binary.name;
+    EXPECT_EQ(got.prctl_ops, want.prctl_ops) << binary.name;
+    EXPECT_EQ(got.pseudo_paths, want.pseudo_paths) << binary.name;
+    recovered.insert(got.syscalls.begin(), got.syscalls.end());
   }
   return recovered;
 }
@@ -208,6 +263,19 @@ TEST(BinarySynth, SampleAppPackagesMatchGroundTruth) {
     i += 37;  // sample across the popularity range
   }
   EXPECT_EQ(checked, 8u);
+}
+
+// More reference-closure inputs: apps across the popularity range, the
+// sole kexec_load user, and an interpreter.
+TEST(BinarySynth, ResolverMatchesReferenceClosure) {
+  for (const char* package :
+       {"app-0003", "app-0123", "app-0307", "kexec-tools", "python-core"}) {
+    auto it = Fixture().spec.by_name.find(package);
+    ASSERT_NE(it, Fixture().spec.by_name.end()) << package;
+    EXPECT_EQ(ResolvePackage(it->second),
+              Fixture().spec.ExpectedSyscalls(it->second))
+        << package;
+  }
 }
 
 TEST(BinarySynth, QemuRealizes270Syscalls) {

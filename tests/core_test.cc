@@ -137,6 +137,71 @@ TEST(StudyDataset, FindPackage) {
   EXPECT_EQ(ds->FindPackage("zzz"), UINT32_MAX);
 }
 
+// ---------------- Dependency closure ----------------
+//
+// Dependency poisoning walks StudyDataset::DependencyClosure, so a closure
+// that misses, repeats or loops over a member changes every completeness
+// figure (and Table 12's row count).
+
+// `count` packages, every one installed on `installs[id]` of 100
+// installations (all of them when `installs` is empty), with the given
+// direct dependency edges. Left unfinalized so callers can add footprints.
+std::unique_ptr<StudyDataset> MakeGraph(
+    PackageId count, const std::vector<std::pair<PackageId, PackageId>>& edges,
+    const std::vector<uint64_t>& installs = {}) {
+  auto ds = std::make_unique<StudyDataset>(count, 100);
+  std::vector<std::vector<PackageId>> depends(count);
+  for (const auto& [from, to] : edges) {
+    depends[from].push_back(to);
+  }
+  for (PackageId id = 0; id < count; ++id) {
+    EXPECT_TRUE(
+        ds->SetInstallCount(id, installs.empty() ? 100 : installs[id]).ok());
+    EXPECT_TRUE(ds->SetDependencies(id, depends[id]).ok());
+  }
+  return ds;
+}
+
+std::set<PackageId> ClosureOf(const StudyDataset& ds, PackageId id) {
+  const std::vector<PackageId>& closure = ds.DependencyClosure(id);
+  std::set<PackageId> members(closure.begin(), closure.end());
+  EXPECT_EQ(members.size(), closure.size())
+      << "package " << id << " lists a closure member twice";
+  return members;
+}
+
+TEST(DependencyClosure, LinearChain) {
+  auto ds = MakeGraph(3, {{0, 1}, {1, 2}});
+  ASSERT_TRUE(ds->Finalize().ok());
+  EXPECT_EQ(ClosureOf(*ds, 0), (std::set<PackageId>{0, 1, 2}));
+  EXPECT_EQ(ClosureOf(*ds, 1), (std::set<PackageId>{1, 2}));
+  EXPECT_EQ(ClosureOf(*ds, 2), (std::set<PackageId>{2}));
+}
+
+TEST(DependencyClosure, DiamondListsSharedDependencyOnce) {
+  // 0 -> {1, 2} -> 3.
+  auto ds = MakeGraph(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
+  ASSERT_TRUE(ds->Finalize().ok());
+  EXPECT_EQ(ClosureOf(*ds, 0), (std::set<PackageId>{0, 1, 2, 3}));
+  EXPECT_EQ(ClosureOf(*ds, 1), (std::set<PackageId>{1, 3}));
+}
+
+TEST(DependencyClosure, CycleMembersShareOneClosure) {
+  // 0 <-> 1 cycle; 2 -> 0.
+  auto ds = MakeGraph(3, {{0, 1}, {1, 0}, {2, 0}});
+  ASSERT_TRUE(ds->Finalize().ok());
+  EXPECT_EQ(ClosureOf(*ds, 0), (std::set<PackageId>{0, 1}));
+  EXPECT_EQ(ClosureOf(*ds, 1), (std::set<PackageId>{0, 1}));
+  EXPECT_EQ(ClosureOf(*ds, 2), (std::set<PackageId>{0, 1, 2}));
+}
+
+TEST(DependencyClosure, SelfLoopAndIsolatedPackage) {
+  auto ds = MakeGraph(2, {{0, 0}});
+  ASSERT_TRUE(ds->Finalize().ok());
+  EXPECT_EQ(ClosureOf(*ds, 0), (std::set<PackageId>{0}));
+  EXPECT_EQ(ClosureOf(*ds, 1), (std::set<PackageId>{1}));
+}
+
 // ---------------- Weighted completeness ----------------
 
 TEST(Completeness, FullSupportIsOne) {
@@ -175,6 +240,97 @@ TEST(Completeness, DependencyPoisoning) {
   EXPECT_FALSE(flags[3]);  // transitively poisoned
 }
 
+TEST(Completeness, EvaluateSupportFlagsAndWeightAgree) {
+  auto ds = MakeDataset();
+  const std::vector<std::set<ApiId>> supports = {
+      {},
+      {SyscallApi(0), SyscallApi(1)},
+      {SyscallApi(0), SyscallApi(1), SyscallApi(2)},
+      {SyscallApi(0), SyscallApi(2), SyscallApi(3), SyscallApi(9)},
+      {SyscallApi(0), SyscallApi(1), SyscallApi(2), SyscallApi(3),
+       SyscallApi(9)}};
+  for (const auto& support : supports) {
+    SupportEvaluation eval = EvaluateSupport(*ds, support);
+    ASSERT_EQ(eval.supported_packages.size(), ds->package_count());
+    // The weight is the install-weighted share of the flagged packages.
+    double flagged = 0.0;
+    double total = 0.0;
+    for (PackageId id = 0; id < ds->package_count(); ++id) {
+      total += ds->InstallProbability(id);
+      if (eval.supported_packages[id]) {
+        flagged += ds->InstallProbability(id);
+      }
+    }
+    EXPECT_EQ(eval.weighted_completeness, flagged / total);
+    // The public views are exactly the kernel's two outputs.
+    EXPECT_EQ(SupportedPackages(*ds, support), eval.supported_packages);
+    EXPECT_EQ(WeightedCompleteness(*ds, support), eval.weighted_completeness);
+  }
+  EXPECT_EQ(
+      EvaluateSupport(*ds, {SyscallApi(0), SyscallApi(1), SyscallApi(2)})
+          .supported_packages,
+      (std::vector<bool>{true, true, false, false}));
+}
+
+TEST(Completeness, CyclePoisonsEveryMemberAndDependent) {
+  // 0 <-> 1 cycle, 2 -> 0, 3 isolated; only pkg1 needs syscall 5.
+  auto ds = MakeGraph(4, {{0, 1}, {1, 0}, {2, 0}}, {10, 20, 30, 40});
+  ASSERT_TRUE(ds->SetFootprint(1, {SyscallApi(5)}).ok());
+  ASSERT_TRUE(ds->Finalize().ok());
+  SupportEvaluation without = EvaluateSupport(*ds, {});
+  EXPECT_EQ(without.supported_packages,
+            (std::vector<bool>{false, false, false, true}));
+  EXPECT_NEAR(without.weighted_completeness, 0.4, 1e-12);
+  SupportEvaluation with = EvaluateSupport(*ds, {SyscallApi(5)});
+  EXPECT_EQ(with.supported_packages, (std::vector<bool>(4, true)));
+  EXPECT_NEAR(with.weighted_completeness, 1.0, 1e-12);
+}
+
+TEST(Completeness, DiamondCountsEachPackageWeightOnce) {
+  // 0 -> {1, 2} -> 3, installed on 10/20/30/40 of 100 machines.
+  auto ds =
+      MakeGraph(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}}, {10, 20, 30, 40});
+  ASSERT_TRUE(ds->SetFootprint(1, {SyscallApi(1)}).ok());
+  ASSERT_TRUE(ds->SetFootprint(3, {SyscallApi(3)}).ok());
+  ASSERT_TRUE(ds->Finalize().ok());
+  // The shared dependency unsupported: the whole diamond fails.
+  EXPECT_NEAR(WeightedCompleteness(*ds, {SyscallApi(1)}), 0.0, 1e-12);
+  // One arm unsupported: it and the top fail; the other arm and the
+  // bottom count once each, (30 + 40) / 100.
+  SupportEvaluation eval = EvaluateSupport(*ds, {SyscallApi(3)});
+  EXPECT_EQ(eval.supported_packages,
+            (std::vector<bool>{false, false, true, true}));
+  EXPECT_NEAR(eval.weighted_completeness, 0.7, 1e-12);
+}
+
+TEST(Completeness, DeepDependencyChainPoisonsEveryAncestor) {
+  // 0 -> 1 -> ... -> 1999; only the tail needs syscall 1.
+  constexpr PackageId kDepth = 2000;
+  std::vector<std::pair<PackageId, PackageId>> edges;
+  for (PackageId id = 0; id + 1 < kDepth; ++id) {
+    edges.emplace_back(id, id + 1);
+  }
+  auto ds = MakeGraph(kDepth, edges);
+  ASSERT_TRUE(ds->SetFootprint(kDepth - 1, {SyscallApi(1)}).ok());
+  ASSERT_TRUE(ds->Finalize().ok());
+  EXPECT_EQ(ds->DependencyClosure(0).size(), kDepth);
+  SupportEvaluation without = EvaluateSupport(*ds, {});
+  EXPECT_EQ(without.supported_packages, std::vector<bool>(kDepth, false));
+  EXPECT_EQ(without.weighted_completeness, 0.0);
+  EXPECT_NEAR(WeightedCompleteness(*ds, {SyscallApi(1)}), 1.0, 1e-12);
+}
+
+TEST(Completeness, ZeroInstallationSurveyWeighsNothing) {
+  // No installation reported: flags are still computed, the weight is 0.
+  auto ds = std::make_unique<StudyDataset>(2, 0);
+  ASSERT_TRUE(ds->SetFootprint(0, {SyscallApi(0)}).ok());
+  ASSERT_TRUE(ds->SetFootprint(1, {SyscallApi(1)}).ok());
+  ASSERT_TRUE(ds->Finalize().ok());
+  SupportEvaluation eval = EvaluateSupport(*ds, {SyscallApi(0)});
+  EXPECT_EQ(eval.supported_packages, (std::vector<bool>{true, false}));
+  EXPECT_EQ(eval.weighted_completeness, 0.0);
+}
+
 TEST(Completeness, KindFilterIgnoresOtherKinds) {
   auto ds = std::make_unique<StudyDataset>(1, 100);
   ASSERT_TRUE(ds->SetInstallCount(0, 100).ok());
@@ -204,6 +360,65 @@ TEST(Completeness, GreedyPathMonotoneAndExact) {
   for (size_t i = 1; i < path.size(); ++i) {
     EXPECT_GE(path[i].weighted_completeness,
               path[i - 1].weighted_completeness);
+  }
+}
+
+// pkg0 (p=0.5) uses syscall 4; pkg1 (p=0.5) and pkg2 (p=0) use syscall 6:
+// both syscalls have importance 0.5, and 6 ranks first because more
+// packages use it. pkg2 also needs ioctl op 0x5401 and depends on pkg0.
+std::unique_ptr<StudyDataset> MakeTieDataset() {
+  auto ds = MakeGraph(3, {{2, 0}}, {50, 50, 0});
+  EXPECT_TRUE(ds->SetFootprint(0, {SyscallApi(4)}).ok());
+  EXPECT_TRUE(ds->SetFootprint(1, {SyscallApi(6)}).ok());
+  EXPECT_TRUE(ds->SetFootprint(2, {SyscallApi(6), IoctlApi(0x5401)}).ok());
+  EXPECT_TRUE(ds->Finalize().ok());
+  return ds;
+}
+
+TEST(Completeness, SingleKindPathIsTheMultiKindPathOverThatKind) {
+  auto tie = MakeTieDataset();
+  auto hand = MakeDataset();
+  const std::vector<ApiId> universe = {SyscallApi(7), SyscallApi(2)};
+  for (const StudyDataset* ds : {tie.get(), hand.get()}) {
+    for (ApiKind kind : {ApiKind::kSyscall, ApiKind::kIoctlOp}) {
+      auto single = GreedyCompletenessPath(*ds, kind, universe);
+      auto multi = GreedyCompletenessPathMultiKind(*ds, {kind}, universe);
+      ASSERT_EQ(single.size(), multi.size());
+      for (size_t i = 0; i < single.size(); ++i) {
+        EXPECT_EQ(single[i].api, multi[i].api) << i;
+        EXPECT_EQ(single[i].importance, multi[i].importance) << i;
+        EXPECT_EQ(single[i].weighted_completeness,
+                  multi[i].weighted_completeness)
+            << i;
+      }
+    }
+  }
+  // The importance tie falls to the unweighted importance, not the id.
+  auto path = GreedyCompletenessPath(*tie, ApiKind::kSyscall);
+  ASSERT_EQ(path.size(), 2u);
+  EXPECT_EQ(path[0].api, SyscallApi(6));
+  EXPECT_EQ(path[1].api, SyscallApi(4));
+  EXPECT_EQ(path[0].importance, path[1].importance);
+}
+
+TEST(Completeness, GreedyPathMatchesKernelAtEveryPrefix) {
+  auto tie = MakeTieDataset();
+  auto hand = MakeDataset();
+  const std::set<ApiKind> both = {ApiKind::kSyscall, ApiKind::kIoctlOp};
+  for (const StudyDataset* ds : {tie.get(), hand.get()}) {
+    for (const std::set<ApiKind>& kinds :
+         {std::set<ApiKind>{ApiKind::kSyscall}, both}) {
+      CompletenessOptions options;
+      options.evaluated_kinds = kinds;
+      std::set<ApiId> prefix;
+      for (const PathPoint& point :
+           GreedyCompletenessPathMultiKind(*ds, kinds)) {
+        prefix.insert(point.api);
+        EXPECT_EQ(point.weighted_completeness,
+                  EvaluateSupport(*ds, prefix, options).weighted_completeness)
+            << "after " << prefix.size() << " APIs";
+      }
+    }
   }
 }
 

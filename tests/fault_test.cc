@@ -610,6 +610,61 @@ TEST(ArtifactChaos, TornArtifactReadFailsCleanlyAndHealthyReadRecovers) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().dataset->package_count(),
             BaselineStudy().dataset->package_count());
+
+  // The serve reload path reads through the same artifact I/O layer: a torn
+  // read fails the reload, is counted, and generation 1 keeps serving.
+  serve::GenerationStore store;
+  ASSERT_TRUE(store.PublishFromFile(path).ok());
+  {
+    ScopedFaultInjection scoped("artifact_read:short@0", 5);
+    EXPECT_FALSE(store.PublishFromFile(path).ok());
+  }
+  EXPECT_EQ(store.reload_failures(), 1u);
+  EXPECT_EQ(store.latest(), 1u);
+  ASSERT_NE(store.Current(), nullptr);
+  EXPECT_EQ(store.Current()->number, 1u);
+  EXPECT_EQ(store.Current()->snapshot->dataset().package_count(),
+            BaselineStudy().dataset->package_count());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ArtifactChaos, SnapshotFromFileReportsInjectedErrorsAsIoErrors) {
+  auto dir = FreshDir("lapis-fault-snapshot");
+  std::string path = (dir / "study.bin").string();
+  ASSERT_TRUE(corpus::SaveStudy(BaselineStudy(), path).ok());
+  // A failed open or read is an I/O error, never a decode error: the
+  // artifact itself is intact.
+  for (const char* spec : {"artifact_open:eio@0", "artifact_read:eio@0"}) {
+    ScopedFaultInjection scoped(spec, 7);
+    auto snapshot = serve::Snapshot::FromFile(path);
+    ASSERT_FALSE(snapshot.ok()) << spec;
+    EXPECT_EQ(snapshot.status().code(), StatusCode::kIoError)
+        << spec << ": " << snapshot.status().ToString();
+  }
+  EXPECT_EQ(serve::Snapshot::FromFile((dir / "missing.bin").string())
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ArtifactChaos, SnapshotFromFileRetriesInterruptedReads) {
+  auto dir = FreshDir("lapis-fault-snapshot-eintr");
+  std::string path = (dir / "study.bin").string();
+  ASSERT_TRUE(corpus::SaveStudy(BaselineStudy(), path).ok());
+  auto clean = serve::Snapshot::FromFile(path);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  {
+    // The open and about half of the reads are interrupted: the reader
+    // retries each one and never surfaces EINTR or a short artifact.
+    ScopedFaultInjection scoped("artifact_open:eintr@0;artifact_read:eintr~0.5",
+                                11);
+    auto interrupted = serve::Snapshot::FromFile(path);
+    ASSERT_TRUE(interrupted.ok()) << interrupted.status().ToString();
+    EXPECT_EQ(interrupted.value()->content_hash(),
+              clean.value()->content_hash());
+    EXPECT_GE(fault::GlobalStats().eintr_injected, 1u);
+  }
   std::filesystem::remove_all(dir);
 }
 
