@@ -15,13 +15,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 
+#include "bench/bench_host.h"
 #include "bench/study_fixture.h"
 #include "src/core/report.h"
 #include "src/corpus/study_runner.h"
@@ -31,29 +30,6 @@
 using namespace lapis;
 
 namespace {
-
-std::string CpuModel() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    auto colon = line.find(':');
-    if (colon != std::string::npos &&
-        line.compare(0, 10, "model name") == 0) {
-      size_t start = line.find_first_not_of(" \t", colon + 1);
-      return start == std::string::npos ? "" : line.substr(start);
-    }
-  }
-  return "unknown";
-}
-
-std::string IsoDate() {
-  std::time_t now = std::time(nullptr);
-  char buf[16];
-  std::tm tm_utc{};
-  gmtime_r(&now, &tm_utc);
-  std::strftime(buf, sizeof buf, "%Y-%m-%d", &tm_utc);
-  return buf;
-}
 
 corpus::StudyResult RunTier(bool use_dataflow, bool use_ipa,
                             size_t jobs = 0) {
@@ -195,17 +171,8 @@ int main() {
         "interprocedural back-tracking), each differentially audited "
         "against dynamic replay, plus the ipa determinism check across "
         "worker counts. Emitted by bench_ipa_precision.\",\n";
+  os << bench::HostJson();
   char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "  \"host\": {\n"
-                "    \"cpu_model\": \"%s\",\n"
-                "    \"logical_cpus\": %u,\n"
-                "    \"compiler\": \"%s\",\n"
-                "    \"date\": \"%s\"\n"
-                "  },\n",
-                CpuModel().c_str(), std::thread::hardware_concurrency(),
-                __VERSION__, IsoDate().c_str());
-  os << buf;
   std::snprintf(buf, sizeof buf,
                 "  \"config\": { \"app_packages\": %zu, \"installations\": "
                 "%" PRIu64 ", \"packages\": %zu, \"ipa_max_depth\": %d },\n",

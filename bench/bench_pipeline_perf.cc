@@ -14,15 +14,14 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/bench_host.h"
 #include "src/analysis/binary_analyzer.h"
 #include "src/analysis/library_resolver.h"
 #include "src/cache/footprint_cache.h"
@@ -167,7 +166,6 @@ void BM_StudyPipelineJobs(benchmark::State& state) {
   options.distro.installation_count = 5000;
   options.jobs = static_cast<size_t>(state.range(0));
   double tasks = 0.0;
-  double steals = 0.0;
   size_t threads = 1;
   for (auto _ : state) {
     auto study = corpus::RunStudy(options);
@@ -176,15 +174,12 @@ void BM_StudyPipelineJobs(benchmark::State& state) {
       break;
     }
     tasks += static_cast<double>(study.value().executor_stats.tasks_executed);
-    steals += static_cast<double>(study.value().executor_stats.steals);
     threads = study.value().jobs_used;
     benchmark::DoNotOptimize(study.value().analyzed_binaries);
   }
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["tasks"] =
       benchmark::Counter(tasks, benchmark::Counter::kAvgIterations);
-  state.counters["steals"] =
-      benchmark::Counter(steals, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_StudyPipelineJobs)
     ->Arg(1)
@@ -199,14 +194,13 @@ void BM_ExecutorParallelFor(benchmark::State& state) {
   std::vector<uint32_t> data(kElements, 1);
   for (auto _ : state) {
     std::atomic<uint64_t> sum{0};
-    executor.ParallelFor(0, kElements, 0,
-                         [&data, &sum](size_t begin, size_t end) {
-                           uint64_t local = 0;
-                           for (size_t i = begin; i < end; ++i) {
-                             local += data[i];
-                           }
-                           sum.fetch_add(local, std::memory_order_relaxed);
-                         });
+    executor.ParallelFor(0, kElements, [&data, &sum](size_t begin, size_t end) {
+      uint64_t local = 0;
+      for (size_t i = begin; i < end; ++i) {
+        local += data[i];
+      }
+      sum.fetch_add(local, std::memory_order_relaxed);
+    });
     if (sum.load() != kElements) {
       state.SkipWithError("parallel_for dropped elements");
       break;
@@ -236,36 +230,6 @@ void BM_PopconSimulation(benchmark::State& state) {
 BENCHMARK(BM_PopconSimulation);
 
 // --- Cold/warm study pair + BENCH_pipeline.json ---------------------------
-
-std::string CpuModel() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    auto colon = line.find(':');
-    if (colon != std::string::npos &&
-        line.compare(0, 10, "model name") == 0) {
-      size_t start = line.find_first_not_of(" \t", colon + 1);
-      return start == std::string::npos ? "" : line.substr(start);
-    }
-  }
-  return "unknown";
-}
-
-std::string KernelRelease() {
-  std::ifstream in("/proc/sys/kernel/osrelease");
-  std::string release;
-  std::getline(in, release);
-  return release.empty() ? "unknown" : release;
-}
-
-std::string IsoDate() {
-  std::time_t now = std::time(nullptr);
-  char buf[16];
-  std::tm tm_utc{};
-  gmtime_r(&now, &tm_utc);
-  std::strftime(buf, sizeof buf, "%Y-%m-%d", &tm_utc);
-  return buf;
-}
 
 struct TimedStudy {
   corpus::StudyResult result;
@@ -377,18 +341,8 @@ int WriteColdWarmJson() {
         "per-library export reachability, the per-executable resolution, "
         "and the popcon survey; exports are byte-identical cold vs. "
         "warm.\",\n";
+  os << bench::HostJson();
   char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "  \"host\": {\n"
-                "    \"cpu_model\": \"%s\",\n"
-                "    \"logical_cpus\": %u,\n"
-                "    \"kernel\": \"%s\",\n"
-                "    \"compiler\": \"%s\",\n"
-                "    \"date\": \"%s\"\n"
-                "  },\n",
-                CpuModel().c_str(), std::thread::hardware_concurrency(),
-                KernelRelease().c_str(), __VERSION__, IsoDate().c_str());
-  os << buf;
   std::snprintf(buf, sizeof buf,
                 "  \"config\": { \"app_packages\": %zu, \"installations\": "
                 "%" PRIu64 ", \"jobs\": %zu, \"jobs_used\": %zu },\n",

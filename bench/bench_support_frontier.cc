@@ -18,13 +18,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/bench_host.h"
 #include "src/corpus/study_runner.h"
 #include "src/corpus/system_profiles.h"
 #include "src/plan/cost_model.h"
@@ -34,29 +33,6 @@
 
 namespace lapis {
 namespace {
-
-std::string CpuModel() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    auto colon = line.find(':');
-    if (colon != std::string::npos &&
-        line.compare(0, 10, "model name") == 0) {
-      size_t start = line.find_first_not_of(" \t", colon + 1);
-      return start == std::string::npos ? "" : line.substr(start);
-    }
-  }
-  return "unknown";
-}
-
-std::string IsoDate() {
-  std::time_t now = std::time(nullptr);
-  char buf[16];
-  std::tm tm_utc{};
-  gmtime_r(&now, &tm_utc);
-  std::strftime(buf, sizeof buf, "%Y-%m-%d", &tm_utc);
-  return buf;
-}
 
 // (cumulative cost, completeness) frontier of a finished plan, starting at
 // the profile's initial completeness for cost 0.
@@ -321,17 +297,8 @@ int Run() {
         "budget DP vs importance-order baseline), plus the cost savings "
         "from planning with the differential auditor's dynamic-replay "
         "evidence. Emitted by bench_support_frontier.\",\n";
+  os << bench::HostJson();
   char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "  \"host\": {\n"
-                "    \"cpu_model\": \"%s\",\n"
-                "    \"logical_cpus\": %u,\n"
-                "    \"compiler\": \"%s\",\n"
-                "    \"date\": \"%s\"\n"
-                "  },\n",
-                CpuModel().c_str(), std::thread::hardware_concurrency(),
-                __VERSION__, IsoDate().c_str());
-  os << buf;
   std::snprintf(buf, sizeof buf,
                 "  \"config\": { \"app_packages\": %zu, \"installations\": "
                 "%" PRIu64 ", \"packages\": %zu, \"audited_executables\": "

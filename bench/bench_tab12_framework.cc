@@ -70,14 +70,12 @@ int main() {
                                  1) +
                     "s)"});
   // Parallel-runtime accounting: the paper ran one 3-day sequential sweep;
-  // lapis shards the pipeline over a work-stealing pool and reports the
+  // lapis shards the pipeline over a FIFO thread pool and reports the
   // executor's counters plus the per-stage wall/CPU split.
   table.AddRow({"Pipeline worker threads", "1 (sequential sweep)",
                 FormatWithCommas(study.jobs_used)});
-  table.AddRow(
-      {"Executor tasks / steals", "-",
-       FormatWithCommas(study.executor_stats.tasks_executed) + " / " +
-           FormatWithCommas(study.executor_stats.steals)});
+  table.AddRow({"Executor tasks", "-",
+                FormatWithCommas(study.executor_stats.tasks_executed)});
   table.AddRow({"Executor max queue depth", "-",
                 FormatWithCommas(study.executor_stats.max_queue_depth)});
   for (const auto& [stage, record] : study.pipeline_stats.stages()) {

@@ -65,10 +65,10 @@ void PrintStudyBanner(const std::string& title) {
     std::printf("%s\n", study.audit->Summary().c_str());
   }
   std::printf(
-      "pipeline: %zu worker thread(s), %zu tasks executed, %zu steals, "
+      "pipeline: %zu worker thread(s), %zu tasks executed, "
       "max queue depth %zu, %.1fs wall / %.1fs cpu across stages\n",
       study.jobs_used, study.executor_stats.tasks_executed,
-      study.executor_stats.steals, study.executor_stats.max_queue_depth,
+      study.executor_stats.max_queue_depth,
       study.pipeline_stats.TotalWallSeconds(),
       study.pipeline_stats.TotalCpuSeconds());
   if (study.cache_enabled) {

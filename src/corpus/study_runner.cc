@@ -243,12 +243,8 @@ StudyOptions SmallStudyOptions() {
 }
 
 Result<StudyResult> RunStudy(const StudyOptions& options) {
-  std::unique_ptr<runtime::Executor> owned_executor;
-  runtime::Executor* executor = options.executor;
-  if (executor == nullptr) {
-    owned_executor = std::make_unique<runtime::Executor>(options.jobs);
-    executor = owned_executor.get();
-  }
+  runtime::Executor pool(options.jobs);
+  runtime::Executor* executor = &pool;
 
   // ---- Incremental cache (optional) ----
   std::unique_ptr<FootprintCache> owned_cache;
@@ -506,7 +502,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   }
 
   // ---- Ground-truth verification ----
-  if (options.verify_ground_truth) {
+  {
     runtime::StageTimer timer(&stats, "ground-truth");
     auto mismatches = runtime::ParallelMap(
         executor, package_count,

@@ -39,8 +39,6 @@ namespace lapis::corpus {
 
 struct StudyOptions {
   DistroOptions distro;
-  // Verify recovered footprints against the plan (slower; tests enable).
-  bool verify_ground_truth = true;
   // Static-analysis methodology switches. `analyzer.use_dataflow` is the
   // ablation lever: true = CFG constant propagation (default), false = the
   // soundness-fixed linear baseline.
@@ -57,8 +55,6 @@ struct StudyOptions {
   // 1 = fully sequential (no threads spawned). Dataset exports are
   // byte-identical at every jobs value.
   size_t jobs = 0;
-  // Run on an existing pool instead of creating one (overrides `jobs`).
-  runtime::Executor* executor = nullptr;
   // Content-addressed incremental cache (src/cache). Non-empty `cache_dir`
   // opens (creating if needed) a persistent store there; on a hit the whole
   // per-binary analysis chain (ELF parse, linear sweep, CFG, dataflow), the
@@ -126,7 +122,7 @@ struct StudyResult {
   std::map<std::string, size_t> pseudo_path_binary_counts;
 
   // Parallel-pipeline accounting: wall/CPU per stage, plus the executor's
-  // task/steal counters for the run.
+  // task and queue-depth counters for the run.
   runtime::PipelineStats pipeline_stats;
   runtime::ExecutorStats executor_stats;
   size_t jobs_used = 1;

@@ -419,6 +419,11 @@ SupportPlan ImportanceOrderPlan(const PlannerInput& input) {
 
 namespace {
 
+// Largest candidate count the subset DP takes (memory is O(2^n)).
+constexpr size_t kDpMaxCandidates = 20;
+// Branch-and-bound node ceiling; exceeding it clears ExactResult::optimal.
+constexpr size_t kMaxBnbNodes = 4'000'000;
+
 ExactResult ExactByDp(const Instance& inst, const PlannerInput& input) {
   const uint32_t n = static_cast<uint32_t>(inst.apis.size());
   const size_t n_masks = size_t{1} << n;
@@ -489,7 +494,6 @@ struct BnbState {
   size_t acquired_count = 0;
   double cost = 0.0;
   size_t nodes = 0;
-  size_t max_nodes = 0;
   bool truncated = false;
 
   double best_coverage = -1.0;
@@ -498,7 +502,7 @@ struct BnbState {
 };
 
 void BnbDfs(BnbState* st, size_t i, double coverage) {
-  if (++st->nodes > st->max_nodes) {
+  if (++st->nodes > kMaxBnbNodes) {
     st->truncated = true;
     return;
   }
@@ -549,12 +553,10 @@ void BnbDfs(BnbState* st, size_t i, double coverage) {
   BnbDfs(st, i + 1, coverage);
 }
 
-ExactResult ExactByBnb(const Instance& inst, const PlannerInput& input,
-                       const ExactOptions& options) {
+ExactResult ExactByBnb(const Instance& inst, const PlannerInput& input) {
   BnbState st;
   st.inst = &inst;
   st.input = &input;
-  st.max_nodes = options.max_nodes;
   st.acquired.assign(inst.apis.size(), false);
 
   for (uint32_t p = 0; p < inst.weight.size(); ++p) {
@@ -591,12 +593,12 @@ ExactResult ExactByBnb(const Instance& inst, const PlannerInput& input,
 
 }  // namespace
 
-ExactResult ExactPlan(const PlannerInput& input, const ExactOptions& options) {
+ExactResult ExactPlan(const PlannerInput& input) {
   Instance inst = BuildInstance(input);
-  if (inst.apis.size() <= options.dp_max_candidates) {
+  if (inst.apis.size() <= kDpMaxCandidates) {
     return ExactByDp(inst, input);
   }
-  return ExactByBnb(inst, input, options);
+  return ExactByBnb(inst, input);
 }
 
 PlannerInput RestrictToTopApis(const PlannerInput& input, size_t top_k) {

@@ -77,23 +77,16 @@ struct SupportPlan {
 SupportPlan GreedyPlan(const PlannerInput& input);
 SupportPlan ImportanceOrderPlan(const PlannerInput& input);
 
-struct ExactOptions {
-  // Use the subset-DP solver when the instance has at most this many
-  // candidate APIs (memory is O(2^n)); otherwise branch-and-bound.
-  size_t dp_max_candidates = 20;
-  // Branch-and-bound node ceiling; exceeded => result.optimal = false.
-  size_t max_nodes = 4000000;
-};
-
 struct ExactResult {
   double completeness = 0.0;   // best achievable at the budget
   double cost = 0.0;           // cost of the chosen set
   std::vector<core::ApiId> chosen;
-  bool optimal = true;
+  bool optimal = true;  // false when branch-and-bound hit its node ceiling
 };
 
-ExactResult ExactPlan(const PlannerInput& input,
-                      const ExactOptions& options = {});
+// Subset DP for at most 20 candidate APIs (memory is O(2^n)), else
+// branch-and-bound over packages capped at 4M nodes.
+ExactResult ExactPlan(const PlannerInput& input);
 
 // Narrows `input` to the `top_k` most important not-yet-supported APIs so
 // ExactPlan stays tractable; everything else about the instance (weights,

@@ -1,360 +1,157 @@
 #include "src/runtime/executor.h"
 
 #include <algorithm>
-#include <chrono>
+#include <utility>
 
 #include "src/util/env.h"
 
 namespace lapis::runtime {
-
-namespace {
-
-// Which executor (and worker slot) the current thread belongs to. Worker
-// threads set this for their lifetime; every other thread sees nullptr and
-// routes submissions through the injector queue.
-thread_local const Executor* tls_executor = nullptr;
-thread_local size_t tls_worker_index = 0;
-
-constexpr auto kIdleWait = std::chrono::milliseconds(2);
-constexpr auto kJoinWait = std::chrono::milliseconds(1);
-
-}  // namespace
 
 Executor::Executor(size_t thread_count) {
   if (thread_count == 0) {
     thread_count = DefaultJobs();
   }
   // Cap absurd requests (e.g. -1 coerced to size_t) instead of trying to
-  // reserve billions of worker slots.
+  // spawn billions of threads.
   constexpr size_t kMaxThreads = 512;
   thread_count_ = std::clamp<size_t>(thread_count, 1, kMaxThreads);
-  const size_t spawn = thread_count_ - 1;
-  workers_.reserve(spawn);
-  for (size_t i = 0; i < spawn; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(spawn);
-  for (size_t i = 0; i < spawn; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+  threads_.reserve(thread_count_ - 1);
+  for (size_t i = 1; i < thread_count_; ++i) {
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 Executor::~Executor() {
-  stop_.store(true, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lock(cv_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
-  work_cv_.notify_all();
+  cv_.notify_all();
   for (auto& thread : threads_) {
     thread.join();
   }
 }
 
-size_t Executor::SelfIndex() const {
-  return tls_executor == this ? tls_worker_index : kNoWorker;
+void Executor::EnqueuedLocked(size_t count) {
+  unfinished_ += count;
+  max_queue_depth_ = std::max<uint64_t>(max_queue_depth_, queue_.size());
 }
 
-TaskId Executor::Submit(std::function<void()> fn) {
-  return SubmitInternal(std::move(fn), {}, /*skip_on_cancel=*/true);
+void Executor::RunFront(std::unique_lock<std::mutex>& lock) {
+  std::function<void()> task = std::move(queue_.front());
+  queue_.pop_front();
+  lock.unlock();
+  std::exception_ptr thrown;
+  try {
+    task();
+  } catch (...) {
+    thrown = std::current_exception();
+  }
+  task = nullptr;  // release captures before retaking the lock
+  lock.lock();
+  if (thrown && !first_error_) {
+    first_error_ = thrown;
+  }
+  ++tasks_executed_;
+  --unfinished_;
+  cv_.notify_all();
 }
 
-TaskId Executor::Submit(std::function<void()> fn,
-                        const std::vector<TaskId>& deps) {
-  return SubmitInternal(std::move(fn), deps, /*skip_on_cancel=*/true);
-}
-
-TaskId Executor::SubmitInternal(std::function<void()> fn,
-                                const std::vector<TaskId>& deps,
-                                bool skip_on_cancel) {
-  auto task = std::make_shared<Task>();
-  task->fn = std::move(fn);
-  task->skip_on_cancel = skip_on_cancel;
-  bool ready = false;
-  {
-    std::lock_guard<std::mutex> lock(graph_mutex_);
-    task->id = next_id_++;
-    for (TaskId dep : deps) {
-      auto it = tasks_.find(dep);
-      if (it != tasks_.end()) {  // absent => already finished => satisfied
-        it->second->dependents.push_back(task->id);
-        ++task->unmet_deps;
-      }
-    }
-    tasks_.emplace(task->id, task);
-    ++in_flight_;
-    ready = task->unmet_deps == 0;
-  }
-  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-  TaskId id = task->id;
-  if (ready) {
-    PushReady(std::move(task));
-  }
-  return id;
-}
-
-void Executor::PushReady(TaskPtr task) {
-  size_t depth = 0;
-  const size_t self = SelfIndex();
-  if (self != kNoWorker) {
-    Worker& worker = *workers_[self];
-    std::lock_guard<std::mutex> lock(worker.mutex);
-    worker.deque.push_back(std::move(task));
-    depth = worker.deque.size();
-  } else {
-    std::lock_guard<std::mutex> lock(injector_mutex_);
-    injector_.push_back(std::move(task));
-    depth = injector_.size();
-  }
-  uint64_t prev = max_queue_depth_.load(std::memory_order_relaxed);
-  while (depth > prev && !max_queue_depth_.compare_exchange_weak(
-                             prev, depth, std::memory_order_relaxed)) {
-  }
-  ready_count_.fetch_add(1, std::memory_order_release);
-  NotifyWork();
-}
-
-void Executor::NotifyWork() {
-  {
-    std::lock_guard<std::mutex> lock(cv_mutex_);
-  }
-  work_cv_.notify_one();
-}
-
-Executor::TaskPtr Executor::TryGetTask(size_t self) {
-  if (self != kNoWorker) {
-    Worker& worker = *workers_[self];
-    std::lock_guard<std::mutex> lock(worker.mutex);
-    if (!worker.deque.empty()) {
-      TaskPtr task = std::move(worker.deque.back());
-      worker.deque.pop_back();
-      ready_count_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(injector_mutex_);
-    if (!injector_.empty()) {
-      TaskPtr task = std::move(injector_.front());
-      injector_.pop_front();
-      ready_count_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  const size_t n = workers_.size();
-  const size_t start = self == kNoWorker ? 0 : self + 1;
-  for (size_t k = 0; k < n; ++k) {
-    const size_t victim = (start + k) % n;
-    if (victim == self) {
-      continue;
-    }
-    Worker& worker = *workers_[victim];
-    std::lock_guard<std::mutex> lock(worker.mutex);
-    if (!worker.deque.empty()) {
-      TaskPtr task = std::move(worker.deque.front());
-      worker.deque.pop_front();
-      ready_count_.fetch_sub(1, std::memory_order_relaxed);
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void Executor::RunTask(const TaskPtr& task) {
-  const bool skip =
-      cancelled_.load(std::memory_order_relaxed) && task->skip_on_cancel;
-  if (skip) {
-    tasks_skipped_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    try {
-      task->fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(graph_mutex_);
-      if (!first_error_) {
-        first_error_ = std::current_exception();
-      }
-    }
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::vector<TaskPtr> newly_ready;
-  {
-    std::lock_guard<std::mutex> lock(graph_mutex_);
-    tasks_.erase(task->id);
-    --in_flight_;
-    for (TaskId dependent : task->dependents) {
-      auto it = tasks_.find(dependent);
-      if (it != tasks_.end() && --it->second->unmet_deps == 0) {
-        newly_ready.push_back(it->second);
-      }
-    }
-  }
-  for (auto& ready : newly_ready) {
-    PushReady(std::move(ready));
-  }
-  {
-    std::lock_guard<std::mutex> lock(cv_mutex_);
-  }
-  completion_cv_.notify_all();
-}
-
-bool Executor::RunOne(size_t self) {
-  TaskPtr task = TryGetTask(self);
-  if (task == nullptr) {
-    return false;
-  }
-  RunTask(task);
-  return true;
-}
-
-void Executor::WorkerLoop(size_t index) {
-  tls_executor = this;
-  tls_worker_index = index;
+template <typename Done>
+void Executor::HelpUntil(std::unique_lock<std::mutex>& lock, Done done) {
   for (;;) {
-    TaskPtr task = TryGetTask(index);
-    if (task != nullptr) {
-      RunTask(task);
-      continue;
+    cv_.wait(lock, [&] { return done() || !queue_.empty(); });
+    if (done()) {
+      return;
     }
-    if (stop_.load(std::memory_order_acquire)) {
-      break;  // TryGetTask just confirmed there is nothing left to drain
-    }
-    std::unique_lock<std::mutex> lock(cv_mutex_);
-    work_cv_.wait_for(lock, kIdleWait, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             ready_count_.load(std::memory_order_acquire) > 0;
-    });
+    RunFront(lock);
   }
-  tls_executor = nullptr;
 }
 
-void Executor::Wait(TaskId id) {
-  const size_t self = SelfIndex();
+void Executor::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(graph_mutex_);
-      if (tasks_.find(id) == tasks_.end()) {
-        break;
-      }
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) {
+      return;  // stopping, and nothing is left to drain
     }
-    if (!RunOne(self)) {
-      std::unique_lock<std::mutex> lock(cv_mutex_);
-      completion_cv_.wait_for(lock, kJoinWait);
-    }
+    RunFront(lock);
   }
-  std::exception_ptr error;
+}
+
+void Executor::Submit(std::function<void()> fn) {
   {
-    std::lock_guard<std::mutex> lock(graph_mutex_);
-    std::swap(error, first_error_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(std::move(fn));
+    EnqueuedLocked(1);
   }
-  if (error) {
-    std::rethrow_exception(error);
-  }
+  cv_.notify_all();
 }
 
 void Executor::WaitAll() {
-  const size_t self = SelfIndex();
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(graph_mutex_);
-      if (in_flight_ == 0) {
-        break;
-      }
-    }
-    if (!RunOne(self)) {
-      std::unique_lock<std::mutex> lock(cv_mutex_);
-      completion_cv_.wait_for(lock, kJoinWait);
-    }
-  }
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(graph_mutex_);
-    std::swap(error, first_error_);
-  }
-  if (error) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  HelpUntil(lock, [this] { return unfinished_ == 0; });
+  if (first_error_) {
+    std::exception_ptr error = std::exchange(first_error_, nullptr);
+    lock.unlock();
     std::rethrow_exception(error);
   }
 }
 
-void Executor::ParallelFor(size_t begin, size_t end, size_t grain,
+void Executor::ParallelFor(size_t begin, size_t end,
                            const std::function<void(size_t, size_t)>& body) {
   if (end <= begin) {
     return;
   }
-  parallel_for_calls_.fetch_add(1, std::memory_order_relaxed);
   const size_t n = end - begin;
-  if (grain == 0) {
-    grain = std::max<size_t>(1, n / (thread_count_ * 8));
-  }
+  const size_t grain = std::max<size_t>(1, n / (thread_count_ * 8));
   const size_t chunks = (n + grain - 1) / grain;
   if (thread_count_ <= 1 || chunks <= 1) {
     // Same chunk boundaries as the parallel path, executed in order, so
     // the body observes identical (begin, end) pairs at any thread count.
     for (size_t c = 0; c < chunks; ++c) {
-      if (cancelled_.load(std::memory_order_relaxed)) {
-        break;
-      }
       const size_t chunk_begin = begin + c * grain;
       body(chunk_begin, std::min(end, chunk_begin + grain));
     }
     return;
   }
 
-  struct Group {
-    std::atomic<size_t> remaining{0};
-    std::mutex mutex;
-    std::exception_ptr error;
-  } group;
-  group.remaining.store(chunks, std::memory_order_relaxed);
-
+  size_t remaining = chunks;  // guarded by mutex_
+  std::exception_ptr error;   // first body exception; guarded by mutex_
+  std::unique_lock<std::mutex> lock(mutex_);
   for (size_t c = 0; c < chunks; ++c) {
     const size_t chunk_begin = begin + c * grain;
     const size_t chunk_end = std::min(end, chunk_begin + grain);
-    SubmitInternal(
-        [this, &group, &body, chunk_begin, chunk_end] {
-          if (!cancelled_.load(std::memory_order_relaxed)) {
-            try {
-              body(chunk_begin, chunk_end);
-            } catch (...) {
-              std::lock_guard<std::mutex> lock(group.mutex);
-              if (!group.error) {
-                group.error = std::current_exception();
-              }
-            }
+    queue_.push_back(
+        [this, &body, &remaining, &error, chunk_begin, chunk_end] {
+          std::exception_ptr thrown;
+          try {
+            body(chunk_begin, chunk_end);
+          } catch (...) {
+            thrown = std::current_exception();
           }
-          group.remaining.fetch_sub(1, std::memory_order_acq_rel);
-        },
-        {}, /*skip_on_cancel=*/false);
+          std::lock_guard<std::mutex> guard(mutex_);
+          if (thrown && !error) {
+            error = thrown;
+          }
+          --remaining;
+        });
   }
-
-  const size_t self = SelfIndex();
-  while (group.remaining.load(std::memory_order_acquire) > 0) {
-    if (!RunOne(self)) {
-      std::unique_lock<std::mutex> lock(cv_mutex_);
-      completion_cv_.wait_for(lock, kJoinWait);
-    }
+  EnqueuedLocked(chunks);
+  cv_.notify_all();
+  HelpUntil(lock, [&remaining] { return remaining == 0; });
+  if (error) {
+    lock.unlock();
+    std::rethrow_exception(error);
   }
-  if (group.error) {
-    std::rethrow_exception(group.error);
-  }
-}
-
-void Executor::Cancel() {
-  cancelled_.store(true, std::memory_order_relaxed);
-}
-
-void Executor::ResetCancellation() {
-  cancelled_.store(false, std::memory_order_relaxed);
 }
 
 ExecutorStats Executor::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   ExecutorStats s;
   s.thread_count = thread_count_;
-  s.tasks_submitted = tasks_submitted_.load(std::memory_order_relaxed);
-  s.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
-  s.tasks_skipped = tasks_skipped_.load(std::memory_order_relaxed);
-  s.steals = steals_.load(std::memory_order_relaxed);
-  s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
-  s.parallel_for_calls = parallel_for_calls_.load(std::memory_order_relaxed);
+  s.tasks_executed = tasks_executed_;
+  s.max_queue_depth = max_queue_depth_;
   return s;
 }
 
@@ -365,29 +162,6 @@ size_t DefaultJobs() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-namespace {
-
-std::mutex g_global_mutex;
-std::unique_ptr<Executor> g_global_executor;
-size_t g_global_jobs = 0;  // 0 = DefaultJobs()
-
-}  // namespace
-
-Executor& GlobalExecutor() {
-  std::lock_guard<std::mutex> lock(g_global_mutex);
-  if (g_global_executor == nullptr) {
-    g_global_executor = std::make_unique<Executor>(
-        g_global_jobs == 0 ? DefaultJobs() : g_global_jobs);
-  }
-  return *g_global_executor;
-}
-
-void SetGlobalJobs(size_t jobs) {
-  std::lock_guard<std::mutex> lock(g_global_mutex);
-  g_global_jobs = jobs;
-  g_global_executor.reset();
 }
 
 }  // namespace lapis::runtime

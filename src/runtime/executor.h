@@ -1,23 +1,18 @@
-// Work-stealing parallel executor — the substrate every pipeline stage
-// runs on (corpus synthesis, per-binary analysis, footprint resolution,
-// SCC-condensed aggregation).
+// Fixed-size thread pool with one FIFO task queue — the substrate every
+// pipeline stage runs on (corpus synthesis, per-binary analysis, footprint
+// resolution) and the pool behind lapis_serve's connection handlers.
 //
 // Design:
-//   * N logical threads: the constructor spawns N-1 workers; the calling
-//     thread joins the pool whenever it waits (Wait / WaitAll /
-//     ParallelFor), so Executor(1) spawns nothing and executes every task
-//     inline — bit-for-bit the sequential pipeline.
-//   * Each worker owns a deque: it pushes/pops at the back (LIFO, cache
-//     warm) and thieves steal from the front (FIFO, oldest first). External
-//     submissions land in a shared injector queue.
-//   * Tasks form a graph: Submit() takes dependency edges; a task becomes
-//     ready once every dependency finished. Completed ids are forgotten —
-//     waiting on an unknown id returns immediately.
+//   * N logical threads: the constructor spawns N-1 workers; a thread that
+//     waits (WaitAll / ParallelFor) runs queued tasks meanwhile, so
+//     Executor(1) spawns nothing and executes every task on the waiting
+//     caller — bit-for-bit the sequential pipeline.
+//   * One queue under one mutex: tasks start in submission order. Until
+//     some thread waits, at most N-1 Submit()ed tasks run at once — the
+//     bound lapis_serve uses for its connection workers.
 //   * Exceptions: the first exception thrown by a Submit()ed task is
-//     captured and rethrown at the next WaitAll()/Wait(). ParallelFor
-//     captures its own first exception and rethrows at its join.
-//   * Cancel() skips every not-yet-started Submit()ed task (dependents
-//     still unblock) and makes in-flight ParallelFor calls return early.
+//     captured and rethrown at the next WaitAll(). ParallelFor captures its
+//     own first exception and rethrows it at its join.
 //
 // Determinism: scheduling is nondeterministic by nature; deterministic
 // *output* comes from the reduction layer in parallel.h (shard results
@@ -26,31 +21,24 @@
 #ifndef LAPIS_SRC_RUNTIME_EXECUTOR_H_
 #define LAPIS_SRC_RUNTIME_EXECUTOR_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace lapis::runtime {
 
-using TaskId = uint64_t;
-inline constexpr TaskId kInvalidTaskId = 0;
-
 // Monotonic counters; a coherent snapshot is returned by Executor::stats().
 struct ExecutorStats {
-  size_t thread_count = 0;        // logical threads (workers + caller)
-  uint64_t tasks_submitted = 0;   // Submit() calls + ParallelFor chunks
-  uint64_t tasks_executed = 0;    // task bodies actually run
-  uint64_t tasks_skipped = 0;     // skipped because of Cancel()
-  uint64_t steals = 0;            // tasks taken from another thread's deque
-  uint64_t max_queue_depth = 0;   // high-water mark over all deques
-  uint64_t parallel_for_calls = 0;
+  size_t thread_count = 0;       // logical threads (workers + caller)
+  uint64_t tasks_executed = 0;   // queued tasks run (Submit + ParallelFor)
+  uint64_t steals = 0;           // always 0 (one shared queue); perfbench
+                                 // still reports it as runtime.steals
+  uint64_t max_queue_depth = 0;  // high-water mark of the queue
 };
 
 class Executor {
@@ -61,106 +49,54 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  // Enqueues a task, optionally gated on dependencies. Ids of already-
-  // finished (or never-issued) dependencies count as satisfied.
-  TaskId Submit(std::function<void()> fn);
-  TaskId Submit(std::function<void()> fn, const std::vector<TaskId>& deps);
+  // Appends a task to the queue; it never runs on the submitting thread
+  // unless that thread later waits.
+  void Submit(std::function<void()> fn);
 
-  // Blocks until `id` finished, executing queued tasks meanwhile.
-  void Wait(TaskId id);
-
-  // Blocks until every submitted task finished; rethrows the first
-  // captured task exception, if any.
+  // Blocks until every queued or running task finished — including tasks
+  // submitted by running tasks — executing queued tasks meanwhile.
+  // Rethrows the first captured Submit() task exception, if any.
   void WaitAll();
 
-  // Calls body(chunk_begin, chunk_end) over [begin, end) partitioned into
-  // chunks of at most `grain` indices (grain == 0 picks one proportional
-  // to the thread count). The calling thread participates; nested calls
-  // from inside a body are fine. Rethrows the first body exception.
-  void ParallelFor(size_t begin, size_t end, size_t grain,
+  // Calls body(chunk_begin, chunk_end) over [begin, end) split into about
+  // eight chunks per thread. The caller runs queued tasks until every chunk
+  // finished; calls from inside a body or a task are fine. Rethrows the
+  // first body exception.
+  void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t, size_t)>& body);
-
-  // Marks every not-yet-started task skippable and stops new ParallelFor
-  // chunks from running their bodies. Sticky until ResetCancellation().
-  void Cancel();
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-  void ResetCancellation();
 
   size_t thread_count() const { return thread_count_; }
   ExecutorStats stats() const;
 
  private:
-  struct Task {
-    TaskId id = kInvalidTaskId;
-    std::function<void()> fn;
-    uint32_t unmet_deps = 0;
-    std::vector<TaskId> dependents;
-    // ParallelFor chunks manage cancellation themselves (they must always
-    // decrement their group counter); plain submissions are skippable.
-    bool skip_on_cancel = true;
-  };
-  using TaskPtr = std::shared_ptr<Task>;
-
-  struct Worker {
-    std::mutex mutex;
-    std::deque<TaskPtr> deque;
-  };
-
-  static constexpr size_t kNoWorker = static_cast<size_t>(-1);
-
-  TaskId SubmitInternal(std::function<void()> fn,
-                        const std::vector<TaskId>& deps, bool skip_on_cancel);
-  // Index of the current thread's worker slot in *this* executor.
-  size_t SelfIndex() const;
-  void PushReady(TaskPtr task);
-  TaskPtr TryGetTask(size_t self);
-  void RunTask(const TaskPtr& task);
-  bool RunOne(size_t self);
-  void WorkerLoop(size_t index);
-  void NotifyWork();
+  // Books `count` tasks just appended to queue_; mutex_ must be held.
+  void EnqueuedLocked(size_t count);
+  // Runs queued tasks on the calling thread until done() holds, sleeping
+  // while the queue is empty. `lock` holds mutex_; done() is read under it.
+  template <typename Done>
+  void HelpUntil(std::unique_lock<std::mutex>& lock, Done done);
+  // Pops the front task and runs it with mutex_ released.
+  void RunFront(std::unique_lock<std::mutex>& lock);
+  void WorkerLoop();
 
   size_t thread_count_ = 1;
-  std::vector<std::unique_ptr<Worker>> workers_;  // one per spawned thread
-  std::vector<std::thread> threads_;
 
-  std::mutex injector_mutex_;
-  std::deque<TaskPtr> injector_;
-
-  // Task graph: pending (not yet finished) tasks by id.
-  mutable std::mutex graph_mutex_;
-  std::unordered_map<TaskId, TaskPtr> tasks_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;  // queue grew, a task finished, or stopping
+  std::deque<std::function<void()>> queue_;
+  uint64_t unfinished_ = 0;  // queued + running tasks
   std::exception_ptr first_error_;
-  TaskId next_id_ = 1;
-  uint64_t in_flight_ = 0;  // submitted, not yet finished
+  bool stop_ = false;
+  uint64_t tasks_executed_ = 0;
+  uint64_t max_queue_depth_ = 0;
 
-  std::mutex cv_mutex_;
-  std::condition_variable work_cv_;        // workers: "a task became ready"
-  std::condition_variable completion_cv_;  // waiters: "a task finished"
-
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> cancelled_{false};
-  std::atomic<uint64_t> ready_count_{0};
-
-  // Stats.
-  std::atomic<uint64_t> tasks_submitted_{0};
-  std::atomic<uint64_t> tasks_executed_{0};
-  std::atomic<uint64_t> tasks_skipped_{0};
-  std::atomic<uint64_t> steals_{0};
-  std::atomic<uint64_t> max_queue_depth_{0};
-  std::atomic<uint64_t> parallel_for_calls_{0};
+  // Last, so the workers start after, and are joined before, what they use.
+  std::vector<std::thread> threads_;
 };
 
 // Thread count used when none is specified: the LAPIS_JOBS environment
 // variable if set and positive, else hardware_concurrency() (min 1).
 size_t DefaultJobs();
-
-// Process-wide executor, built lazily with SetGlobalJobs()'s value (or
-// DefaultJobs()). Reconfigure before parallel work starts; SetGlobalJobs
-// tears down the old pool and the next GlobalExecutor() call rebuilds it.
-Executor& GlobalExecutor();
-void SetGlobalJobs(size_t jobs);
 
 }  // namespace lapis::runtime
 

@@ -1,4 +1,4 @@
-// Deterministic reduction layer over the work-stealing executor.
+// Deterministic reduction layer over the FIFO thread pool (executor.h).
 //
 // Scheduling is nondeterministic; output determinism comes from addressing:
 // every shard result lands at its canonical index, and merges fold shards
@@ -34,7 +34,7 @@ auto ParallelMap(Executor* executor, size_t count, Fn&& fn)
     }
     return out;
   }
-  executor->ParallelFor(0, count, 0, [&](size_t begin, size_t end) {
+  executor->ParallelFor(0, count, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       out[i] = fn(i);
     }

@@ -41,8 +41,8 @@ Result<std::unique_ptr<Server>> Server::Start(const ServerOptions& options,
   }
 
   // workers_ + 1 logical threads -> exactly workers_ spawned pool threads.
-  // The accept thread submits through the injector queue and never waits,
-  // so connection tasks always land on real workers, never inline.
+  // The accept thread only submits and never waits, so connection tasks
+  // always run on real workers, never inline.
   server->executor_ =
       std::make_unique<runtime::Executor>(server->workers_ + 1);
   server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });

@@ -1,13 +1,13 @@
 // The lapis_serve daemon core: a concurrent query server over the
 // footprint database.
 //
-// Design (thread-per-core on the existing work-stealing runtime):
+// Design (thread-per-core on the runtime's FIFO pool):
 //   * One dedicated accept thread polls the listening socket (Unix or
-//     loopback TCP) and hands each accepted connection to the
+//     loopback TCP) and Submit()s each accepted connection to the
 //     runtime::Executor as a task; `workers` pool threads then own
 //     connections for their lifetime (blocking reads — the executor is
 //     sized so all `workers` threads really exist, and the accept thread
-//     never joins the pool, so connection tasks never run inline).
+//     never waits on the pool, so connection tasks never run inline).
 //   * A connection is a loop of request frames (protocol.h). Every request
 //     in one frame is answered against a single GenerationStore::Current()
 //     pin, so a batch observes exactly one snapshot generation even while
@@ -18,8 +18,9 @@
 //     with bad content get per-request WireStatus errors instead.
 //
 // Concurrency limit: at most `workers` connections are served at once;
-// further accepted connections queue in the executor until a worker frees
-// up. Stop() shuts the listener and every live connection down, then joins.
+// further accepted connections wait in the executor's queue, in accept
+// order, until a worker frees up. Stop() shuts the listener and every live
+// connection down, then joins.
 
 #ifndef LAPIS_SRC_SERVE_SERVER_H_
 #define LAPIS_SRC_SERVE_SERVER_H_

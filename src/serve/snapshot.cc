@@ -17,6 +17,16 @@ namespace lapis::serve {
 
 namespace {
 
+std::set<core::ApiKind> KindsInMask(uint8_t mask) {
+  std::set<core::ApiKind> kinds;
+  for (int k = 0; k < core::kApiKindCount; ++k) {
+    if (mask & (1u << k)) {
+      kinds.insert(static_cast<core::ApiKind>(k));
+    }
+  }
+  return kinds;
+}
+
 // Accepts decimal ("1074025674") and 0x-prefixed hex ("0x40045431")
 // numerals for vectored-opcode references sent by name.
 bool ParseCode(std::string_view s, uint32_t* out) {
@@ -256,33 +266,39 @@ QueryResponse Snapshot::ExecuteImportance(const QueryRequest& request) const {
   return response;
 }
 
+bool Snapshot::ResolveSupported(const std::vector<ApiRef>& refs,
+                                std::set<core::ApiId>* apis,
+                                QueryResponse* response,
+                                EvalProfileResult* counts) const {
+  for (const ApiRef& ref : refs) {
+    core::ApiId api;
+    bool absent = false;
+    WireStatus status = ResolveApi(ref, &api, &absent);
+    if (status != WireStatus::kOk) {
+      response->status = status;
+      response->error = "cannot resolve '" + ref.name + "'";
+      return false;
+    }
+    if (!absent) {
+      apis->insert(api);
+    }
+    if (counts != nullptr) {
+      ++(absent ? counts->absent_apis : counts->resolved_apis);
+    }
+  }
+  return true;
+}
+
 QueryResponse Snapshot::ExecuteEvalProfile(const QueryRequest& request) const {
   QueryResponse response;
   response.opcode = Opcode::kEvalProfile;
   std::set<core::ApiId> supported;
   EvalProfileResult& result = response.eval;
-  for (const ApiRef& ref : request.supported) {
-    core::ApiId api;
-    bool absent = false;
-    WireStatus status = ResolveApi(ref, &api, &absent);
-    if (status != WireStatus::kOk) {
-      response.status = status;
-      response.error = "cannot resolve '" + ref.name + "'";
-      return response;
-    }
-    if (absent) {
-      ++result.absent_apis;
-    } else {
-      supported.insert(api);
-      ++result.resolved_apis;
-    }
+  if (!ResolveSupported(request.supported, &supported, &response, &result)) {
+    return response;
   }
   core::CompletenessOptions options;
-  for (int k = 0; k < core::kApiKindCount; ++k) {
-    if (request.evaluated_kinds_mask & (1u << k)) {
-      options.evaluated_kinds.insert(static_cast<core::ApiKind>(k));
-    }
-  }
+  options.evaluated_kinds = KindsInMask(request.evaluated_kinds_mask);
   core::SupportEvaluation evaluation =
       core::EvaluateSupport(dataset(), supported, options);
   result.weighted_completeness = evaluation.weighted_completeness;
@@ -308,18 +324,8 @@ QueryResponse Snapshot::ExecuteTopK(const QueryRequest& request) const {
     return response;
   }
   std::set<core::ApiId> supported;
-  for (const ApiRef& ref : request.supported) {
-    core::ApiId api;
-    bool absent = false;
-    WireStatus status = ResolveApi(ref, &api, &absent);
-    if (status != WireStatus::kOk) {
-      response.status = status;
-      response.error = "cannot resolve '" + ref.name + "'";
-      return response;
-    }
-    if (!absent) {
-      supported.insert(api);
-    }
+  if (!ResolveSupported(request.supported, &supported, &response)) {
+    return response;
   }
   const auto& ranked = ranked_[static_cast<size_t>(request.top_kind)];
   for (const core::ApiId& api : ranked) {
@@ -347,24 +353,11 @@ QueryResponse Snapshot::ExecutePlanFrontier(
   input.dataset = artifact_.dataset.get();
   plan::CostModel costs = plan::CostModel::Defaults();
   input.costs = &costs;
-  for (const ApiRef& ref : request.supported) {
-    core::ApiId api;
-    bool absent = false;
-    WireStatus status = ResolveApi(ref, &api, &absent);
-    if (status != WireStatus::kOk) {
-      response.status = status;
-      response.error = "cannot resolve '" + ref.name + "'";
-      return response;
-    }
-    if (!absent) {
-      input.already_supported.insert(api);
-    }
+  if (!ResolveSupported(request.supported, &input.already_supported,
+                        &response)) {
+    return response;
   }
-  for (int k = 0; k < core::kApiKindCount; ++k) {
-    if (request.evaluated_kinds_mask & (1u << k)) {
-      input.evaluated_kinds.insert(static_cast<core::ApiKind>(k));
-    }
-  }
+  input.evaluated_kinds = KindsInMask(request.evaluated_kinds_mask);
   const bool audit_blind = (request.plan_flags & kPlanFlagAuditBlind) != 0 ||
                            artifact_.evidence_kinds_mask == 0;
   if (!audit_blind) {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -82,6 +83,13 @@ class Snapshot {
   QueryResponse ExecuteEvalProfile(const QueryRequest& request) const;
   QueryResponse ExecuteTopK(const QueryRequest& request) const;
   QueryResponse ExecutePlanFrontier(const QueryRequest& request) const;
+  // Resolves every profile reference into `apis`; with `counts`, tallies
+  // resolved and absent references one per entry, duplicates included. The
+  // first unresolvable reference sets response's status and error and
+  // returns false.
+  bool ResolveSupported(const std::vector<ApiRef>& refs,
+                        std::set<core::ApiId>* apis, QueryResponse* response,
+                        EvalProfileResult* counts = nullptr) const;
 
   corpus::StudyArtifact artifact_;
   uint64_t content_hash_ = 0;

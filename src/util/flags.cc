@@ -135,6 +135,24 @@ double FlagParser::GetDouble(const std::string& name) const {
   return flags_.at(name).double_value;
 }
 
+Status FlagParser::CheckIntRange(std::initializer_list<const char*> names,
+                                 int64_t min, int64_t max) const {
+  for (const char* name : names) {
+    const int64_t value = GetInt(name);
+    if (value >= min && value <= max) {
+      continue;
+    }
+    std::string bound = max == std::numeric_limits<int64_t>::max()
+                            ? ">= " + std::to_string(min)
+                            : "in [" + std::to_string(min) + ", " +
+                                  std::to_string(max) + "]";
+    return InvalidArgumentError("--" + std::string(name) + " must be " +
+                                bound + " (got " + std::to_string(value) +
+                                ")");
+  }
+  return Status::Ok();
+}
+
 std::string FlagParser::Usage() const {
   std::string out = description_ + "\n\nflags:\n";
   for (const auto& name : order_) {

@@ -8,6 +8,8 @@
 #define LAPIS_SRC_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -38,6 +40,10 @@ class FlagParser {
   int64_t GetInt(const std::string& name) const;
   bool GetBool(const std::string& name) const;
   double GetDouble(const std::string& name) const;
+  // Fails unless every named int flag lies in [min, max]. Tools check this
+  // before casting a value to an unsigned or narrower type.
+  Status CheckIntRange(std::initializer_list<const char*> names, int64_t min,
+                       int64_t max = std::numeric_limits<int64_t>::max()) const;
   const std::vector<std::string>& positional() const { return positional_; }
   bool help_requested() const { return help_requested_; }
 

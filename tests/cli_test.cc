@@ -1,19 +1,28 @@
 // End-to-end tests of the lapis_study CLI driver: spawn the real binary,
-// exercise generate/save/load/eval/export, and check outputs.
+// exercise generate/save/load/eval/export, and check outputs. Also checks
+// that lapis_study, lapis_serve and lapis_query reject out-of-range integer
+// flags before doing any work.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
 namespace lapis {
 namespace {
 
-// Path to the tool binary, injected by CMake.
+// Paths to the tool binaries, injected by CMake.
 #ifndef LAPIS_STUDY_BINARY
 #define LAPIS_STUDY_BINARY "tools/lapis_study"
+#endif
+#ifndef LAPIS_SERVE_BINARY
+#define LAPIS_SERVE_BINARY "tools/lapis_serve"
+#endif
+#ifndef LAPIS_QUERY_BINARY
+#define LAPIS_QUERY_BINARY "tools/lapis_query"
 #endif
 
 struct CommandResult {
@@ -21,8 +30,8 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult RunTool(const std::string& args) {
-  std::string command = std::string(LAPIS_STUDY_BINARY) + " " + args + " 2>&1";
+CommandResult RunCommand(const std::string& command_line) {
+  std::string command = command_line + " 2>&1";
   std::FILE* pipe = popen(command.c_str(), "r");
   CommandResult result;
   if (pipe == nullptr) {
@@ -36,6 +45,17 @@ CommandResult RunTool(const std::string& args) {
   int status = pclose(pipe);
   result.exit_code = WEXITSTATUS(status);
   return result;
+}
+
+CommandResult RunTool(const std::string& args) {
+  return RunCommand(std::string(LAPIS_STUDY_BINARY) + " " + args);
+}
+
+// Runs `binary` under timeout(1), so a tool that hangs instead of
+// rejecting its flags fails with exit code 124 rather than stalling.
+CommandResult RunWithTimeout(const std::string& binary,
+                             const std::string& args) {
+  return RunCommand("timeout 20 " + binary + " " + args);
 }
 
 std::string SmallFlags() {
@@ -132,6 +152,70 @@ TEST(Cli, ExportWritesTsvs) {
   for (const char* file :
        {"/api_importance.tsv", "/packages.tsv", "/footprints.tsv"}) {
     std::remove((dir + file).c_str());
+  }
+}
+
+TEST(Cli, ExportFailureExitsOneWithTheError) {
+  // A directory squatting on one TSV's path makes just that export fail.
+  for (const char* blocked : {"packages.tsv", "footprints.tsv"}) {
+    std::string dir = testing::TempDir() + "/cli_export_blocked";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir + "/" + blocked);
+    auto result = RunTool(SmallFlags() + " --export-dir=" + dir);
+    EXPECT_EQ(result.exit_code, 1) << blocked << "\n" << result.output;
+    EXPECT_NE(result.output.find("export failed"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("exported TSVs"), std::string::npos)
+        << result.output;
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(Cli, NegativeSizeFlagsExitTwoBeforeAnyWork) {
+  for (const char* flag : {"apps", "installs", "jobs"}) {
+    auto result = RunWithTimeout(LAPIS_STUDY_BINARY,
+                                 SmallFlags() + " --" + flag + "=-1");
+    EXPECT_EQ(result.exit_code, 2) << flag << "\n" << result.output;
+    EXPECT_NE(result.output.find(std::string("--") + flag +
+                                 " must be >= 0 (got -1)"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("generating corpus"), std::string::npos)
+        << result.output;
+  }
+}
+
+TEST(Cli, ServeRejectsOutOfRangeIntegerFlags) {
+  // Validation comes before the artifact load, so the missing artifact is
+  // never reached.
+  const std::string base = "--artifact=/nonexistent/study.bin";
+  for (const char* flag : {"apps", "installs", "jobs", "workers",
+                           "max-connections", "max-inflight", "port"}) {
+    auto result = RunWithTimeout(LAPIS_SERVE_BINARY,
+                                 base + " --" + flag + "=-1");
+    EXPECT_EQ(result.exit_code, 2) << flag << "\n" << result.output;
+    EXPECT_NE(result.output.find(std::string("--") + flag + " must be"),
+              std::string::npos)
+        << result.output;
+  }
+  auto port = RunWithTimeout(LAPIS_SERVE_BINARY, base + " --port=70000");
+  EXPECT_EQ(port.exit_code, 2) << port.output;
+  EXPECT_NE(port.output.find("--port must be in [0, 65535] (got 70000)"),
+            std::string::npos)
+      << port.output;
+}
+
+TEST(Cli, QueryRejectsOutOfRangePort) {
+  for (const char* port : {"70000", "-1"}) {
+    auto result = RunWithTimeout(
+        LAPIS_QUERY_BINARY,
+        std::string("--timeout-ms=2000 --ping --port=") + port);
+    EXPECT_EQ(result.exit_code, 2) << result.output;
+    EXPECT_NE(result.output.find(std::string("--port must be in [0, 65535] "
+                                             "(got ") +
+                                 port + ")"),
+              std::string::npos)
+        << result.output;
   }
 }
 

@@ -1,14 +1,19 @@
-// Unit tests for the work-stealing executor and the deterministic
-// reduction layer: task ordering under dependencies, exception
-// propagation, nested ParallelFor, cancellation, and counter sanity.
+// Unit tests for the FIFO thread pool and the deterministic reduction
+// layer: submission order, the worker-count concurrency bound, exception
+// propagation, nested ParallelFor, and counter sanity.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/runtime/executor.h"
@@ -50,7 +55,7 @@ TEST(ExecutorTest, ParallelForCoversEveryIndexOnce) {
     Executor executor(jobs);
     constexpr size_t kCount = 10000;
     std::vector<std::atomic<uint32_t>> hits(kCount);
-    executor.ParallelFor(0, kCount, 7, [&hits](size_t begin, size_t end) {
+    executor.ParallelFor(0, kCount, [&hits](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
       }
@@ -64,55 +69,13 @@ TEST(ExecutorTest, ParallelForCoversEveryIndexOnce) {
 TEST(ExecutorTest, ParallelForEmptyAndSingletonRanges) {
   Executor executor(4);
   size_t calls = 0;
-  executor.ParallelFor(5, 5, 0,
-                       [&calls](size_t, size_t) { ++calls; });
+  executor.ParallelFor(5, 5, [&calls](size_t, size_t) { ++calls; });
   EXPECT_EQ(calls, 0u);
   std::atomic<size_t> total{0};
-  executor.ParallelFor(3, 4, 0, [&total](size_t begin, size_t end) {
+  executor.ParallelFor(3, 4, [&total](size_t begin, size_t end) {
     total.fetch_add(end - begin);
   });
   EXPECT_EQ(total.load(), 1u);
-}
-
-TEST(ExecutorTest, DependenciesOrderExecution) {
-  Executor executor(4);
-  std::atomic<int> stage{0};
-  bool a_before_b = false;
-  bool b_before_c = false;
-  TaskId a = executor.Submit([&] { stage.store(1); });
-  TaskId b = executor.Submit(
-      [&] {
-        a_before_b = stage.load() >= 1;
-        stage.store(2);
-      },
-      {a});
-  executor.Submit(
-      [&] { b_before_c = stage.load() >= 2; }, {a, b});
-  executor.WaitAll();
-  EXPECT_TRUE(a_before_b);
-  EXPECT_TRUE(b_before_c);
-}
-
-TEST(ExecutorTest, WaitOnUnknownIdReturnsImmediately) {
-  Executor executor(2);
-  executor.Wait(kInvalidTaskId);
-  executor.Wait(987654);  // never issued
-}
-
-TEST(ExecutorTest, DiamondDependencyFanInFanOut) {
-  Executor executor(4);
-  std::atomic<uint32_t> order{0};
-  std::atomic<uint32_t> top_pos{0}, left_pos{0}, right_pos{0},
-      bottom_pos{0};
-  TaskId top = executor.Submit([&] { top_pos = ++order; });
-  TaskId left = executor.Submit([&] { left_pos = ++order; }, {top});
-  TaskId right = executor.Submit([&] { right_pos = ++order; }, {top});
-  executor.Submit([&] { bottom_pos = ++order; }, {left, right});
-  executor.WaitAll();
-  EXPECT_LT(top_pos.load(), left_pos.load());
-  EXPECT_LT(top_pos.load(), right_pos.load());
-  EXPECT_GT(bottom_pos.load(), left_pos.load());
-  EXPECT_GT(bottom_pos.load(), right_pos.load());
 }
 
 TEST(ExecutorTest, SubmitExceptionRethrownAtWaitAll) {
@@ -132,7 +95,7 @@ TEST(ExecutorTest, ParallelForExceptionRethrownAtJoin) {
   for (size_t jobs : {1, 4}) {
     Executor executor(jobs);
     EXPECT_THROW(
-        executor.ParallelFor(0, 100, 1,
+        executor.ParallelFor(0, 100,
                              [](size_t begin, size_t) {
                                if (begin >= 50) {
                                  throw std::logic_error("chunk failed");
@@ -141,7 +104,7 @@ TEST(ExecutorTest, ParallelForExceptionRethrownAtJoin) {
         std::logic_error);
     // A failed ParallelFor leaves the pool reusable.
     std::atomic<size_t> total{0};
-    executor.ParallelFor(0, 10, 1, [&total](size_t begin, size_t end) {
+    executor.ParallelFor(0, 10, [&total](size_t begin, size_t end) {
       total.fetch_add(end - begin);
     });
     EXPECT_EQ(total.load(), 10u);
@@ -154,50 +117,19 @@ TEST(ExecutorTest, NestedParallelFor) {
     constexpr size_t kOuter = 16;
     constexpr size_t kInner = 64;
     std::vector<std::atomic<uint32_t>> hits(kOuter * kInner);
-    executor.ParallelFor(0, kOuter, 1, [&](size_t obegin, size_t oend) {
+    executor.ParallelFor(0, kOuter, [&](size_t obegin, size_t oend) {
       for (size_t o = obegin; o < oend; ++o) {
-        executor.ParallelFor(0, kInner, 8,
-                             [&, o](size_t ibegin, size_t iend) {
-                               for (size_t i = ibegin; i < iend; ++i) {
-                                 hits[o * kInner + i].fetch_add(1);
-                               }
-                             });
+        executor.ParallelFor(0, kInner, [&, o](size_t ibegin, size_t iend) {
+          for (size_t i = ibegin; i < iend; ++i) {
+            hits[o * kInner + i].fetch_add(1);
+          }
+        });
       }
     });
     for (size_t i = 0; i < hits.size(); ++i) {
       ASSERT_EQ(hits[i].load(), 1u) << "slot " << i << " jobs " << jobs;
     }
   }
-}
-
-TEST(ExecutorTest, CancelSkipsPendingSubmits) {
-  Executor executor(1);  // inline: nothing runs until WaitAll
-  std::atomic<size_t> ran{0};
-  // With one thread, Submit()ed work only runs inside Wait/WaitAll, so
-  // cancelling first must skip all of it.
-  for (int i = 0; i < 8; ++i) {
-    executor.Submit([&ran] { ran.fetch_add(1); });
-  }
-  executor.Cancel();
-  executor.WaitAll();
-  EXPECT_EQ(ran.load(), 0u);
-  EXPECT_EQ(executor.stats().tasks_skipped, 8u);
-
-  executor.ResetCancellation();
-  executor.Submit([&ran] { ran.fetch_add(1); });
-  executor.WaitAll();
-  EXPECT_EQ(ran.load(), 1u);
-}
-
-TEST(ExecutorTest, CancelStopsParallelForEarly) {
-  Executor executor(2);
-  std::atomic<size_t> executed{0};
-  executor.Cancel();
-  executor.ParallelFor(0, 1000, 1, [&executed](size_t, size_t) {
-    executed.fetch_add(1);
-  });
-  EXPECT_EQ(executed.load(), 0u);
-  executor.ResetCancellation();
 }
 
 TEST(ExecutorTest, StatsCountersAreCoherent) {
@@ -211,19 +143,129 @@ TEST(ExecutorTest, StatsCountersAreCoherent) {
   ExecutorStats stats = executor.stats();
   EXPECT_EQ(ran.load(), kTasks);
   EXPECT_EQ(stats.thread_count, 4u);
-  EXPECT_GE(stats.tasks_submitted, kTasks);
   EXPECT_EQ(stats.tasks_executed, kTasks);
-  EXPECT_EQ(stats.tasks_skipped, 0u);
+  EXPECT_EQ(stats.steals, 0u);
   EXPECT_GT(stats.max_queue_depth, 0u);
 }
 
-TEST(ExecutorTest, ManyWaitersOnOneTask) {
-  Executor executor(4);
-  std::atomic<int> value{0};
-  TaskId id = executor.Submit([&value] { value = 42; });
-  executor.Wait(id);
-  executor.Wait(id);  // already finished: returns immediately
-  EXPECT_EQ(value.load(), 42);
+TEST(ExecutorTest, ParallelForBodiesRunOnTwoThreads) {
+  // Each chunk waits, up to a shared deadline, for a second thread to join
+  // in, so a pool that leaves the work to one thread fails within seconds.
+  std::mutex mutex;
+  std::condition_variable joined;
+  std::set<std::thread::id> threads;
+  Executor executor(2);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  executor.ParallelFor(0, 64, [&](size_t, size_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    threads.insert(std::this_thread::get_id());
+    joined.notify_all();
+    joined.wait_until(lock, deadline, [&] { return threads.size() >= 2; });
+  });
+  EXPECT_EQ(threads.size(), 2u);
+}
+
+TEST(ExecutorTest, SubmittedTasksRunInOrderOnTheWorker) {
+  constexpr size_t kTasks = 200;
+  std::mutex mutex;
+  std::vector<size_t> order;
+  std::set<std::thread::id> ran_on;
+  std::atomic<size_t> done{0};
+  Executor executor(2);  // one worker
+  for (size_t i = 0; i < kTasks; ++i) {
+    executor.Submit([&, i] {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        order.push_back(i);
+        ran_on.insert(std::this_thread::get_id());
+      }
+      done.fetch_add(1);
+    });
+  }
+  // Let the worker drain the queue alone: WaitAll would make this thread
+  // run tasks too.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (done.load() < kTasks && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  executor.WaitAll();
+  std::vector<size_t> expected(kTasks);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+  ASSERT_EQ(ran_on.size(), 1u);
+  EXPECT_NE(*ran_on.begin(), std::this_thread::get_id());
+}
+
+TEST(ExecutorTest, AtMostWorkerCountSubmittedTasksRunUntilSomeoneWaits) {
+  constexpr size_t kTasks = 6;
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool release = false;
+  size_t started = 0;
+  size_t running = 0;
+  size_t peak = 0;
+  Executor executor(3);  // two workers
+  for (size_t i = 0; i < kTasks; ++i) {
+    executor.Submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++started;
+      peak = std::max(peak, ++running);
+      changed.notify_all();
+      changed.wait_for(lock, std::chrono::seconds(10), [&] { return release; });
+      --running;
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_TRUE(changed.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return started >= 2; }));
+  }
+  // Long enough for a third task to start if anything would run it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(started, 2u);
+    EXPECT_EQ(peak, 2u);
+    release = true;
+  }
+  changed.notify_all();
+  executor.WaitAll();
+  EXPECT_EQ(started, kTasks);
+}
+
+TEST(ExecutorTest, WaitAllCoversTasksSubmittedByTasks) {
+  for (size_t jobs : {1, 4}) {
+    Executor executor(jobs);
+    std::atomic<size_t> leaves{0};
+    for (int i = 0; i < 8; ++i) {
+      executor.Submit([&executor, &leaves] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        for (int j = 0; j < 8; ++j) {
+          executor.Submit([&leaves] { leaves.fetch_add(1); });
+        }
+      });
+    }
+    executor.WaitAll();
+    EXPECT_EQ(leaves.load(), 64u) << "jobs " << jobs;
+  }
+}
+
+TEST(ExecutorTest, ParallelForInsideSubmittedTaskCompletes) {
+  for (size_t jobs : {1, 2, 4}) {
+    Executor executor(jobs);
+    std::atomic<size_t> total{0};
+    for (int t = 0; t < 4; ++t) {
+      executor.Submit([&executor, &total] {
+        executor.ParallelFor(0, 1000, [&total](size_t begin, size_t end) {
+          total.fetch_add(end - begin);
+        });
+      });
+    }
+    executor.WaitAll();
+    EXPECT_EQ(total.load(), 4000u) << "jobs " << jobs;
+  }
 }
 
 TEST(ParallelMapTest, ResultsLandAtCanonicalIndex) {
@@ -303,13 +345,6 @@ TEST(EnvTest, EnvSizeOrParsesAndFallsBack) {
   setenv("LAPIS_TEST_ENV_SIZE", "junk", 1);
   EXPECT_EQ(EnvSizeOr("LAPIS_TEST_ENV_SIZE", 7), 7u);
   unsetenv("LAPIS_TEST_ENV_SIZE");
-}
-
-TEST(GlobalExecutorTest, SetGlobalJobsRebuildsPool) {
-  SetGlobalJobs(2);
-  EXPECT_EQ(GlobalExecutor().thread_count(), 2u);
-  SetGlobalJobs(1);
-  EXPECT_EQ(GlobalExecutor().thread_count(), 1u);
 }
 
 }  // namespace

@@ -175,6 +175,60 @@ TEST(ServeSnapshot, TopKMatchesSuggestNextApis) {
   }
 }
 
+TEST(ServeSnapshot, ProfileReferencesCountPerEntryAndFailAlike) {
+  auto snapshot = SharedSnapshot();
+  auto ref = [](core::ApiKind kind, const char* name) {
+    ApiRef out;
+    out.kind = kind;
+    out.name = name;
+    return out;
+  };
+  QueryRequest request;
+  request.evaluated_kinds_mask =
+      1u << static_cast<uint8_t>(core::ApiKind::kSyscall);
+  request.top_kind = core::ApiKind::kSyscall;
+  request.top_k = 5;
+  request.plan_max_actions = 3;
+  request.supported = {
+      ref(core::ApiKind::kSyscall, "read"),
+      ref(core::ApiKind::kSyscall, "read"),
+      ref(core::ApiKind::kPseudoFile, "/proc/definitely/not/a/real/path"),
+      ref(core::ApiKind::kSyscall, "write")};
+
+  // Eval counts every reference, the duplicate included.
+  request.opcode = Opcode::kEvalProfile;
+  auto eval = snapshot->Execute(request);
+  ASSERT_EQ(eval.status, WireStatus::kOk) << eval.error;
+  EXPECT_EQ(eval.eval.resolved_apis, 3u);
+  EXPECT_EQ(eval.eval.absent_apis, 1u);
+  const std::set<core::ApiId> read_write = {core::SyscallApi(0),
+                                            core::SyscallApi(1)};
+  core::CompletenessOptions options;
+  options.evaluated_kinds = {core::ApiKind::kSyscall};
+  EXPECT_EQ(eval.eval.weighted_completeness,
+            core::WeightedCompleteness(*Study().dataset, read_write,
+                                       options));
+
+  request.opcode = Opcode::kTopK;
+  auto top = snapshot->Execute(request);
+  ASSERT_EQ(top.status, WireStatus::kOk) << top.error;
+  ASSERT_EQ(top.top_k.size(), 5u);
+  for (const TopKEntry& entry : top.top_k) {
+    EXPECT_FALSE(read_write.contains(entry.api)) << entry.name;
+  }
+
+  // Every profile-taking opcode rejects an unknown name the same way.
+  request.supported.push_back(
+      ref(core::ApiKind::kSyscall, "no_such_syscall"));
+  for (Opcode opcode :
+       {Opcode::kEvalProfile, Opcode::kTopK, Opcode::kPlanFrontier}) {
+    request.opcode = opcode;
+    auto rejected = snapshot->Execute(request);
+    EXPECT_EQ(rejected.status, WireStatus::kUnknownApi);
+    EXPECT_EQ(rejected.error, "cannot resolve 'no_such_syscall'");
+  }
+}
+
 TEST(ServeSnapshot, TopKZeroCountIsBadRequest) {
   QueryRequest request;
   request.opcode = Opcode::kTopK;

@@ -288,6 +288,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  if (auto range = flags.CheckIntRange({"port"}, 0, 65535); !range.ok()) {
+    std::fprintf(stderr, "%s\n", range.message().c_str());
+    return 2;
+  }
   auto kind = ParseKind(flags.GetString("kind"));
   if (!kind.has_value()) {
     std::fprintf(stderr, "unknown --kind: %s\n",

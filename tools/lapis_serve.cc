@@ -98,6 +98,16 @@ int main(int argc, char** argv) {
                 cache::kCacheSchemaVersion);
     return 0;
   }
+  Status range = flags.CheckIntRange({"apps", "installs", "jobs", "workers",
+                                      "max-connections", "max-inflight"},
+                                     0);
+  if (range.ok()) {
+    range = flags.CheckIntRange({"port"}, 0, 65535);
+  }
+  if (!range.ok()) {
+    std::fprintf(stderr, "lapis_serve: %s\n", range.message().c_str());
+    return 2;
+  }
 
   const std::string& artifact = flags.GetString("artifact");
   std::shared_ptr<const serve::Snapshot> snapshot;

@@ -151,6 +151,11 @@ int main(int argc, char** argv) {
                  analysis_mode.c_str());
     return 2;
   }
+  if (auto range = flags.CheckIntRange({"apps", "installs", "jobs"}, 0);
+      !range.ok()) {
+    std::fprintf(stderr, "%s\n", range.message().c_str());
+    return 2;
+  }
   if (flags.GetBool("version")) {
     // Operators diff these against a daemon's banner to spot stale
     // artifacts or caches before they bite.
@@ -190,11 +195,6 @@ int main(int argc, char** argv) {
     options.distro.installation_count =
         static_cast<uint64_t>(flags.GetInt("installs"));
     options.distro.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    if (flags.GetInt("jobs") < 0) {
-      std::fprintf(stderr, "--jobs must be >= 0 (got %lld)\n",
-                   static_cast<long long>(flags.GetInt("jobs")));
-      return 2;
-    }
     options.jobs = static_cast<size_t>(flags.GetInt("jobs"));
     if (analysis_mode == "dataflow") {
       options.analyzer.use_dataflow = true;
@@ -236,9 +236,9 @@ int main(int argc, char** argv) {
     }
     const auto& xstats = study.value().executor_stats;
     std::printf(
-        "pipeline: %zu worker thread(s), %zu tasks executed, %zu steals, "
-        "max queue depth %zu\n",
-        study.value().jobs_used, xstats.tasks_executed, xstats.steals,
+        "pipeline: %zu worker thread(s), %zu tasks executed, max queue "
+        "depth %zu\n",
+        study.value().jobs_used, xstats.tasks_executed,
         xstats.max_queue_depth);
     for (const auto& [stage, record] : study.value().pipeline_stats.stages()) {
       std::printf("  stage %-20s %7.2fs wall  %7.2fs cpu  %zu items\n",
@@ -287,28 +287,24 @@ int main(int argc, char** argv) {
 
   if (!flags.GetString("export-dir").empty()) {
     const std::string& dir = flags.GetString("export-dir");
-    {
-      std::ofstream os(dir + "/api_importance.tsv");
-      auto export_status = core::ExportImportanceTsv(
-          *dataset,
-          {core::ApiKind::kSyscall, core::ApiKind::kIoctlOp,
-           core::ApiKind::kFcntlOp, core::ApiKind::kPrctlOp,
-           core::ApiKind::kPseudoFile, core::ApiKind::kLibcFn},
-          path_interner, libc_interner, os);
+    std::ofstream importance(dir + "/api_importance.tsv");
+    std::ofstream packages(dir + "/packages.tsv");
+    std::ofstream footprints(dir + "/footprints.tsv");
+    for (const Status& export_status :
+         {core::ExportImportanceTsv(
+              *dataset,
+              {core::ApiKind::kSyscall, core::ApiKind::kIoctlOp,
+               core::ApiKind::kFcntlOp, core::ApiKind::kPrctlOp,
+               core::ApiKind::kPseudoFile, core::ApiKind::kLibcFn},
+              path_interner, libc_interner, importance),
+          core::ExportPackagesTsv(*dataset, packages),
+          core::ExportFootprintsTsv(*dataset, path_interner, libc_interner,
+                                    footprints)}) {
       if (!export_status.ok()) {
         std::fprintf(stderr, "export failed: %s\n",
                      export_status.ToString().c_str());
         return 1;
       }
-    }
-    {
-      std::ofstream os(dir + "/packages.tsv");
-      (void)core::ExportPackagesTsv(*dataset, os);
-    }
-    {
-      std::ofstream os(dir + "/footprints.tsv");
-      (void)core::ExportFootprintsTsv(*dataset, path_interner,
-                                      libc_interner, os);
     }
     std::printf("exported TSVs to %s\n", dir.c_str());
   }
