@@ -211,6 +211,8 @@ void BM_ExecutorParallelFor(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorParallelFor)->Arg(1)->Arg(0);
 
+// The popcon survey at 100k installations; Arg is the worker count (0 =
+// all cores). The survey is identical at every worker count.
 void BM_PopconSimulation(benchmark::State& state) {
   const auto& spec = Spec();
   corpus::DistroSynthesizer synthesizer(spec);
@@ -219,15 +221,19 @@ void BM_PopconSimulation(benchmark::State& state) {
   for (const auto& plan : spec.packages) {
     marginals.push_back(plan.target_marginal);
   }
+  runtime::Executor executor(static_cast<size_t>(state.range(0)));
   package::PopconOptions options;
-  options.installation_count = 5000;
+  options.installation_count = 100000;
   for (auto _ : state) {
-    auto survey = package::PopconSimulator::Run(repo, marginals, options);
+    auto survey =
+        package::PopconSimulator::Run(repo, marginals, options, &executor);
     benchmark::DoNotOptimize(survey.ok());
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 5000);
+  state.counters["threads"] = static_cast<double>(executor.thread_count());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(options.installation_count));
 }
-BENCHMARK(BM_PopconSimulation);
+BENCHMARK(BM_PopconSimulation)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 // --- Cold/warm study pair + BENCH_pipeline.json ---------------------------
 

@@ -24,7 +24,7 @@ namespace lapis::cache {
 
 // Bump whenever the serialized payload layout or the analysis semantics
 // change in a way old entries must not survive.
-inline constexpr uint32_t kCacheSchemaVersion = 1;
+inline constexpr uint32_t kCacheSchemaVersion = 2;
 
 // What a cached payload holds; part of the fingerprint so the three entry
 // families never collide even at equal content hashes.

@@ -676,7 +676,8 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     if (!survey_restored) {
       LAPIS_ASSIGN_OR_RETURN(result.survey,
                              package::PopconSimulator::Run(
-                                 result.repository, marginals, popcon));
+                                 result.repository, marginals, popcon,
+                                 executor));
       if (ctx) {
         ByteWriter writer;
         cache::SurveyCodec::Encode(result.survey, writer);

@@ -8,6 +8,25 @@
 // (package sets honouring dependency closures), then tallies the marginal
 // counts an opt-in survey would report. Retained joint samples let the
 // ablation bench quantify the error of the independence assumption.
+//
+// Sampling costs draws in proportion to what an installation holds, not to
+// the package count. Packages are grouped by (profile-adjusted) marginal m:
+//   * m = 1: installed by every installation, with no draw;
+//   * m in (0.5, 1): one Bernoulli draw each;
+//   * m in (2^-k-1, 2^-k]: band k. A draw skips geometrically through the
+//     band at p = 2^-k and keeps the package it lands on with probability
+//     m * 2^k. With profiles, each profile has its own bands for its
+//     boosted packages, and one shared set of bands holds the dampened ones.
+// Each package is thus picked independently with probability m, as one
+// Bernoulli draw per package would; its closure is then installed.
+//
+// Installations are split over a fixed 64 shards, each with a Prng forked
+// from `seed` by shard index, and shard counts merge in shard order. The
+// survey is therefore identical whether the shards run inline or on an
+// executor of any size (any --jobs). Each shard retains at most
+// ceil(retain_samples / 64) joint samples; they are kept in shard order,
+// capped at `retain_samples`, so memory stays bounded at any installation
+// count.
 
 #ifndef LAPIS_SRC_PACKAGE_POPCON_H_
 #define LAPIS_SRC_PACKAGE_POPCON_H_
@@ -18,6 +37,10 @@
 #include "src/package/repository.h"
 #include "src/util/prng.h"
 #include "src/util/status.h"
+
+namespace lapis::runtime {
+class Executor;
+}  // namespace lapis::runtime
 
 namespace lapis::package {
 
@@ -50,7 +73,8 @@ struct PopconOptions {
   // Fraction of installations that opt into reporting (popcon is opt-in).
   double report_rate = 1.0;
   // Keep at most this many joint samples for the independence ablation
-  // (0 = keep none).
+  // (0 = keep none): the first ceil(retain_samples / 64) reporting
+  // installations of each shard, in shard order.
   uint64_t retain_samples = 0;
   uint64_t seed = 0x1a915;
 
@@ -89,9 +113,12 @@ class PopconSimulator {
   // `target_marginals[i]` is the probability an installation picks package i
   // directly; the final marginal is inflated by reverse-dependency pulls
   // (installing an app installs its libraries). Values are clamped to [0,1].
+  // The shards run on `executor`, or inline when it is null; the survey is
+  // the same either way.
   static Result<PopconSurvey> Run(const Repository& repository,
                                   const std::vector<double>& target_marginals,
-                                  const PopconOptions& options);
+                                  const PopconOptions& options,
+                                  runtime::Executor* executor = nullptr);
 };
 
 }  // namespace lapis::package

@@ -5,12 +5,6 @@
 
 namespace lapis {
 
-namespace {
-
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
 uint64_t SplitMix64::Next() {
   uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -27,18 +21,6 @@ Prng::Prng(uint64_t seed) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
     state_[0] = 0x853c49e6748fea9bULL;
   }
-}
-
-uint64_t Prng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Prng::NextBelow(uint64_t bound) {
@@ -58,11 +40,6 @@ uint64_t Prng::NextBelow(uint64_t bound) {
 int64_t Prng::NextInRange(int64_t lo, int64_t hi) {
   uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(NextBelow(span));
-}
-
-double Prng::NextDouble() {
-  // 53 high bits -> [0,1) with full double precision.
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 bool Prng::NextBool(double p) {

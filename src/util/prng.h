@@ -30,8 +30,19 @@ class Prng {
  public:
   explicit Prng(uint64_t seed);
 
-  // Uniform 64-bit value.
-  uint64_t Next();
+  // Uniform 64-bit value. Defined inline: the survey sampler draws in its
+  // innermost loop.
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, bound), bias-corrected. bound must be > 0.
   uint64_t NextBelow(uint64_t bound);
@@ -39,8 +50,8 @@ class Prng {
   // Uniform in [lo, hi] inclusive. Requires lo <= hi.
   int64_t NextInRange(int64_t lo, int64_t hi);
 
-  // Uniform double in [0, 1).
-  double NextDouble();
+  // Uniform double in [0, 1): 53 high bits, full double precision.
+  double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   // True with probability p (clamped to [0,1]).
   bool NextBool(double p);
@@ -62,6 +73,8 @@ class Prng {
   Prng Fork(uint64_t stream_id);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
 };
 

@@ -268,6 +268,30 @@ TEST(SurveyCodec, InputHashTracksEveryInput) {
   package::PopconOptions more = options;
   more.installation_count = 501;
   EXPECT_NE(cache::HashSurveyInputs(repo, marginals, more), base);
+
+  auto hash_with = [&](auto edit) {
+    package::PopconOptions edited = options;
+    edit(edited);
+    return cache::HashSurveyInputs(repo, marginals, edited);
+  };
+  EXPECT_NE(hash_with([](auto& o) { o.report_rate = 0.9; }), base);
+  EXPECT_NE(hash_with([](auto& o) { o.retain_samples = 10; }), base);
+  EXPECT_NE(hash_with([](auto& o) { o.seed ^= 1; }), base);
+  EXPECT_NE(hash_with([](auto& o) { o.profile_count = 3; }), base);
+  EXPECT_NE(hash_with([](auto& o) { o.profile_boost = 2.5; }), base);
+
+  // The same repository with one dependency edge dropped.
+  package::Repository pruned;
+  bool dropped = false;
+  for (package::Package pkg : repo.packages()) {
+    if (!dropped && !pkg.depends.empty()) {
+      pkg.depends.pop_back();
+      dropped = true;
+    }
+    ASSERT_TRUE(pruned.AddPackage(std::move(pkg)).ok());
+  }
+  ASSERT_TRUE(dropped);
+  EXPECT_NE(cache::HashSurveyInputs(pruned, marginals, options), base);
 }
 
 // --- FootprintCache store --------------------------------------------------

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "src/package/popcon.h"
 #include "src/package/repository.h"
+#include "src/runtime/executor.h"
+#include "src/util/prng.h"
 
 namespace lapis::package {
 namespace {
@@ -261,6 +266,157 @@ TEST(Popcon, ValidatesInputs) {
   EXPECT_FALSE(PopconSimulator::Run(repo, {0.5, 0.5}, options).ok());
   options.installation_count = 0;
   EXPECT_FALSE(PopconSimulator::Run(repo, {0.5}, options).ok());
+}
+
+// A chain (2 -> 1 -> 0), a diamond (6 -> {4, 5} -> 3), an always-installed
+// package with a dependency (8 -> 7) and a standalone package (9). The
+// direct marginals cover every sampler group: always (1.0), coins (0.95,
+// 0.6), the 0.5 and 0.25 band edges, and bands down to (2^-11, 2^-10]
+// (0.0006).
+Repository BandRepo(std::vector<double>* marginals) {
+  struct Spec {
+    const char* name;
+    double marginal;
+    std::vector<PackageId> depends;
+  };
+  const std::vector<Spec> specs = {
+      {"chain-base", 0.0, {}},      {"chain-mid", 0.26, {0}},
+      {"chain-top", 0.95, {1}},     {"diamond-base", 0.03, {}},
+      {"diamond-left", 0.6, {3}},   {"diamond-right", 0.0006, {3}},
+      {"diamond-top", 0.1, {4, 5}}, {"essential-dep", 0.25, {}},
+      {"essential", 1.0, {7}},      {"standalone", 0.5, {}},
+  };
+  Repository repo;
+  for (const Spec& spec : specs) {
+    Package p;
+    p.name = spec.name;
+    p.depends = spec.depends;
+    EXPECT_TRUE(repo.AddPackage(p).ok());
+    marginals->push_back(spec.marginal);
+  }
+  return repo;
+}
+
+// P(installation holds i) = 1 - P(no package whose closure contains i is
+// picked directly), averaged over the profiles, which are equally likely.
+std::vector<double> AnalyticInstallProbability(
+    const Repository& repo, const std::vector<double>& marginals,
+    const PopconOptions& options) {
+  const uint32_t profiles = std::max<uint32_t>(options.profile_count, 1);
+  const double boost =
+      std::min(options.profile_boost, static_cast<double>(profiles));
+  const double dampen =
+      profiles > 1 ? (profiles - boost) / (profiles - 1.0) : 1.0;
+  std::vector<double> probability(repo.size(), 0.0);
+  for (uint32_t profile = 0; profile < profiles; ++profile) {
+    std::vector<double> none(repo.size(), 1.0);
+    for (PackageId j = 0; j < repo.size(); ++j) {
+      double marginal = marginals[j];
+      if (profiles > 1 && marginal <= 0.5) {
+        marginal = std::min(
+            1.0, marginal * (j % profiles == profile ? boost : dampen));
+      }
+      for (PackageId i : repo.DependencyClosure(j)) {
+        none[i] *= 1.0 - marginal;
+      }
+    }
+    for (PackageId i = 0; i < repo.size(); ++i) {
+      probability[i] += (1.0 - none[i]) / profiles;
+    }
+  }
+  return probability;
+}
+
+TEST(Popcon, SamplerMatchesAnalyticInstallProbability) {
+  std::vector<double> marginals;
+  Repository repo = BandRepo(&marginals);
+  PopconOptions flat;
+  flat.installation_count = 100000;
+  // Profiles at the default 3x boost dampen the other profiles' packages to
+  // 0; at 2x every arm keeps a nonzero marginal.
+  PopconOptions profiled = flat;
+  profiled.profile_count = 3;
+  PopconOptions mild = profiled;
+  mild.profile_boost = 2.0;
+  for (const PopconOptions& options : {flat, profiled, mild}) {
+    auto survey = PopconSimulator::Run(repo, marginals, options).take();
+    ASSERT_EQ(survey.total_reporting, options.installation_count);
+    const double n = static_cast<double>(survey.total_reporting);
+    auto expected = AnalyticInstallProbability(repo, marginals, options);
+    for (PackageId id = 0; id < repo.size(); ++id) {
+      const double q = expected[id];
+      const double sigma = std::sqrt(q * (1.0 - q) / n);
+      EXPECT_NEAR(survey.InstallProbability(id), q, 4.0 * sigma + 1e-12)
+          << repo.package(id).name << " with " << options.profile_count
+          << " profiles at boost " << options.profile_boost;
+    }
+  }
+}
+
+// `count` packages, each depending on up to two earlier ones, with
+// Zipf-like marginals and a few always-installed essentials.
+Repository RandomRepo(size_t count, std::vector<double>* marginals) {
+  Repository repo;
+  Prng prng(0x5eed);
+  for (size_t i = 0; i < count; ++i) {
+    Package p;
+    p.name = "p" + std::to_string(i);
+    for (int d = 0; d < 2 && i > 0; ++d) {
+      if (prng.NextBool(0.4)) {
+        PackageId dep = static_cast<PackageId>(prng.NextBelow(i));
+        if (std::find(p.depends.begin(), p.depends.end(), dep) ==
+            p.depends.end()) {
+          p.depends.push_back(dep);
+        }
+      }
+    }
+    EXPECT_TRUE(repo.AddPackage(p).ok());
+    marginals->push_back(i % 50 == 0 ? 1.0 : 0.8 / static_cast<double>(i));
+  }
+  return repo;
+}
+
+TEST(Popcon, IdenticalAtAnyJobs) {
+  std::vector<double> marginals;
+  Repository repo = RandomRepo(300, &marginals);
+  PopconOptions options;
+  options.installation_count = 20000;
+  options.report_rate = 0.8;
+  options.retain_samples = 500;
+  options.profile_count = 3;
+  auto inline_run = PopconSimulator::Run(repo, marginals, options).take();
+  ASSERT_EQ(inline_run.samples.size(), 500u);
+  for (size_t jobs : {1, 2, 8}) {
+    runtime::Executor executor(jobs);
+    auto run =
+        PopconSimulator::Run(repo, marginals, options, &executor).take();
+    EXPECT_EQ(run.install_counts, inline_run.install_counts) << jobs;
+    EXPECT_EQ(run.total_reporting, inline_run.total_reporting) << jobs;
+    ASSERT_EQ(run.samples.size(), inline_run.samples.size()) << jobs;
+    for (size_t i = 0; i < run.samples.size(); ++i) {
+      EXPECT_EQ(run.samples[i].words(), inline_run.samples[i].words())
+          << jobs << " jobs, sample " << i;
+    }
+  }
+}
+
+TEST(Popcon, RetainedSamplesStayWithinCap) {
+  std::vector<double> marginals;
+  Repository repo = RandomRepo(300, &marginals);
+  PopconOptions options;
+  options.installation_count = 50000;
+  options.retain_samples = 100;
+  auto survey = PopconSimulator::Run(repo, marginals, options).take();
+  EXPECT_LE(survey.samples.size(), 100u);
+  std::vector<uint64_t> recount(repo.size(), 0);
+  for (const auto& sample : survey.samples) {
+    for (PackageId id = 0; id < repo.size(); ++id) {
+      recount[id] += sample.Contains(id) ? 1 : 0;
+    }
+  }
+  for (PackageId id = 0; id < repo.size(); ++id) {
+    EXPECT_LE(recount[id], survey.install_counts[id]) << id;
+  }
 }
 
 TEST(ProgramKind, Names) {
