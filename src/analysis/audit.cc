@@ -97,40 +97,15 @@ std::string AuditReport::Summary() const {
   return out;
 }
 
-FootprintAuditor::FootprintAuditor(AnalyzerOptions options,
-                                   runtime::Executor* executor)
-    : options_(options),
-      resolver_(&owned_resolver_),
-      owned_resolver_(executor) {}
-
-FootprintAuditor::FootprintAuditor(const LibraryResolver* resolver,
-                                   AnalyzerOptions options,
-                                   runtime::Executor* executor)
-    : options_(options), resolver_(resolver), owned_resolver_(executor) {}
-
 Status FootprintAuditor::AddLibrary(
     std::shared_ptr<const elf::ElfImage> library) {
-  if (library == nullptr) {
-    return InvalidArgumentError("auditor library must not be null");
-  }
-  if (resolver_ == &owned_resolver_) {
-    LAPIS_ASSIGN_OR_RETURN(auto analysis,
-                           BinaryAnalyzer::Analyze(*library, options_));
-    LAPIS_RETURN_IF_ERROR(owned_resolver_.AddLibrary(
-        std::make_shared<BinaryAnalysis>(std::move(analysis))));
-  }
   return tracer_.AddLibrary(std::move(library));
 }
 
 Result<BinaryAuditResult> FootprintAuditor::AuditExecutable(
-    const elf::ElfImage& executable, const std::string& name) const {
-  LAPIS_ASSIGN_OR_RETURN(auto analysis,
-                         BinaryAnalyzer::Analyze(executable, options_));
-  LibraryResolver::Resolution resolution =
-      resolver_->ResolveExecutable(analysis);
+    const elf::ElfImage& executable, const std::string& name,
+    const Footprint& claimed) const {
   LAPIS_ASSIGN_OR_RETURN(auto trace, tracer_.Trace(executable));
-
-  const Footprint& claimed = resolution.footprint;
   const Footprint& observed = trace.observed;
 
   BinaryAuditResult out;

@@ -2,10 +2,10 @@
 // analysis returns a superset of strace results" — here made a
 // machine-checked, corpus-wide invariant).
 //
-// For each executable the auditor (a) resolves the full static footprint —
-// entry-reachable code plus the import closure through every registered
-// library — and (b) replays the same binary in the DynamicTracer, then
-// differentially compares the two:
+// For each executable the auditor replays the binary in the DynamicTracer
+// and differentially compares what the replay touched against the claimed
+// static footprint — the one the study resolved (entry-reachable code plus
+// the import closure through every registered library) and exports:
 //
 //   * soundness violation — an API observed during execution that the
 //     static footprint neither claims nor excuses. This must never happen;
@@ -17,10 +17,11 @@
 //   * static-only APIs — claimed statically, never observed. Expected: one
 //     concrete trace covers a single path through an over-approximation.
 //
-// The auditor runs with the same AnalyzerOptions as the study pipeline, so
-// the `use_dataflow` ablation switch (and the methodology switches) are
-// audited exactly as configured; `lapis_study --audit` and the
-// bench_dataflow_precision benchmark report both modes side by side.
+// The claimed footprint is the study's own, produced under its
+// AnalyzerOptions, so the `use_dataflow` ablation switch (and the
+// methodology switches) are audited exactly as configured;
+// `lapis_study --audit` and the bench_dataflow_precision benchmark report
+// both modes side by side.
 
 #ifndef LAPIS_SRC_ANALYSIS_AUDIT_H_
 #define LAPIS_SRC_ANALYSIS_AUDIT_H_
@@ -30,10 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/binary_analyzer.h"
 #include "src/analysis/dynamic_trace.h"
 #include "src/analysis/footprint.h"
-#include "src/analysis/library_resolver.h"
 #include "src/util/status.h"
 
 namespace lapis::analysis {
@@ -98,32 +97,18 @@ struct AuditReport {
 
 class FootprintAuditor {
  public:
-  // Self-contained auditor: AddLibrary analyzes each library and registers
-  // it on both the static (LibraryResolver) and dynamic (DynamicTracer)
-  // sides. With an executor, per-export reachability fans out.
-  explicit FootprintAuditor(AnalyzerOptions options = {},
-                            runtime::Executor* executor = nullptr);
-
-  // Shares a prebuilt resolver (must outlive the auditor and have been
-  // built with the same analyzer options); AddLibrary then feeds only the
-  // tracer side. Saves re-deriving per-export reachability when the study
-  // pipeline already holds a fully-registered resolver.
-  FootprintAuditor(const LibraryResolver* resolver, AnalyzerOptions options,
-                   runtime::Executor* executor = nullptr);
-
+  // Registers a shared library with the tracer; PLT calls of replayed
+  // executables follow into it. Register in the resolver's order.
   Status AddLibrary(std::shared_ptr<const elf::ElfImage> library);
 
-  // Analyzes, resolves, traces, and compares one executable. Safe to call
-  // concurrently once every library is registered.
+  // Traces one executable and compares the replay against `claimed`, its
+  // resolved static footprint. Safe to call concurrently once every
+  // library is registered.
   Result<BinaryAuditResult> AuditExecutable(const elf::ElfImage& executable,
-                                            const std::string& name) const;
-
-  const AnalyzerOptions& options() const { return options_; }
+                                            const std::string& name,
+                                            const Footprint& claimed) const;
 
  private:
-  AnalyzerOptions options_;
-  const LibraryResolver* resolver_ = nullptr;  // shared or &owned_resolver_
-  LibraryResolver owned_resolver_;
   DynamicTracer tracer_;
 };
 

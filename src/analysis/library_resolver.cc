@@ -25,14 +25,12 @@ Status LibraryResolver::AddLibrary(std::shared_ptr<const BinaryAnalysis> library
   if (libraries_.contains(soname)) {
     return FailedPreconditionError("library already registered: " + soname);
   }
-  LibEntry entry;
-  entry.analysis = std::move(library);
-  entry.export_reach = std::move(export_reach);
   const uint32_t soname_index = static_cast<uint32_t>(sonames_.size());
-  auto [lib_it, inserted] = libraries_.emplace(soname, std::move(entry));
+  auto [lib_it, inserted] =
+      libraries_.emplace(soname, std::move(export_reach));
   (void)inserted;
   sonames_.push_back(soname);
-  for (const auto& [symbol, reach] : lib_it->second.export_reach) {
+  for (const auto& [symbol, reach] : lib_it->second) {
     const uint32_t symbol_id = symbols_.Intern(symbol);
     if (symbol_id >= ref_of_symbol_.size()) {
       ref_of_symbol_.resize(symbol_id + 1, kNoRef);
@@ -60,7 +58,7 @@ Status LibraryResolver::AddLibrary(std::shared_ptr<const BinaryAnalysis> library
 const LibraryResolver::ExportReach* LibraryResolver::ExportReachOf(
     const std::string& soname) const {
   auto it = libraries_.find(soname);
-  return it == libraries_.end() ? nullptr : &it->second.export_reach;
+  return it == libraries_.end() ? nullptr : &it->second;
 }
 
 std::string LibraryResolver::ExporterOf(const std::string& symbol) const {
@@ -140,7 +138,7 @@ Result<LibraryResolver::Resolution> LibraryResolver::ResolveWholeLibrary(
   }
   Resolution resolution;
   std::set<std::string> roots;
-  for (const auto& [symbol, reach] : it->second.export_reach) {
+  for (const auto& [symbol, reach] : it->second) {
     (void)reach;
     roots.insert(symbol);
   }

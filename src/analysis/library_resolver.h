@@ -40,7 +40,8 @@ class LibraryResolver {
 
   // Registers an analyzed shared library under its soname; precomputes and
   // memoizes per-export reachability. First registration of a symbol wins
-  // (mirrors linker search order).
+  // (mirrors linker search order). Only the reachability is kept; the
+  // caller may drop the analysis afterwards.
   Status AddLibrary(std::shared_ptr<const BinaryAnalysis> library);
 
   // Same, but with per-export reachability already computed (a warm-cache
@@ -82,15 +83,10 @@ class LibraryResolver {
   std::string ExporterOf(const std::string& symbol) const;
 
  private:
-  struct LibEntry {
-    std::shared_ptr<const BinaryAnalysis> analysis;
-    ExportReach export_reach;
-  };
-
   // Id-keyed view of one export's memoized reachability. `reach` points into
-  // a LibEntry's map (std::map nodes are address-stable); `plt_call_ids` are
-  // the interned ids of reach->plt_calls so the Expand fixpoint never touches
-  // a std::string.
+  // a library's ExportReach (std::map nodes are address-stable);
+  // `plt_call_ids` are the interned ids of reach->plt_calls so the Expand
+  // fixpoint never touches a std::string.
   struct ReachRef {
     const BinaryAnalysis::ReachableResult* reach = nullptr;
     uint32_t soname_index = 0;
@@ -101,7 +97,7 @@ class LibraryResolver {
               Resolution& resolution) const;
 
   runtime::Executor* executor_ = nullptr;
-  std::map<std::string, LibEntry> libraries_;  // by soname
+  std::map<std::string, ExportReach> libraries_;  // by soname
   std::vector<std::string> sonames_;
   // Symbol interner. Registration is single-threaded and in canonical
   // library order, so ids are deterministic; they never leak into exports.

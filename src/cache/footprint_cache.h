@@ -3,8 +3,8 @@
 // The store maps CacheKey{content hash, config fingerprint} to an opaque
 // payload (analysis_codec.h). It is sharded 16 ways: each shard owns a
 // mutex, an in-memory index, and one append-only log file, so lookups and
-// write-backs from the work-stealing executor's shards contend only when
-// they hash to the same shard.
+// write-backs from the thread pool's workers contend only when they hash
+// to the same shard.
 //
 // On-disk layout (per shard, `shard-NN.bin`):
 //   repeated records of

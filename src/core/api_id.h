@@ -34,7 +34,7 @@ struct ApiId {
   ApiKind kind = ApiKind::kSyscall;
   uint32_t code = 0;
 
-  // Stable total order / encoding (usable as a db fact id).
+  // Stable total order / encoding (one int64 per API, e.g. a map key).
   int64_t Encode() const {
     return (static_cast<int64_t>(kind) << 32) | code;
   }

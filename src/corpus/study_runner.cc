@@ -28,8 +28,9 @@ using cache::FootprintCache;
 
 // One synthesized binary after the per-binary analysis fan-out. The raw
 // ELF bytes are dropped inside the worker shard; only the analysis
-// (everything downstream needs) and the content hash (the cache key for
-// derived entries) survive.
+// (everything downstream needs), the content hash (the cache key for
+// derived entries) and, for a library under audit, the parsed image the
+// tracer follows calls into survive.
 struct AnalyzedBinary {
   std::string name;
   bool is_library = false;
@@ -38,6 +39,7 @@ struct AnalyzedBinary {
   uint64_t content_hash = 0;
   bool from_cache = false;
   std::shared_ptr<const BinaryAnalysis> analysis;
+  std::shared_ptr<const elf::ElfImage> image;  // audited libraries only
 };
 
 // Per-run cache context threaded through the pipeline stages. `cache` may be
@@ -51,69 +53,94 @@ struct CacheContext {
   explicit operator bool() const { return cache != nullptr; }
 };
 
-// Analyzes one ELF binary, going through the cache when enabled: on a hit
-// the serialized BinaryAnalysis is decoded (no parse/sweep/CFG/dataflow);
-// on a miss (or an undecodable payload) the analysis runs and is written
-// back. Safe on any worker shard.
-Result<std::shared_ptr<const BinaryAnalysis>> AnalyzeOrDecode(
-    const std::vector<uint8_t>& bytes,
-    const analysis::AnalyzerOptions& analyzer, const CacheContext& ctx,
-    uint64_t* content_hash, bool* from_cache) {
-  *from_cache = false;
-  *content_hash = 0;
+// Analyzes one ELF binary into `out`, going through the cache when
+// enabled: on a hit the serialized BinaryAnalysis is decoded (no
+// parse/sweep/CFG/dataflow); on a miss (or an undecodable payload) the
+// analysis runs and is written back. With `keep_image` the parsed image is
+// kept too, parsing even on a hit. Safe on any worker shard.
+Status AnalyzeInto(const std::vector<uint8_t>& bytes,
+                   const analysis::AnalyzerOptions& analyzer,
+                   const CacheContext& ctx, bool keep_image,
+                   AnalyzedBinary& out) {
   if (ctx) {
-    *content_hash = cache::HashBytes(bytes);
-    auto payload = ctx.cache->Lookup({*content_hash, ctx.analysis_fp});
+    out.content_hash = cache::HashBytes(bytes);
+    auto payload = ctx.cache->Lookup({out.content_hash, ctx.analysis_fp});
     if (payload != nullptr) {
       ByteReader reader(*payload);
       auto decoded = AnalysisCodec::Decode(reader);
       if (decoded.ok()) {
-        *from_cache = true;
-        return std::shared_ptr<const BinaryAnalysis>(
-            std::make_shared<BinaryAnalysis>(decoded.take()));
+        out.from_cache = true;
+        out.analysis = std::make_shared<BinaryAnalysis>(decoded.take());
       }
       // Undecodable payload: treat as a miss and recompute.
     }
   }
-  LAPIS_ASSIGN_OR_RETURN(auto image, elf::ElfReader::Parse(bytes));
-  LAPIS_ASSIGN_OR_RETURN(auto analysis,
-                         BinaryAnalyzer::Analyze(image, analyzer));
-  auto shared = std::make_shared<BinaryAnalysis>(std::move(analysis));
-  if (ctx) {
-    ByteWriter writer;
-    AnalysisCodec::Encode(*shared, writer);
-    ctx.cache->Insert({*content_hash, ctx.analysis_fp}, writer.bytes());
+  if (out.analysis != nullptr && !keep_image) {
+    return Status::Ok();
   }
-  return std::shared_ptr<const BinaryAnalysis>(std::move(shared));
+  LAPIS_ASSIGN_OR_RETURN(auto image, elf::ElfReader::Parse(bytes));
+  if (out.analysis == nullptr) {
+    LAPIS_ASSIGN_OR_RETURN(auto analysis,
+                           BinaryAnalyzer::Analyze(image, analyzer));
+    out.analysis = std::make_shared<BinaryAnalysis>(std::move(analysis));
+    if (ctx) {
+      ByteWriter writer;
+      AnalysisCodec::Encode(*out.analysis, writer);
+      ctx.cache->Insert({out.content_hash, ctx.analysis_fp}, writer.bytes());
+    }
+  }
+  if (keep_image) {
+    out.image = std::make_shared<const elf::ElfImage>(std::move(image));
+  }
+  return Status::Ok();
 }
 
 // Shard result of the synthesize+analyze stage for one package.
 struct PackageAnalysis {
   Status status;  // first synthesis/parse/analysis error, if any
   std::vector<AnalyzedBinary> binaries;
+  // Script programs by kind (Fig 1), measured by scanning the synthesized
+  // script files' shebangs, not by trusting the plan.
+  std::map<package::ProgramKind, size_t> script_kinds;
 };
 
-// Shard result of the footprint-resolution stage for one package: one
-// resolution per non-library binary, in package binary order.
-struct PackageResolution {
-  std::vector<LibraryResolver::Resolution> resolutions;
-  size_t from_cache = 0;
-};
-
-// Shard result of the script-classification stage for one package.
-struct PackageScripts {
+// Shard result of the resolve stage for one package: its executables'
+// footprints as dataset ApiIds, ready for the canonical merge.
+struct PackageFootprint {
   Status status;
-  std::map<package::ProgramKind, size_t> kinds;
+  std::vector<core::ApiId> footprint;  // sorted, unique
+  // Pseudo paths outside the interned universe, in first-seen (executable,
+  // path) order; the merge interns them so ids match a serial run.
+  std::vector<std::string> new_paths;
+  std::set<int> recovered_syscalls;
+  std::set<std::string> pseudo_paths;  // distinct over the package
+  size_t executables = 0;
+  size_t from_cache = 0;
+  std::vector<analysis::BinaryAuditResult> audits;  // executable order
 };
 
-// Synthesizes and analyzes every ELF binary of one package. Pure: touches
-// only the (const) synthesizer and its own shard — safe on any worker.
+// Synthesizes and analyzes every ELF binary of one package and classifies
+// its scripts by shebang. Pure: touches only the (const) synthesizer and
+// its own shard — safe on any worker.
 PackageAnalysis AnalyzePackage(const DistroSynthesizer& synthesizer,
                                const DistroSpec& spec,
-                               const analysis::AnalyzerOptions& analyzer,
+                               const StudyOptions& options,
                                const CacheContext& ctx, size_t pkg) {
   PackageAnalysis out;
   const PackagePlan& plan = spec.packages[pkg];
+  if (plan.script_count > 0) {
+    auto scripts = synthesizer.PackageScripts(pkg);
+    if (!scripts.ok()) {
+      out.status = scripts.status();
+      return out;
+    }
+    for (const auto& script : scripts.value()) {
+      auto info = analysis::ClassifyScript(script.contents);
+      if (info.ok()) {
+        ++out.script_kinds[info.value().kind];
+      }
+    }
+  }
   if (plan.data_only || !plan.interpreter_package.empty()) {
     return out;  // scripts and data ship no ELF binaries
   }
@@ -127,14 +154,13 @@ PackageAnalysis AnalyzePackage(const DistroSynthesizer& synthesizer,
     analyzed.name = std::move(binary.name);
     analyzed.is_library = binary.is_library;
     analyzed.is_static = binary.is_static;
-    auto analysis = AnalyzeOrDecode(binary.bytes, analyzer, ctx,
-                                    &analyzed.content_hash,
-                                    &analyzed.from_cache);
-    if (!analysis.ok()) {
-      out.status = analysis.status();
+    Status status =
+        AnalyzeInto(binary.bytes, options.analyzer, ctx,
+                    options.audit && binary.is_library, analyzed);
+    if (!status.ok()) {
+      out.status = status;
       return out;
     }
-    analyzed.analysis = analysis.take();
     out.binaries.push_back(std::move(analyzed));
   }
   return out;
@@ -188,47 +214,81 @@ void FoldBinaryCounters(const AnalyzedBinary& binary, StudyResult& result) {
   }
 }
 
-// Converts a resolved footprint + used exports into dataset ApiIds.
-std::vector<core::ApiId> ToApiIds(const LibraryResolver::Resolution& res,
-                                  core::StringInterner& path_interner,
-                                  core::StringInterner& libc_interner) {
-  std::vector<core::ApiId> out;
-  for (int nr : res.footprint.syscalls) {
-    if (nr >= 0 && nr < kSyscallCount) {
-      out.push_back(core::SyscallApi(static_cast<uint32_t>(nr)));
+// The full footprint of one executable: decoded from the cache when the
+// same binary was resolved against the same library set (`link_fp`), else
+// resolved and written back. Safe on any worker shard.
+LibraryResolver::Resolution ResolveOrDecode(const AnalyzedBinary& binary,
+                                            const LibraryResolver& resolver,
+                                            const CacheContext& ctx,
+                                            uint64_t link_fp,
+                                            bool* from_cache) {
+  *from_cache = false;
+  if (ctx && binary.content_hash != 0) {
+    auto payload = ctx.cache->Lookup({binary.content_hash, link_fp});
+    if (payload != nullptr) {
+      ByteReader reader(*payload);
+      auto decoded = AnalysisCodec::DecodeResolution(reader);
+      if (decoded.ok()) {
+        *from_cache = true;
+        return decoded.take();
+      }
     }
   }
+  LibraryResolver::Resolution resolution =
+      resolver.ResolveExecutable(*binary.analysis);
+  if (ctx && binary.content_hash != 0) {
+    ByteWriter writer;
+    AnalysisCodec::EncodeResolution(resolution, writer);
+    ctx.cache->Insert({binary.content_hash, link_fp}, writer.bytes());
+  }
+  return resolution;
+}
+
+// Adds one executable's resolved footprint and used libc exports to its
+// package's shard as dataset ApiIds. The interners hold the full universes
+// and are only read, so this is safe on any worker shard.
+void AddFootprint(const LibraryResolver::Resolution& res,
+                  const core::StringInterner& path_interner,
+                  const core::StringInterner& libc_interner,
+                  PackageFootprint& out) {
+  for (int nr : res.footprint.syscalls) {
+    if (nr >= 0 && nr < kSyscallCount) {
+      out.footprint.push_back(core::SyscallApi(static_cast<uint32_t>(nr)));
+    }
+  }
+  out.recovered_syscalls.insert(res.footprint.syscalls.begin(),
+                                res.footprint.syscalls.end());
   for (uint32_t op : res.footprint.ioctl_ops) {
-    out.push_back(core::IoctlApi(op));
+    out.footprint.push_back(core::IoctlApi(op));
   }
   for (uint32_t op : res.footprint.fcntl_ops) {
-    out.push_back(core::FcntlApi(op));
+    out.footprint.push_back(core::FcntlApi(op));
   }
   for (uint32_t op : res.footprint.prctl_ops) {
-    out.push_back(core::PrctlApi(op));
+    out.footprint.push_back(core::PrctlApi(op));
   }
   for (const auto& path : res.footprint.pseudo_paths) {
-    out.push_back(core::ApiId{core::ApiKind::kPseudoFile,
-                              path_interner.Intern(path)});
+    const bool first_in_package = out.pseudo_paths.insert(path).second;
+    uint32_t id = path_interner.Find(path);
+    if (id != UINT32_MAX) {
+      out.footprint.push_back(core::ApiId{core::ApiKind::kPseudoFile, id});
+    } else if (first_in_package) {
+      out.new_paths.push_back(path);
+    }
   }
   auto libc_exports = res.used_exports.find(kLibcSoname);
   if (libc_exports != res.used_exports.end()) {
-    // The libc-symbol API surface (§5, Table 7) is the 1274-entry universe.
-    // libc also exports the non-universe `syscall` clone that tail-plt
-    // wrappers jump through; it carries no importance row and no variant
-    // lists it, so it must not enter the dataset as a libc-symbol API.
-    static const std::set<std::string>* universe_names = [] {
-      auto* names = new std::set<std::string>();
-      for (const auto& spec : LibcUniverse()) names->insert(spec.name);
-      return names;
-    }();
+    // The libc-symbol API surface (§5, Table 7) is the 1274-entry universe
+    // the interner holds. libc also exports the non-universe `syscall` clone
+    // that tail-plt wrappers jump through; it carries no importance row and
+    // no variant lists it, so it must not enter the dataset.
     for (const auto& symbol : libc_exports->second) {
-      if (!universe_names->contains(symbol)) continue;
-      out.push_back(core::ApiId{core::ApiKind::kLibcFn,
-                                libc_interner.Intern(symbol)});
+      uint32_t id = libc_interner.Find(symbol);
+      if (id != UINT32_MAX) {
+        out.footprint.push_back(core::ApiId{core::ApiKind::kLibcFn, id});
+      }
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -293,9 +353,23 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   // ---- Core libraries: analyze shards in parallel, register in order ----
   // The link fingerprint folds every registered library's content hash in
   // registration order; it keys per-executable resolutions, which are only
-  // valid against an identical library set.
+  // valid against an identical library set. Under audit the tracer gets
+  // each library's image in the same order.
   LibraryResolver resolver(executor);
+  analysis::FootprintAuditor auditor;
   uint64_t link_fp = ctx.resolution_fp;
+  // Called in canonical order only. The resolver keeps just the per-export
+  // reachability, so the library's analysis is freed here.
+  auto register_library = [&](AnalyzedBinary& library) -> Status {
+    LAPIS_RETURN_IF_ERROR(RegisterLibrary(library, ctx, resolver));
+    if (options.audit) {
+      LAPIS_RETURN_IF_ERROR(auditor.AddLibrary(std::move(library.image)));
+    }
+    link_fp = cache::HashU64(library.content_hash, link_fp);
+    result.binary_stats.elf_shared_libraries += 1;
+    library.analysis.reset();
+    return Status::Ok();
+  };
   {
     runtime::StageTimer timer(&stats, "core-libs");
     LAPIS_ASSIGN_OR_RETURN(auto core_libs, synthesizer.CoreLibraries());
@@ -308,36 +382,27 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
           CoreShard shard;
           shard.binary.name = core_libs[i].name;
           shard.binary.is_library = true;
-          auto analysis =
-              AnalyzeOrDecode(core_libs[i].bytes, options.analyzer, ctx,
-                              &shard.binary.content_hash,
-                              &shard.binary.from_cache);
-          if (!analysis.ok()) {
-            shard.status = analysis.status();
-            return shard;
-          }
-          shard.binary.analysis = analysis.take();
+          shard.status = AnalyzeInto(core_libs[i].bytes, options.analyzer,
+                                     ctx, options.audit, shard.binary);
           return shard;
         });
-    for (size_t i = 0; i < shards.size(); ++i) {
-      LAPIS_RETURN_IF_ERROR(shards[i].status);
-      const AnalyzedBinary& analyzed = shards[i].binary;
-      FoldBinaryCounters(analyzed, result);
-      if (analyzed.from_cache) {
+    for (auto& shard : shards) {
+      LAPIS_RETURN_IF_ERROR(shard.status);
+      AnalyzedBinary& library = shard.binary;
+      FoldBinaryCounters(library, result);
+      if (library.from_cache) {
         ++result.analyses_from_cache;
       }
-      LAPIS_RETURN_IF_ERROR(RegisterLibrary(analyzed, ctx, resolver));
-      link_fp = cache::HashU64(analyzed.content_hash, link_fp);
-      result.binary_stats.elf_shared_libraries += 1;
-      if (analyzed.name == kLibcSoname) {
+      if (library.name == kLibcSoname) {
         // Record measured per-symbol sizes for the §3.5 analysis.
-        for (const auto& fn : analyzed.analysis->functions()) {
+        for (const auto& fn : library.analysis->functions()) {
           uint32_t id = result.libc_interner.Find(fn.name);
           if (id != UINT32_MAX) {
             result.libc_symbol_sizes[id] = fn.size;
           }
         }
       }
+      LAPIS_RETURN_IF_ERROR(register_library(library));
     }
     timer.AddItems(core_libs.size());
   }
@@ -350,8 +415,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     analyzed = runtime::ParallelMap(
         executor, package_count,
         [&synthesizer, &result, &options, &ctx](size_t pkg) {
-          return AnalyzePackage(synthesizer, result.spec, options.analyzer,
-                                ctx, pkg);
+          return AnalyzePackage(synthesizer, result.spec, options, ctx, pkg);
         });
     for (const auto& shard : analyzed) {
       timer.AddItems(shard.binaries.size());
@@ -364,15 +428,16 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     runtime::StageTimer timer(&stats, "register");
     for (size_t pkg = 0; pkg < package_count; ++pkg) {
       LAPIS_RETURN_IF_ERROR(analyzed[pkg].status);
-      for (const auto& binary : analyzed[pkg].binaries) {
+      for (const auto& [kind, count] : analyzed[pkg].script_kinds) {
+        result.binary_stats.script_programs[kind] += count;
+      }
+      for (auto& binary : analyzed[pkg].binaries) {
         FoldBinaryCounters(binary, result);
         if (binary.from_cache) {
           ++result.analyses_from_cache;
         }
         if (binary.is_library) {
-          LAPIS_RETURN_IF_ERROR(RegisterLibrary(binary, ctx, resolver));
-          link_fp = cache::HashU64(binary.content_hash, link_fp);
-          result.binary_stats.elf_shared_libraries += 1;
+          LAPIS_RETURN_IF_ERROR(register_library(binary));
         } else if (binary.is_static) {
           result.binary_stats.elf_static += 1;
         } else {
@@ -383,112 +448,96 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     timer.AddItems(package_count);
   }
 
-  // ---- Packages, stage 3: resolve executable footprints in parallel.
-  // The resolver is fully built and read-only now, so its const fixpoint
-  // expansion is safe from any shard. ----
-  std::vector<PackageResolution> resolved;
-  {
-    runtime::StageTimer timer(&stats, "resolve");
-    resolved = runtime::ParallelMap(
-        executor, package_count,
-        [&analyzed, &resolver, &ctx, link_fp](size_t pkg) {
-          PackageResolution out;
-          for (const auto& binary : analyzed[pkg].binaries) {
-            if (binary.is_library) {
-              continue;
-            }
-            if (ctx && binary.content_hash != 0) {
-              auto payload =
-                  ctx.cache->Lookup({binary.content_hash, link_fp});
-              if (payload != nullptr) {
-                ByteReader reader(*payload);
-                auto decoded = AnalysisCodec::DecodeResolution(reader);
-                if (decoded.ok()) {
-                  out.resolutions.push_back(decoded.take());
-                  ++out.from_cache;
-                  continue;
-                }
-              }
-            }
-            out.resolutions.push_back(
-                resolver.ResolveExecutable(*binary.analysis));
-            if (ctx && binary.content_hash != 0) {
-              ByteWriter writer;
-              AnalysisCodec::EncodeResolution(out.resolutions.back(),
-                                              writer);
-              ctx.cache->Insert({binary.content_hash, link_fp},
-                                writer.bytes());
-            }
-          }
-          return out;
-        });
-    for (const auto& shard : resolved) {
-      timer.AddItems(shard.resolutions.size());
-      result.resolutions_from_cache += shard.from_cache;
-    }
-  }
-
-  // ---- Packages, stage 4: deterministic merge into footprints (the
-  // interners mutate, so this stays in canonical order) ----
+  // ---- Packages, stage 3: take each executable from resolution to
+  // dataset ApiIds (and, under audit, through a replay against that very
+  // footprint) on worker shards. The resolver, tracer and interners are
+  // read-only now, so any shard may use them; each shard frees its own
+  // executables' analyses. ----
   std::vector<std::vector<core::ApiId>> footprints(package_count);
   std::vector<std::set<int>> recovered_syscalls(package_count);
   {
-    runtime::StageTimer timer(&stats, "join");
-    for (size_t pkg = 0; pkg < package_count; ++pkg) {
-      std::set<std::string> package_paths;
-      for (const auto& resolution : resolved[pkg].resolutions) {
-        auto ids = ToApiIds(resolution, result.path_interner,
-                            result.libc_interner);
-        footprints[pkg].insert(footprints[pkg].end(), ids.begin(),
-                               ids.end());
-        recovered_syscalls[pkg].insert(resolution.footprint.syscalls.begin(),
-                                       resolution.footprint.syscalls.end());
-        for (const auto& path : resolution.footprint.pseudo_paths) {
-          package_paths.insert(path);
-        }
-      }
-      for (const auto& path : package_paths) {
-        ++result.pseudo_path_binary_counts[path];
-      }
-    }
-    timer.AddItems(package_count);
-  }
-  analyzed.clear();
-  resolved.clear();
-
-  // Script packages inherit the interpreter's footprint (§2.3
-  // over-approximation); data packages stay empty. The Fig 1 breakdown is
-  // measured by scanning the synthesized script files' shebangs, not by
-  // trusting the plan.
-  {
-    runtime::StageTimer timer(&stats, "scripts");
-    auto script_shards = runtime::ParallelMap(
-        executor, package_count, [&synthesizer, &result](size_t pkg) {
-          PackageScripts out;
-          if (result.spec.packages[pkg].script_count <= 0) {
-            return out;
-          }
-          auto scripts = synthesizer.PackageScripts(pkg);
-          if (!scripts.ok()) {
-            out.status = scripts.status();
-            return out;
-          }
-          for (const auto& script : scripts.value()) {
-            auto info = analysis::ClassifyScript(script.contents);
-            if (info.ok()) {
-              ++out.kinds[info.value().kind];
+    runtime::StageTimer timer(&stats, "resolve");
+    auto shards = runtime::ParallelMap(
+        executor, package_count,
+        [&analyzed, &resolver, &auditor, &synthesizer, &result, &options,
+         &ctx, link_fp](size_t pkg) {
+          PackageFootprint out;
+          std::vector<AnalyzedBinary>& binaries = analyzed[pkg].binaries;
+          // The analysis stage dropped the bytes; replay needs them again.
+          std::vector<SynthesizedBinary> synthesized;
+          if (options.audit && !binaries.empty()) {
+            auto resynthesized = synthesizer.PackageBinaries(pkg);
+            if (!resynthesized.ok()) {
+              out.status = resynthesized.status();
+              return out;
             }
+            synthesized = resynthesized.take();
           }
+          for (size_t i = 0; i < binaries.size(); ++i) {
+            AnalyzedBinary& binary = binaries[i];
+            if (binary.is_library) {
+              continue;
+            }
+            bool from_cache = false;
+            const LibraryResolver::Resolution resolution =
+                ResolveOrDecode(binary, resolver, ctx, link_fp, &from_cache);
+            binary.analysis.reset();
+            ++out.executables;
+            out.from_cache += from_cache ? 1 : 0;
+            AddFootprint(resolution, result.path_interner,
+                         result.libc_interner, out);
+            if (!options.audit) {
+              continue;
+            }
+            auto image = elf::ElfReader::Parse(synthesized[i].bytes);
+            if (!image.ok()) {
+              out.status = image.status();
+              return out;
+            }
+            auto audited = auditor.AuditExecutable(image.value(), binary.name,
+                                                   resolution.footprint);
+            if (!audited.ok()) {
+              out.status = audited.status();
+              return out;
+            }
+            out.audits.push_back(audited.take());
+          }
+          std::sort(out.footprint.begin(), out.footprint.end());
+          out.footprint.erase(
+              std::unique(out.footprint.begin(), out.footprint.end()),
+              out.footprint.end());
           return out;
         });
+    // Canonical-order merge: paths outside the universe are interned in
+    // (package, executable, path) order, and audit results fold in the same
+    // order, so both are identical at every worker count.
+    analysis::AuditReport report;
     for (size_t pkg = 0; pkg < package_count; ++pkg) {
-      LAPIS_RETURN_IF_ERROR(script_shards[pkg].status);
-      for (const auto& [kind, count] : script_shards[pkg].kinds) {
-        result.binary_stats.script_programs[kind] += count;
-        timer.AddItems(count);
+      PackageFootprint& shard = shards[pkg];
+      LAPIS_RETURN_IF_ERROR(shard.status);
+      for (const auto& path : shard.new_paths) {
+        shard.footprint.push_back(core::ApiId{
+            core::ApiKind::kPseudoFile, result.path_interner.Intern(path)});
       }
+      footprints[pkg] = std::move(shard.footprint);
+      recovered_syscalls[pkg] = std::move(shard.recovered_syscalls);
+      for (const auto& path : shard.pseudo_paths) {
+        ++result.pseudo_path_binary_counts[path];
+      }
+      result.resolutions_from_cache += shard.from_cache;
+      for (auto& audited : shard.audits) {
+        report.Fold(std::move(audited));
+      }
+      timer.AddItems(shard.executables);
+    }
+    if (options.audit) {
+      result.audit = std::move(report);
     }
   }
+  analyzed.clear();
+
+  // Script packages inherit the interpreter's footprint (§2.3
+  // over-approximation); data packages stay empty.
   for (size_t pkg = 0; pkg < package_count; ++pkg) {
     const PackagePlan& plan = result.spec.packages[pkg];
     if (plan.interpreter_package.empty()) {
@@ -516,126 +565,6 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
       result.ground_truth_mismatches += mismatch;
     }
     timer.AddItems(package_count);
-  }
-
-  // ---- Differential soundness audit (optional) ----
-  // Replays every executable in the DynamicTracer and compares against the
-  // static footprint. The auditor shares the study's fully-built resolver,
-  // so the expensive per-export reachability is not recomputed; binaries
-  // are re-synthesized because the analysis stage dropped their bytes.
-  if (options.audit) {
-    runtime::StageTimer timer(&stats, "audit");
-    analysis::FootprintAuditor auditor(&resolver, options.analyzer,
-                                       executor);
-
-    struct AuditBinary {
-      std::string name;
-      bool is_library = false;
-      std::shared_ptr<const elf::ElfImage> image;
-    };
-    struct AuditShard {
-      Status status;
-      std::vector<AuditBinary> binaries;
-    };
-
-    // Core libraries: the tracer follows PLT calls into them.
-    {
-      LAPIS_ASSIGN_OR_RETURN(auto core_libs, synthesizer.CoreLibraries());
-      auto core_shards = runtime::ParallelMap(
-          executor, core_libs.size(), [&core_libs](size_t i) {
-            AuditShard shard;
-            auto image = elf::ElfReader::Parse(core_libs[i].bytes);
-            if (!image.ok()) {
-              shard.status = image.status();
-              return shard;
-            }
-            AuditBinary binary;
-            binary.name = core_libs[i].name;
-            binary.is_library = true;
-            binary.image =
-                std::make_shared<const elf::ElfImage>(image.take());
-            shard.binaries.push_back(std::move(binary));
-            return shard;
-          });
-      for (auto& shard : core_shards) {
-        LAPIS_RETURN_IF_ERROR(shard.status);
-        for (auto& binary : shard.binaries) {
-          LAPIS_RETURN_IF_ERROR(auditor.AddLibrary(binary.image));
-        }
-      }
-    }
-
-    // Re-synthesize + parse package binaries on worker shards (the image
-    // copies the bytes, so the synth output dies inside the shard).
-    auto audit_inputs = runtime::ParallelMap(
-        executor, package_count, [&synthesizer, &result](size_t pkg) {
-          AuditShard shard;
-          const PackagePlan& plan = result.spec.packages[pkg];
-          if (plan.data_only || !plan.interpreter_package.empty()) {
-            return shard;
-          }
-          auto binaries = synthesizer.PackageBinaries(pkg);
-          if (!binaries.ok()) {
-            shard.status = binaries.status();
-            return shard;
-          }
-          for (auto& synthesized : binaries.value()) {
-            auto image = elf::ElfReader::Parse(synthesized.bytes);
-            if (!image.ok()) {
-              shard.status = image.status();
-              return shard;
-            }
-            AuditBinary binary;
-            binary.name = std::move(synthesized.name);
-            binary.is_library = synthesized.is_library;
-            binary.image =
-                std::make_shared<const elf::ElfImage>(image.take());
-            shard.binaries.push_back(std::move(binary));
-          }
-          return shard;
-        });
-    // Package libraries register in canonical order before any replay.
-    for (auto& shard : audit_inputs) {
-      LAPIS_RETURN_IF_ERROR(shard.status);
-      for (auto& binary : shard.binaries) {
-        if (binary.is_library) {
-          LAPIS_RETURN_IF_ERROR(auditor.AddLibrary(binary.image));
-        }
-      }
-    }
-
-    // Replay executables in parallel; fold in canonical (package, binary)
-    // order so the report is identical at every worker count.
-    struct AuditOutcome {
-      Status status;
-      std::vector<analysis::BinaryAuditResult> results;
-    };
-    auto audit_outcomes = runtime::ParallelMap(
-        executor, package_count, [&audit_inputs, &auditor](size_t pkg) {
-          AuditOutcome out;
-          for (const auto& binary : audit_inputs[pkg].binaries) {
-            if (binary.is_library) {
-              continue;
-            }
-            auto audited =
-                auditor.AuditExecutable(*binary.image, binary.name);
-            if (!audited.ok()) {
-              out.status = audited.status();
-              return out;
-            }
-            out.results.push_back(audited.take());
-          }
-          return out;
-        });
-    analysis::AuditReport report;
-    for (auto& outcome : audit_outcomes) {
-      LAPIS_RETURN_IF_ERROR(outcome.status);
-      for (auto& binary_result : outcome.results) {
-        report.Fold(std::move(binary_result));
-      }
-    }
-    timer.AddItems(report.executables_audited);
-    result.audit = std::move(report);
   }
 
   // ---- Popularity-contest survey ----

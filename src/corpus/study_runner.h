@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/analysis/audit.h"
+#include "src/analysis/binary_analyzer.h"
 #include "src/cache/footprint_cache.h"
 #include "src/core/api_id.h"
 #include "src/core/dataset.h"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <queue>
+#include <string>
 
 #include "src/corpus/syscall_table.h"
 
@@ -413,18 +414,24 @@ SupportPlan ImportanceOrderPlan(const PlannerInput& input) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact solver: subset DP for small candidate counts, else branch-and-bound
-// over packages in weight order.
+// Exact solver: subset DP over the candidate APIs.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 // Largest candidate count the subset DP takes (memory is O(2^n)).
 constexpr size_t kDpMaxCandidates = 20;
-// Branch-and-bound node ceiling; exceeding it clears ExactResult::optimal.
-constexpr size_t kMaxBnbNodes = 4'000'000;
 
-ExactResult ExactByDp(const Instance& inst, const PlannerInput& input) {
+}  // namespace
+
+Result<ExactResult> ExactPlan(const PlannerInput& input) {
+  Instance inst = BuildInstance(input);
+  if (inst.apis.size() > kDpMaxCandidates) {
+    return InvalidArgumentError(
+        "ExactPlan takes at most " + std::to_string(kDpMaxCandidates) +
+        " candidate APIs, got " + std::to_string(inst.apis.size()) +
+        "; restrict with RestrictToTopApis");
+  }
   const uint32_t n = static_cast<uint32_t>(inst.apis.size());
   const size_t n_masks = size_t{1} << n;
 
@@ -481,124 +488,7 @@ ExactResult ExactByDp(const Instance& inst, const PlannerInput& input) {
       result.chosen.push_back(inst.apis[bit]);
     }
   }
-  result.optimal = true;
   return result;
-}
-
-struct BnbState {
-  const Instance* inst = nullptr;
-  const PlannerInput* input = nullptr;
-  std::vector<uint32_t> pkgs;     // branching order (weight desc)
-  std::vector<double> suffix;     // suffix[i] = max extra weight from i..end
-  std::vector<bool> acquired;
-  size_t acquired_count = 0;
-  double cost = 0.0;
-  size_t nodes = 0;
-  bool truncated = false;
-
-  double best_coverage = -1.0;
-  double best_cost = 0.0;
-  std::vector<bool> best_acquired;
-};
-
-void BnbDfs(BnbState* st, size_t i, double coverage) {
-  if (++st->nodes > kMaxBnbNodes) {
-    st->truncated = true;
-    return;
-  }
-  if (coverage > st->best_coverage + 1e-12) {
-    st->best_coverage = coverage;
-    st->best_cost = st->cost;
-    st->best_acquired = st->acquired;
-  }
-  if (i >= st->pkgs.size() || st->truncated) {
-    return;
-  }
-  if (coverage + st->suffix[i] <= st->best_coverage + 1e-12) {
-    return;  // bound: even covering everything left cannot improve
-  }
-  const Instance& inst = *st->inst;
-  uint32_t p = st->pkgs[i];
-
-  std::vector<uint32_t> extra;
-  double extra_cost = 0.0;
-  for (uint32_t a : inst.need[p]) {
-    if (!st->acquired[a]) {
-      extra.push_back(a);
-      extra_cost += inst.api_cost[a];
-    }
-  }
-  if (extra.empty()) {
-    // Already covered by earlier choices: no branch.
-    BnbDfs(st, i + 1, coverage + inst.weight[p]);
-    return;
-  }
-
-  bool fits = st->cost + extra_cost <= st->input->budget + kEps &&
-              (st->input->max_actions == 0 ||
-               st->acquired_count + extra.size() <= st->input->max_actions);
-  if (fits) {
-    for (uint32_t a : extra) {
-      st->acquired[a] = true;
-    }
-    st->acquired_count += extra.size();
-    st->cost += extra_cost;
-    BnbDfs(st, i + 1, coverage + inst.weight[p]);
-    st->cost -= extra_cost;
-    st->acquired_count -= extra.size();
-    for (uint32_t a : extra) {
-      st->acquired[a] = false;
-    }
-  }
-  BnbDfs(st, i + 1, coverage);
-}
-
-ExactResult ExactByBnb(const Instance& inst, const PlannerInput& input) {
-  BnbState st;
-  st.inst = &inst;
-  st.input = &input;
-  st.acquired.assign(inst.apis.size(), false);
-
-  for (uint32_t p = 0; p < inst.weight.size(); ++p) {
-    if (inst.missing[p] != 0 && inst.missing[p] != kUncoverable &&
-        inst.weight[p] > 0.0) {
-      st.pkgs.push_back(p);
-    }
-  }
-  std::sort(st.pkgs.begin(), st.pkgs.end(), [&inst](uint32_t a, uint32_t b) {
-    if (inst.weight[a] != inst.weight[b]) {
-      return inst.weight[a] > inst.weight[b];
-    }
-    return a < b;
-  });
-  st.suffix.assign(st.pkgs.size() + 1, 0.0);
-  for (size_t i = st.pkgs.size(); i > 0; --i) {
-    st.suffix[i - 1] = st.suffix[i] + inst.weight[st.pkgs[i - 1]];
-  }
-
-  BnbDfs(&st, 0, 0.0);
-
-  ExactResult result;
-  double best = std::max(st.best_coverage, 0.0);
-  result.completeness = inst.Completeness(best);
-  result.cost = st.best_cost;
-  for (uint32_t i = 0; i < inst.apis.size(); ++i) {
-    if (!st.best_acquired.empty() && st.best_acquired[i]) {
-      result.chosen.push_back(inst.apis[i]);
-    }
-  }
-  result.optimal = !st.truncated;
-  return result;
-}
-
-}  // namespace
-
-ExactResult ExactPlan(const PlannerInput& input) {
-  Instance inst = BuildInstance(input);
-  if (inst.apis.size() <= kDpMaxCandidates) {
-    return ExactByDp(inst, input);
-  }
-  return ExactByBnb(inst, input);
 }
 
 PlannerInput RestrictToTopApis(const PlannerInput& input, size_t top_k) {

@@ -9,8 +9,7 @@
 //                           on pop, affected packages re-pushed when a move
 //                           shrinks their remaining cost).
 //   ExactPlan             — optimal completeness at a budget: subset DP over
-//                           API bitmasks when few candidates, else
-//                           branch-and-bound over packages.
+//                           API bitmasks, for at most 20 candidates.
 //   ImportanceOrderPlan   — the paper's §3.2 ranking as a baseline: add APIs
 //                           in importance order, cost-blind.
 //
@@ -31,6 +30,7 @@
 #include "src/core/dataset.h"
 #include "src/plan/cost_model.h"
 #include "src/plan/evidence.h"
+#include "src/util/status.h"
 
 namespace lapis::plan {
 
@@ -81,12 +81,12 @@ struct ExactResult {
   double completeness = 0.0;   // best achievable at the budget
   double cost = 0.0;           // cost of the chosen set
   std::vector<core::ApiId> chosen;
-  bool optimal = true;  // false when branch-and-bound hit its node ceiling
 };
 
-// Subset DP for at most 20 candidate APIs (memory is O(2^n)), else
-// branch-and-bound over packages capped at 4M nodes.
-ExactResult ExactPlan(const PlannerInput& input);
+// Subset DP over the candidate APIs (memory is O(2^n)). More than 20
+// candidates is an InvalidArgumentError; restrict first with
+// RestrictToTopApis.
+Result<ExactResult> ExactPlan(const PlannerInput& input);
 
 // Narrows `input` to the `top_k` most important not-yet-supported APIs so
 // ExactPlan stays tractable; everything else about the instance (weights,

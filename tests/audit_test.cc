@@ -8,6 +8,8 @@
 #include <memory>
 
 #include "src/analysis/audit.h"
+#include "src/analysis/binary_analyzer.h"
+#include "src/analysis/library_resolver.h"
 #include "src/codegen/function_builder.h"
 #include "src/corpus/study_runner.h"
 #include "src/elf/elf_builder.h"
@@ -61,9 +63,18 @@ ElfImage BuildGuardedExe() {
   return image.take();
 }
 
+// The static footprint the study would claim for `exe`: its analysis under
+// `options`, resolved against no libraries.
+Footprint Claimed(const ElfImage& exe, const AnalyzerOptions& options = {}) {
+  auto analysis = BinaryAnalyzer::Analyze(exe, options);
+  EXPECT_TRUE(analysis.ok()) << analysis.status().ToString();
+  return LibraryResolver().ResolveExecutable(analysis.value()).footprint;
+}
+
 TEST(FootprintAuditor, HonestAnalysisAuditsSound) {
   FootprintAuditor auditor;
-  auto result = auditor.AuditExecutable(BuildVectoredExe(), "exe");
+  ElfImage exe = BuildVectoredExe();
+  auto result = auditor.AuditExecutable(exe, "exe", Claimed(exe));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().sound());
   EXPECT_EQ(result.value().masked_by_unknown_sites, 0u);
@@ -78,8 +89,9 @@ TEST(FootprintAuditor, DetectsSilentlyDroppedFacts) {
   // the historical kJccRel leak.
   AnalyzerOptions options;
   options.resolve_wrapper_opcodes = false;
-  FootprintAuditor auditor(options);
-  auto result = auditor.AuditExecutable(BuildVectoredExe(), "exe");
+  FootprintAuditor auditor;
+  ElfImage exe = BuildVectoredExe();
+  auto result = auditor.AuditExecutable(exe, "exe", Claimed(exe, options));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_FALSE(result.value().sound());
   EXPECT_EQ(result.value().violations[0].api_class,
@@ -95,8 +107,9 @@ TEST(FootprintAuditor, CountedUnknownSiteExcusesObservedSyscall) {
   // site, so it is precision debt -- not a soundness violation.
   AnalyzerOptions linear;
   linear.use_dataflow = false;
-  FootprintAuditor auditor(linear);
-  auto result = auditor.AuditExecutable(BuildGuardedExe(), "exe");
+  FootprintAuditor auditor;
+  ElfImage exe = BuildGuardedExe();
+  auto result = auditor.AuditExecutable(exe, "exe", Claimed(exe, linear));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().sound());
   EXPECT_GE(result.value().masked_by_unknown_sites, 1u);
@@ -104,7 +117,8 @@ TEST(FootprintAuditor, CountedUnknownSiteExcusesObservedSyscall) {
 
 TEST(FootprintAuditor, DataflowClaimsGuardedSiteExactly) {
   FootprintAuditor auditor;
-  auto result = auditor.AuditExecutable(BuildGuardedExe(), "exe");
+  ElfImage exe = BuildGuardedExe();
+  auto result = auditor.AuditExecutable(exe, "exe", Claimed(exe));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().sound());
   EXPECT_EQ(result.value().masked_by_unknown_sites, 0u);

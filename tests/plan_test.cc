@@ -342,14 +342,36 @@ TEST(ExactPlan, MatchesHandOptimum) {
   input.dataset = ds.get();
   input.costs = &costs;
   input.budget = 20.0;  // optimal: {0,1} -> libc works, completeness 1/1.8
-  ExactResult exact = ExactPlan(input);
-  EXPECT_TRUE(exact.optimal);
-  EXPECT_NEAR(exact.completeness, 1.0 / 1.8, 1e-12);
-  EXPECT_LE(exact.cost, 20.0 + 1e-9);
+  auto exact = ExactPlan(input);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_NEAR(exact.value().completeness, 1.0 / 1.8, 1e-12);
+  EXPECT_LE(exact.value().cost, 20.0 + 1e-9);
 
   input.budget = 50.0;
   exact = ExactPlan(input);
-  EXPECT_NEAR(exact.completeness, 1.0, 1e-12);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_NEAR(exact.value().completeness, 1.0, 1e-12);
+
+  // The subset DP is O(2^n): 20 candidates are solved, 21 are rejected
+  // rather than silently approximated.
+  auto one_package = [](uint32_t apis) {
+    auto single = std::make_unique<StudyDataset>(1, 1000);
+    EXPECT_TRUE(single->SetPackageName(0, "pkg").ok());
+    EXPECT_TRUE(single->SetInstallCount(0, 1000).ok());
+    std::vector<ApiId> footprint;
+    for (uint32_t nr = 0; nr < apis; ++nr) {
+      footprint.push_back(SyscallApi(nr));
+    }
+    EXPECT_TRUE(single->SetFootprint(0, footprint).ok());
+    EXPECT_TRUE(single->Finalize().ok());
+    return single;
+  };
+  auto narrow = one_package(20);
+  input.dataset = narrow.get();
+  EXPECT_TRUE(ExactPlan(input).ok());
+  auto wide = one_package(21);
+  input.dataset = wide.get();
+  EXPECT_EQ(ExactPlan(input).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ExactPlan, GreedyWithinBoundOnRandomInstances) {
@@ -383,12 +405,12 @@ TEST(ExactPlan, GreedyWithinBoundOnRandomInstances) {
     input.dataset = ds.get();
     input.costs = &costs;
     input.budget = 10.0 + static_cast<double>(prng.NextBelow(80));
-    ExactResult exact = ExactPlan(input);
-    ASSERT_TRUE(exact.optimal);
+    auto exact = ExactPlan(input);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
     SupportPlan greedy = GreedyPlan(input);
-    EXPECT_GE(greedy.final_completeness, 0.95 * exact.completeness)
+    EXPECT_GE(greedy.final_completeness, 0.95 * exact.value().completeness)
         << "trial " << trial << ": greedy " << greedy.final_completeness
-        << " vs exact " << exact.completeness << " at budget "
+        << " vs exact " << exact.value().completeness << " at budget "
         << input.budget;
   }
 }

@@ -10,7 +10,9 @@
 
 #include "src/cache/footprint_cache.h"
 #include "src/core/report.h"
+#include "src/corpus/dataset_io.h"
 #include "src/corpus/study_runner.h"
+#include "src/util/bytes.h"
 
 namespace lapis {
 namespace {
@@ -173,29 +175,73 @@ INSTANTIATE_TEST_SUITE_P(TwoSeeds, CacheDeterminismTest,
                          ::testing::Values(uint64_t{20160418},
                                            uint64_t{424242}));
 
-// Audit counters are folded in canonical order; the report must be
-// identical at any worker count.
+// Audit counters are folded in canonical order; the report, the evidence
+// it lifts and the saved artifact must be identical at any worker count.
+// A warm run audits resolutions restored from the cache (the footprints the
+// study exports, not a recomputation), and must agree with the cold runs.
 TEST(RuntimeDeterminism, AuditReportIsIdenticalAcrossJobCounts) {
-  corpus::StudyOptions options = corpus::SmallStudyOptions();
-  options.audit = true;
-  options.jobs = 1;
-  auto sequential = corpus::RunStudy(options);
-  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-  ASSERT_TRUE(sequential.value().audit.has_value());
+  auto cache = cache::FootprintCache::Open("");
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  struct Run {
+    const char* label;
+    size_t jobs;
+    cache::FootprintCache* cache;
+    bool warm;
+  };
+  const Run reference_run{"uncached jobs=1", 1, nullptr, false};
+  const std::vector<Run> runs = {
+      {"uncached jobs=8", 8, nullptr, false},
+      {"cold jobs=1", 1, cache.value().get(), false},
+      {"warm jobs=8", 8, cache.value().get(), true},
+      {"warm jobs=1", 1, cache.value().get(), true}};
 
-  options.jobs = 8;
-  auto parallel = corpus::RunStudy(options);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ASSERT_TRUE(parallel.value().audit.has_value());
+  auto run_audited = [](const Run& run) {
+    corpus::StudyOptions options = corpus::SmallStudyOptions();
+    options.audit = true;
+    options.jobs = run.jobs;
+    options.cache = run.cache;
+    return corpus::RunStudy(options);
+  };
+  auto serialize = [](const corpus::StudyResult& study) {
+    ByteWriter writer;
+    EXPECT_TRUE(corpus::SerializeStudy(study, writer).ok());
+    return writer.bytes();
+  };
 
-  const auto& a = *sequential.value().audit;
-  const auto& b = *parallel.value().audit;
-  EXPECT_EQ(a.executables_audited, b.executables_audited);
-  EXPECT_EQ(a.soundness_violations, b.soundness_violations);
-  EXPECT_EQ(a.masked_by_unknown_sites, b.masked_by_unknown_sites);
-  EXPECT_EQ(a.static_only_apis, b.static_only_apis);
-  EXPECT_EQ(a.observed_apis, b.observed_apis);
-  EXPECT_EQ(a.Summary(), b.Summary());
+  auto reference = run_audited(reference_run);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(reference.value().audit.has_value());
+  const auto& a = *reference.value().audit;
+  ASSERT_GT(a.executables_audited, 0u);
+  ASSERT_FALSE(reference.value().evidence_observed.empty());
+  const std::vector<uint8_t> reference_bytes = serialize(reference.value());
+
+  for (const Run& run : runs) {
+    auto study = run_audited(run);
+    ASSERT_TRUE(study.ok()) << run.label << ": " << study.status().ToString();
+    ASSERT_TRUE(study.value().audit.has_value()) << run.label;
+    const auto& b = *study.value().audit;
+    EXPECT_EQ(a.executables_audited, b.executables_audited) << run.label;
+    EXPECT_EQ(a.soundness_violations, b.soundness_violations) << run.label;
+    EXPECT_EQ(a.masked_by_unknown_sites, b.masked_by_unknown_sites)
+        << run.label;
+    EXPECT_EQ(a.static_only_apis, b.static_only_apis) << run.label;
+    EXPECT_EQ(a.observed_apis, b.observed_apis) << run.label;
+    EXPECT_EQ(a.Summary(), b.Summary()) << run.label;
+    EXPECT_EQ(reference.value().evidence_kinds_mask,
+              study.value().evidence_kinds_mask)
+        << run.label;
+    EXPECT_EQ(reference.value().evidence_observed,
+              study.value().evidence_observed)
+        << run.label;
+    EXPECT_EQ(reference_bytes, serialize(study.value()))
+        << "saved artifact differs: " << run.label;
+    if (run.warm) {
+      // Every audited footprint came out of the cache.
+      EXPECT_EQ(study.value().resolutions_from_cache, b.executables_audited)
+          << run.label;
+    }
+  }
 }
 
 }  // namespace

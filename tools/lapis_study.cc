@@ -4,19 +4,18 @@
 // pipeline, joins it with the simulated popularity survey, and then either
 // saves the dataset artifact, exports TSV tables, evaluates a prototype's
 // syscall list, or prints the headline summary. A saved artifact reloads
-// in milliseconds for metric queries without regeneration.
+// in milliseconds for metric queries without regeneration, and lapis_plan
+// computes support plans from it.
 //
 // Examples:
 //   lapis_study --apps=3000 --save=study.bin
 //   lapis_study --load=study.bin --top=25
 //   lapis_study --load=study.bin --eval="read,write,open,close,mmap,exit"
-//   lapis_study --load=study.bin --plan-profile=freebsd --plan-budget=50
 //   lapis_study --export-dir=/tmp/lapis
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <set>
 
 #include "src/cache/content_hash.h"
 #include "src/core/completeness.h"
@@ -25,9 +24,6 @@
 #include "src/corpus/study_runner.h"
 #include "src/corpus/syscall_table.h"
 #include "src/corpus/system_profiles.h"
-#include "src/plan/cost_model.h"
-#include "src/plan/planner.h"
-#include "src/plan/profiles.h"
 #include "src/util/env.h"
 #include "src/util/flags.h"
 #include "src/util/strings.h"
@@ -112,19 +108,6 @@ int main(int argc, char** argv) {
   flags.AddBool("audit", false,
                 "differentially replay every executable against its "
                 "static footprint and report soundness/precision");
-  flags.AddString("plan-profile", "",
-                  "compute a support plan for this target system (a Table 6 "
-                  "name or 'none' for greenfield) and export it as TSV");
-  flags.AddDouble("plan-budget", 0.0,
-                  "cost budget for --plan-profile (0 = unbounded)");
-  flags.AddInt("plan-max-actions", 0,
-               "action cap for --plan-profile (0 = unlimited)");
-  flags.AddString("plan-costs", "",
-                  "cost-model override TSV for --plan-profile");
-  flags.AddString("plan-out", "",
-                  "write the plan TSV here (default: stdout)");
-  flags.AddBool("plan-audit-blind", false,
-                "plan without the study's audit evidence");
   flags.AddString("cache-dir", "",
                   "content-addressed incremental cache directory (default: "
                   "$LAPIS_CACHE_DIR; empty = no cache); warm runs skip the "
@@ -170,8 +153,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<core::StudyDataset> dataset;
   core::StringInterner path_interner;
   core::StringInterner libc_interner;
-  uint8_t evidence_kinds_mask = 0;
-  std::set<core::ApiId> evidence_observed;
 
   if (!flags.GetString("load").empty()) {
     auto artifact = corpus::LoadStudy(flags.GetString("load"));
@@ -183,8 +164,6 @@ int main(int argc, char** argv) {
     dataset = std::move(artifact.value().dataset);
     path_interner = std::move(artifact.value().path_interner);
     libc_interner = std::move(artifact.value().libc_interner);
-    evidence_kinds_mask = artifact.value().evidence_kinds_mask;
-    evidence_observed = std::move(artifact.value().evidence_observed);
     std::printf("loaded artifact: %zu packages, %s installations\n",
                 dataset->package_count(),
                 FormatWithCommas(dataset->total_installations()).c_str());
@@ -281,8 +260,6 @@ int main(int argc, char** argv) {
     dataset = std::move(study.value().dataset);
     path_interner = std::move(study.value().path_interner);
     libc_interner = std::move(study.value().libc_interner);
-    evidence_kinds_mask = study.value().evidence_kinds_mask;
-    evidence_observed = std::move(study.value().evidence_observed);
   }
 
   if (!flags.GetString("export-dir").empty()) {
@@ -307,71 +284,6 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("exported TSVs to %s\n", dir.c_str());
-  }
-
-  if (!flags.GetString("plan-profile").empty()) {
-    auto profile =
-        plan::ResolveSystemProfile(*dataset, flags.GetString("plan-profile"));
-    if (!profile.ok()) {
-      std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
-      return 2;
-    }
-    plan::CostModel costs = plan::CostModel::Defaults();
-    if (!flags.GetString("plan-costs").empty()) {
-      std::ifstream in(flags.GetString("plan-costs"));
-      if (!in.good()) {
-        std::fprintf(stderr, "cannot read %s\n",
-                     flags.GetString("plan-costs").c_str());
-        return 2;
-      }
-      auto load = plan::LoadCostOverridesTsv(in, path_interner,
-                                             libc_interner, &costs);
-      if (!load.ok()) {
-        std::fprintf(stderr, "%s: %s\n",
-                     flags.GetString("plan-costs").c_str(),
-                     load.ToString().c_str());
-        return 2;
-      }
-    }
-    plan::PlannerInput input;
-    input.dataset = dataset.get();
-    input.costs = &costs;
-    input.already_supported = std::move(profile.value().supported);
-    input.evaluated_kinds = std::move(profile.value().evaluated_kinds);
-    const bool audit_blind =
-        flags.GetBool("plan-audit-blind") || evidence_kinds_mask == 0;
-    if (!audit_blind) {
-      input.evidence.kinds_mask = evidence_kinds_mask;
-      input.evidence.observed = evidence_observed;
-    }
-    if (flags.GetDouble("plan-budget") > 0) {
-      input.budget = flags.GetDouble("plan-budget");
-    }
-    if (flags.GetInt("plan-max-actions") > 0) {
-      input.max_actions =
-          static_cast<size_t>(flags.GetInt("plan-max-actions"));
-    }
-    plan::SupportPlan result = plan::GreedyPlan(input);
-    std::fprintf(stderr,
-                 "plan for %s: completeness %.4f -> %.4f in %zu actions, "
-                 "total cost %.2f (%s)\n",
-                 profile.value().name.c_str(), result.initial_completeness,
-                 result.final_completeness, result.actions.size(),
-                 result.total_cost,
-                 audit_blind ? "audit-blind" : "audit-informed");
-    if (!flags.GetString("plan-out").empty()) {
-      std::ofstream os(flags.GetString("plan-out"));
-      if (!os.good()) {
-        std::fprintf(stderr, "cannot write %s\n",
-                     flags.GetString("plan-out").c_str());
-        return 1;
-      }
-      plan::WritePlanTsv(result, path_interner, libc_interner, os);
-      std::printf("wrote plan to %s\n", flags.GetString("plan-out").c_str());
-    } else {
-      plan::WritePlanTsv(result, path_interner, libc_interner, std::cout);
-    }
-    return 0;
   }
 
   if (!flags.GetString("eval").empty()) {
