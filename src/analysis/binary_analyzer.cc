@@ -1,7 +1,6 @@
 #include "src/analysis/binary_analyzer.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "src/analysis/cfg.h"
 #include "src/analysis/dataflow.h"
@@ -45,30 +44,35 @@ const FunctionInfo* BinaryAnalysis::FunctionNamed(std::string_view name) const {
   return &functions_[it->second];
 }
 
-BinaryAnalysis::ReachableResult BinaryAnalysis::Reachable(
-    const std::vector<uint64_t>& roots) const {
-  ReachableResult result;
-  std::set<uint64_t> visited;
-  std::deque<uint64_t> queue(roots.begin(), roots.end());
-  while (!queue.empty()) {
-    uint64_t vaddr = queue.front();
-    queue.pop_front();
-    if (!visited.insert(vaddr).second) {
-      continue;
-    }
-    const FunctionInfo* fn = FunctionAt(vaddr);
+void BinaryAnalysis::ForEachReachable(
+    const std::vector<uint64_t>& roots,
+    const std::function<void(const FunctionInfo&)>& visit) const {
+  std::vector<bool> visited(functions_.size(), false);
+  std::vector<uint64_t> queue(roots.begin(), roots.end());
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const FunctionInfo* fn = FunctionAt(queue[head]);
     if (fn == nullptr) {
       continue;
     }
-    ++result.function_count;
-    result.footprint.MergeFrom(fn->local);
-    result.plt_calls.insert(fn->plt_calls.begin(), fn->plt_calls.end());
-    for (uint64_t callee : fn->local_callees) {
-      if (visited.find(callee) == visited.end()) {
-        queue.push_back(callee);
-      }
+    const size_t index = static_cast<size_t>(fn - functions_.data());
+    if (visited[index]) {
+      continue;
     }
+    visited[index] = true;
+    visit(*fn);
+    queue.insert(queue.end(), fn->local_callees.begin(),
+                 fn->local_callees.end());
   }
+}
+
+BinaryAnalysis::ReachableResult BinaryAnalysis::Reachable(
+    const std::vector<uint64_t>& roots) const {
+  ReachableResult result;
+  ForEachReachable(roots, [&result](const FunctionInfo& fn) {
+    ++result.function_count;
+    result.footprint.MergeFrom(fn.local);
+    result.plt_calls.insert(fn.plt_calls.begin(), fn.plt_calls.end());
+  });
   return result;
 }
 

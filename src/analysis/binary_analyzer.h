@@ -26,6 +26,7 @@
 #define LAPIS_SRC_ANALYSIS_BINARY_ANALYZER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -79,6 +80,11 @@ class BinaryAnalysis {
     size_t function_count = 0;
   };
   ReachableResult Reachable(const std::vector<uint64_t>& roots) const;
+
+  // Calls `visit` once per function Reachable(roots) walks, breadth first.
+  void ForEachReachable(
+      const std::vector<uint64_t>& roots,
+      const std::function<void(const FunctionInfo&)>& visit) const;
 
   // Executable entry-point reachability (paper: "reachable from e_entry").
   ReachableResult FromEntry() const;

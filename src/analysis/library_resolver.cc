@@ -1,8 +1,34 @@
 #include "src/analysis/library_resolver.h"
 
-#include <vector>
+#include <algorithm>
 
 namespace lapis::analysis {
+
+namespace {
+
+template <typename T>
+void SortUnique(std::vector<T>& values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+}
+
+}  // namespace
+
+uint32_t LibraryResolver::NameTable::Intern(std::string_view name) {
+  auto it = ids_.find(name);
+  if (it != ids_.end()) {
+    return it->second;
+  }
+  const uint32_t id = static_cast<uint32_t>(names_.size());
+  names_.emplace_back(name);
+  ids_.emplace(std::string_view(names_.back()), id);
+  return id;
+}
+
+uint32_t LibraryResolver::NameTable::Find(std::string_view name) const {
+  auto it = ids_.find(name);
+  return it == ids_.end() ? kNone : it->second;
+}
 
 Status LibraryResolver::AddLibrary(
     std::shared_ptr<const BinaryAnalysis> library) {
@@ -22,128 +48,277 @@ Status LibraryResolver::AddLibrary(std::shared_ptr<const BinaryAnalysis> library
   if (soname.empty()) {
     return InvalidArgumentError("library has no soname");
   }
-  if (libraries_.contains(soname)) {
+  if (libraries_.Find(soname) != kNone) {
     return FailedPreconditionError("library already registered: " + soname);
   }
-  const uint32_t soname_index = static_cast<uint32_t>(sonames_.size());
-  auto [lib_it, inserted] =
-      libraries_.emplace(soname, std::move(export_reach));
-  (void)inserted;
-  sonames_.push_back(soname);
-  for (const auto& [symbol, reach] : lib_it->second) {
-    const uint32_t symbol_id = symbols_.Intern(symbol);
-    if (symbol_id >= ref_of_symbol_.size()) {
-      ref_of_symbol_.resize(symbol_id + 1, kNoRef);
+  const uint32_t library_index = libraries_.Intern(soname);
+  for (const auto& [symbol, reach] : export_reach) {
+    ExportRef ref;
+    ref.symbol = symbols_.Intern(symbol);
+    ref.library = library_index;
+    const Footprint& fp = reach.footprint;
+    auto close_span = [&](Span span) {
+      ref.bounds[span + 1] = static_cast<uint32_t>(values_.size());
+    };
+    ref.bounds[0] = static_cast<uint32_t>(values_.size());
+    values_.insert(values_.end(), fp.syscalls.begin(), fp.syscalls.end());
+    close_span(kSyscalls);
+    values_.insert(values_.end(), fp.ioctl_ops.begin(), fp.ioctl_ops.end());
+    close_span(kIoctlOps);
+    values_.insert(values_.end(), fp.fcntl_ops.begin(), fp.fcntl_ops.end());
+    close_span(kFcntlOps);
+    values_.insert(values_.end(), fp.prctl_ops.begin(), fp.prctl_ops.end());
+    close_span(kPrctlOps);
+    values_.insert(values_.end(), fp.int80_syscalls.begin(),
+                   fp.int80_syscalls.end());
+    close_span(kInt80Syscalls);
+    for (const std::string& path : fp.pseudo_paths) {
+      values_.push_back(paths_.Intern(path));
     }
-    if (ref_of_symbol_[symbol_id] != kNoRef) {
-      continue;  // first registration wins
-    }
-    ReachRef ref;
-    ref.reach = &reach;
-    ref.soname_index = soname_index;
-    ref.plt_call_ids.reserve(reach.plt_calls.size());
+    close_span(kPaths);
     for (const std::string& callee : reach.plt_calls) {
-      ref.plt_call_ids.push_back(symbols_.Intern(callee));
+      values_.push_back(symbols_.Intern(callee));
     }
-    ref_of_symbol_[symbol_id] = static_cast<uint32_t>(reach_refs_.size());
-    reach_refs_.push_back(std::move(ref));
+    close_span(kCallees);
+    ref.unknown_syscall_sites = fp.unknown_syscall_sites;
+    ref.unknown_opcode_sites = fp.unknown_opcode_sites;
+    ref.indirect_call_sites = fp.indirect_call_sites;
+    ref.int80_sites = fp.int80_sites;
+    ref.function_count = reach.function_count;
+    // Interning callees may have grown the symbol table.
+    ref_of_symbol_.resize(symbols_.size(), kNone);
+    if (ref_of_symbol_[ref.symbol] == kNone) {  // first registration wins
+      ref_of_symbol_[ref.symbol] = static_cast<uint32_t>(exports_.size());
+    }
+    exports_.push_back(ref);
   }
-  // Interning plt callees may have grown the pool past ref_of_symbol_.
-  if (ref_of_symbol_.size() < symbols_.size()) {
-    ref_of_symbol_.resize(symbols_.size(), kNoRef);
-  }
+  library_bounds_.push_back(static_cast<uint32_t>(exports_.size()));
   return Status::Ok();
 }
 
-const LibraryResolver::ExportReach* LibraryResolver::ExportReachOf(
+std::optional<LibraryResolver::ExportReach> LibraryResolver::ExportReachOf(
     const std::string& soname) const {
-  auto it = libraries_.find(soname);
-  return it == libraries_.end() ? nullptr : &it->second;
+  const uint32_t library = libraries_.Find(soname);
+  if (library == kNone) {
+    return std::nullopt;
+  }
+  ExportReach out;
+  for (uint32_t i = library_bounds_[library]; i < library_bounds_[library + 1];
+       ++i) {
+    const ExportRef& ref = exports_[i];
+    ResolvedIds ids;
+    AppendReach(ref, ids);
+    Resolution rendered = Render(ids);
+    BinaryAnalysis::ReachableResult& reach = out[symbols_.NameOf(ref.symbol)];
+    reach.footprint = std::move(rendered.footprint);
+    reach.function_count = rendered.reachable_function_count;
+    for (uint32_t k = ref.bounds[kCallees]; k < ref.bounds[kCallees + 1];
+         ++k) {
+      reach.plt_calls.insert(symbols_.NameOf(values_[k]));
+    }
+  }
+  return out;
+}
+
+const std::string& LibraryResolver::SymbolExporter(uint32_t symbol) const {
+  static const std::string kNoExporter;
+  const uint32_t ref = ref_of_symbol_[symbol];
+  return ref == kNone ? kNoExporter
+                      : libraries_.NameOf(exports_[ref].library);
 }
 
 std::string LibraryResolver::ExporterOf(const std::string& symbol) const {
   const uint32_t id = symbols_.Find(symbol);
-  if (id == StringPool::kNotFound || id >= ref_of_symbol_.size() ||
-      ref_of_symbol_[id] == kNoRef) {
-    return std::string();
-  }
-  return sonames_[reach_refs_[ref_of_symbol_[id]].soname_index];
+  return id == kNone ? std::string() : SymbolExporter(id);
 }
 
-void LibraryResolver::Expand(const std::set<std::string>& initial_symbols,
-                             Resolution& resolution) const {
-  // The fixpoint runs over interned ids: a vector worklist plus a dense
-  // visited bitmap, no per-step string allocation. Symbols never interned at
-  // registration time cannot resolve, so they go straight to
-  // unresolved_imports without touching the pool (Resolve* stays const and
-  // concurrency-safe).
-  std::vector<uint32_t> worklist;
-  worklist.reserve(initial_symbols.size());
-  for (const std::string& symbol : initial_symbols) {
-    const uint32_t id = symbols_.Find(symbol);
-    if (id == StringPool::kNotFound) {
-      resolution.unresolved_imports.insert(symbol);
-    } else {
-      worklist.push_back(id);
-    }
-  }
-  std::vector<bool> visited(ref_of_symbol_.size(), false);
+void LibraryResolver::AppendReach(const ExportRef& ref,
+                                  ResolvedIds& out) const {
+  auto append = [&](Span k, auto& to) {
+    to.insert(to.end(), values_.begin() + ref.bounds[k],
+              values_.begin() + ref.bounds[k + 1]);
+  };
+  append(kSyscalls, out.syscalls);
+  append(kIoctlOps, out.ioctl_ops);
+  append(kFcntlOps, out.fcntl_ops);
+  append(kPrctlOps, out.prctl_ops);
+  append(kInt80Syscalls, out.int80_syscalls);
+  append(kPaths, out.paths);
+  out.unknown_syscall_sites += ref.unknown_syscall_sites;
+  out.unknown_opcode_sites += ref.unknown_opcode_sites;
+  out.indirect_call_sites += ref.indirect_call_sites;
+  out.int80_sites += ref.int80_sites;
+  out.reachable_function_count += ref.function_count;
+}
+
+void LibraryResolver::Expand(std::vector<uint32_t> worklist,
+                             ResolvedIds& out) const {
+  // The fixpoint runs over symbol ids: a vector worklist plus a dense
+  // visited bitmap, no per-step string allocation.
+  std::vector<bool> visited(symbols_.size(), false);
   while (!worklist.empty()) {
-    const uint32_t id = worklist.back();
+    const uint32_t symbol = worklist.back();
     worklist.pop_back();
-    if (visited[id]) {
+    if (visited[symbol]) {
       continue;
     }
-    visited[id] = true;
-    const uint32_t ref_index = ref_of_symbol_[id];
-    if (ref_index == kNoRef) {
-      resolution.unresolved_imports.insert(std::string(symbols_.NameOf(id)));
+    visited[symbol] = true;
+    const uint32_t ref_index = ref_of_symbol_[symbol];
+    if (ref_index == kNone) {
+      out.unresolved_imports.push_back(symbols_.NameOf(symbol));
       continue;
     }
-    const ReachRef& ref = reach_refs_[ref_index];
-    resolution.used_exports[sonames_[ref.soname_index]].insert(
-        std::string(symbols_.NameOf(id)));
-    resolution.footprint.MergeFrom(ref.reach->footprint);
-    resolution.reachable_function_count += ref.reach->function_count;
-    for (const uint32_t next : ref.plt_call_ids) {
-      if (!visited[next]) {
-        worklist.push_back(next);
+    const ExportRef& ref = exports_[ref_index];
+    out.used_exports.push_back(symbol);
+    AppendReach(ref, out);
+    for (uint32_t k = ref.bounds[kCallees]; k < ref.bounds[kCallees + 1];
+         ++k) {
+      if (!visited[values_[k]]) {
+        worklist.push_back(values_[k]);
       }
     }
   }
+  SortUnique(out.syscalls);
+  SortUnique(out.ioctl_ops);
+  SortUnique(out.fcntl_ops);
+  SortUnique(out.prctl_ops);
+  SortUnique(out.int80_syscalls);
+  SortUnique(out.paths);
+  SortUnique(out.other_paths);
+  SortUnique(out.used_exports);
+  SortUnique(out.unresolved_imports);
 }
 
-LibraryResolver::Resolution LibraryResolver::ResolveExecutable(
+void LibraryResolver::AddFootprint(const Footprint& fp,
+                                   ResolvedIds& out) const {
+  out.syscalls.insert(out.syscalls.end(), fp.syscalls.begin(),
+                      fp.syscalls.end());
+  out.ioctl_ops.insert(out.ioctl_ops.end(), fp.ioctl_ops.begin(),
+                       fp.ioctl_ops.end());
+  out.fcntl_ops.insert(out.fcntl_ops.end(), fp.fcntl_ops.begin(),
+                       fp.fcntl_ops.end());
+  out.prctl_ops.insert(out.prctl_ops.end(), fp.prctl_ops.begin(),
+                       fp.prctl_ops.end());
+  out.int80_syscalls.insert(out.int80_syscalls.end(),
+                            fp.int80_syscalls.begin(),
+                            fp.int80_syscalls.end());
+  for (const std::string& path : fp.pseudo_paths) {
+    const uint32_t id = paths_.Find(path);
+    if (id == kNone) {
+      out.other_paths.push_back(path);
+    } else {
+      out.paths.push_back(id);
+    }
+  }
+  out.unknown_syscall_sites += fp.unknown_syscall_sites;
+  out.unknown_opcode_sites += fp.unknown_opcode_sites;
+  out.indirect_call_sites += fp.indirect_call_sites;
+  out.int80_sites += fp.int80_sites;
+}
+
+void LibraryResolver::AddRoot(const std::string& symbol,
+                              std::vector<uint32_t>& roots,
+                              ResolvedIds& out) const {
+  // Symbols never interned at registration cannot resolve.
+  const uint32_t id = symbols_.Find(symbol);
+  if (id == kNone) {
+    out.unresolved_imports.push_back(symbol);
+  } else {
+    roots.push_back(id);
+  }
+}
+
+LibraryResolver::ResolvedIds LibraryResolver::ResolveIds(
     const BinaryAnalysis& exe) const {
-  Resolution resolution;
-  BinaryAnalysis::ReachableResult entry_reach = exe.FromEntry();
-  resolution.footprint.MergeFrom(entry_reach.footprint);
-  resolution.reachable_function_count = entry_reach.function_count;
-  Expand(entry_reach.plt_calls, resolution);
-  return resolution;
+  // The entry-reachable code's footprint goes straight into the id
+  // vectors; Expand sorts and dedups them with the imports' spans.
+  ResolvedIds out;
+  std::vector<uint32_t> roots;
+  exe.ForEachReachable({exe.entry()}, [&](const FunctionInfo& fn) {
+    ++out.reachable_function_count;
+    AddFootprint(fn.local, out);
+    for (const std::string& symbol : fn.plt_calls) {
+      AddRoot(symbol, roots, out);
+    }
+  });
+  Expand(std::move(roots), out);
+  return out;
 }
 
 LibraryResolver::Resolution LibraryResolver::ResolveFromSymbols(
     const std::vector<std::string>& symbols) const {
-  Resolution resolution;
-  Expand(std::set<std::string>(symbols.begin(), symbols.end()), resolution);
-  return resolution;
+  ResolvedIds out;
+  std::vector<uint32_t> roots;
+  for (const std::string& symbol : symbols) {
+    AddRoot(symbol, roots, out);
+  }
+  Expand(std::move(roots), out);
+  return Render(out);
 }
 
 Result<LibraryResolver::Resolution> LibraryResolver::ResolveWholeLibrary(
     const std::string& soname) const {
-  auto it = libraries_.find(soname);
-  if (it == libraries_.end()) {
+  const uint32_t library = libraries_.Find(soname);
+  if (library == kNone) {
     return NotFoundError("library not registered: " + soname);
   }
-  Resolution resolution;
-  std::set<std::string> roots;
-  for (const auto& [symbol, reach] : it->second) {
-    (void)reach;
-    roots.insert(symbol);
+  std::vector<uint32_t> roots;
+  for (uint32_t i = library_bounds_[library]; i < library_bounds_[library + 1];
+       ++i) {
+    roots.push_back(exports_[i].symbol);
   }
-  Expand(roots, resolution);
-  return resolution;
+  ResolvedIds out;
+  Expand(std::move(roots), out);
+  return Render(out);
+}
+
+LibraryResolver::Resolution LibraryResolver::Render(
+    const ResolvedIds& ids) const {
+  Resolution out;
+  Footprint& fp = out.footprint;
+  fp.syscalls.insert(ids.syscalls.begin(), ids.syscalls.end());
+  fp.ioctl_ops.insert(ids.ioctl_ops.begin(), ids.ioctl_ops.end());
+  fp.fcntl_ops.insert(ids.fcntl_ops.begin(), ids.fcntl_ops.end());
+  fp.prctl_ops.insert(ids.prctl_ops.begin(), ids.prctl_ops.end());
+  fp.int80_syscalls.insert(ids.int80_syscalls.begin(),
+                           ids.int80_syscalls.end());
+  for (uint32_t path : ids.paths) {
+    fp.pseudo_paths.insert(paths_.NameOf(path));
+  }
+  fp.pseudo_paths.insert(ids.other_paths.begin(), ids.other_paths.end());
+  fp.unknown_syscall_sites = ids.unknown_syscall_sites;
+  fp.unknown_opcode_sites = ids.unknown_opcode_sites;
+  fp.indirect_call_sites = ids.indirect_call_sites;
+  fp.int80_sites = ids.int80_sites;
+  for (uint32_t symbol : ids.used_exports) {
+    out.used_exports[SymbolExporter(symbol)].insert(symbols_.NameOf(symbol));
+  }
+  out.unresolved_imports.insert(ids.unresolved_imports.begin(),
+                                ids.unresolved_imports.end());
+  out.reachable_function_count = ids.reachable_function_count;
+  return out;
+}
+
+Result<LibraryResolver::ResolvedIds> LibraryResolver::IdsOf(
+    const Resolution& resolution) const {
+  ResolvedIds out;
+  AddFootprint(resolution.footprint, out);
+  std::sort(out.paths.begin(), out.paths.end());
+  for (const auto& [soname, symbols] : resolution.used_exports) {
+    for (const std::string& symbol : symbols) {
+      const uint32_t id = symbols_.Find(symbol);
+      if (id == kNone || SymbolExporter(id) != soname) {
+        return CorruptDataError("export " + symbol + " of " + soname +
+                                " is not registered there");
+      }
+      out.used_exports.push_back(id);
+    }
+  }
+  std::sort(out.used_exports.begin(), out.used_exports.end());
+  out.unresolved_imports.assign(resolution.unresolved_imports.begin(),
+                                resolution.unresolved_imports.end());
+  out.reachable_function_count = resolution.reachable_function_count;
+  return out;
 }
 
 }  // namespace lapis::analysis

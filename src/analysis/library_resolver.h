@@ -10,19 +10,28 @@
 // The result also records which exports of which library were touched; the
 // libc slice of that drives the libc-importance study (§3.5) and the libc
 // variant evaluation (Table 7).
+//
+// Registration flattens each export's reach into sorted id spans (syscall
+// numbers, opcodes, pseudo-path ids, callee-symbol ids), interning names
+// into tables that only registration writes. Resolution walks those spans
+// into a ResolvedIds; the named Resolution is rendered from it on demand.
 
 #ifndef LAPIS_SRC_ANALYSIS_LIBRARY_RESOLVER_H_
 #define LAPIS_SRC_ANALYSIS_LIBRARY_RESOLVER_H_
 
+#include <array>
+#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/analysis/binary_analyzer.h"
 #include "src/util/status.h"
-#include "src/util/string_pool.h"
 
 namespace lapis::analysis {
 
@@ -31,8 +40,8 @@ class LibraryResolver {
   // With an executor, AddLibrary fans per-export reachability out across
   // worker shards (libc registers 1,274 exports); resolution results are
   // identical either way. Registration itself stays single-threaded; the
-  // const Resolve* methods are safe to call concurrently once every
-  // library is registered.
+  // const methods read the tables without a lock and are safe to call
+  // concurrently once every library is registered.
   explicit LibraryResolver(runtime::Executor* executor = nullptr)
       : executor_(executor) {}
 
@@ -49,9 +58,31 @@ class LibraryResolver {
   Status AddLibrary(std::shared_ptr<const BinaryAnalysis> library,
                     ExportReach export_reach);
 
-  // The memoized per-export reachability of a registered library, for cache
-  // write-back. nullptr if the soname is not registered.
-  const ExportReach* ExportReachOf(const std::string& soname) const;
+  // A registered library's per-export reachability, rendered back from its
+  // spans. nullopt if the soname is not registered.
+  std::optional<ExportReach> ExportReachOf(const std::string& soname) const;
+
+  // A resolved footprint over the resolver's ids. Every vector is sorted
+  // and unique.
+  struct ResolvedIds {
+    std::vector<int> syscalls;
+    std::vector<uint32_t> ioctl_ops;
+    std::vector<uint32_t> fcntl_ops;
+    std::vector<uint32_t> prctl_ops;
+    std::vector<int> int80_syscalls;
+    // Pseudo paths by path id (PathName); `other_paths` holds, by name, the
+    // executable's own paths that no registered export reaches.
+    std::vector<uint32_t> paths;
+    std::vector<std::string> other_paths;
+    // Exports pulled in, by symbol id (SymbolExporter names the library).
+    std::vector<uint32_t> used_exports;
+    std::vector<std::string> unresolved_imports;
+    int unknown_syscall_sites = 0;
+    int unknown_opcode_sites = 0;
+    int indirect_call_sites = 0;
+    int int80_sites = 0;
+    size_t reachable_function_count = 0;
+  };
 
   struct Resolution {
     Footprint footprint;
@@ -65,7 +96,10 @@ class LibraryResolver {
 
   // Full footprint of an executable: entry-reachable code plus the closure
   // of everything it (transitively) imports.
-  Resolution ResolveExecutable(const BinaryAnalysis& exe) const;
+  ResolvedIds ResolveIds(const BinaryAnalysis& exe) const;
+  Resolution ResolveExecutable(const BinaryAnalysis& exe) const {
+    return Render(ResolveIds(exe));
+  }
 
   // Closure starting from a set of symbol names (used for interpreter
   // packages, where the interpreter's public entry points over-approximate
@@ -76,37 +110,98 @@ class LibraryResolver {
   // total footprint; used for site attribution, not package footprints).
   Result<Resolution> ResolveWholeLibrary(const std::string& soname) const;
 
+  // Names the ids: the sets list names in lexicographic order whatever
+  // order they were interned in.
+  Resolution Render(const ResolvedIds& ids) const;
+  // The inverse, for a Resolution decoded from the cache. Fails if a used
+  // export does not resolve to the library it is listed under.
+  Result<ResolvedIds> IdsOf(const Resolution& resolution) const;
+
   size_t library_count() const { return libraries_.size(); }
-  const std::vector<std::string>& sonames() const { return sonames_; }
 
   // The registered library exporting `symbol`, or empty string.
   std::string ExporterOf(const std::string& symbol) const;
 
+  // The id tables ResolvedIds refers to; fixed once registration ends.
+  size_t symbol_count() const { return symbols_.size(); }
+  const std::string& SymbolName(uint32_t symbol) const {
+    return symbols_.NameOf(symbol);
+  }
+  // Soname of the library `symbol` resolves to; empty if none exports it.
+  const std::string& SymbolExporter(uint32_t symbol) const;
+  size_t path_count() const { return paths_.size(); }
+  const std::string& PathName(uint32_t path) const {
+    return paths_.NameOf(path);
+  }
+
  private:
-  // Id-keyed view of one export's memoized reachability. `reach` points into
-  // a library's ExportReach (std::map nodes are address-stable);
-  // `plt_call_ids` are the interned ids of reach->plt_calls so the Expand
-  // fixpoint never touches a std::string.
-  struct ReachRef {
-    const BinaryAnalysis::ReachableResult* reach = nullptr;
-    uint32_t soname_index = 0;
-    std::vector<uint32_t> plt_call_ids;
+  static constexpr uint32_t kNone = 0xffffffffu;
+
+  // Append-only name <-> dense id table. Only AddLibrary writes it, so
+  // lookups take no lock. Not copyable: the keys view its own strings.
+  class NameTable {
+   public:
+    NameTable() = default;
+    NameTable(const NameTable&) = delete;
+    NameTable& operator=(const NameTable&) = delete;
+    NameTable(NameTable&&) = default;
+    NameTable& operator=(NameTable&&) = default;
+
+    uint32_t Intern(std::string_view name);
+    uint32_t Find(std::string_view name) const;  // kNone if absent
+    const std::string& NameOf(uint32_t id) const { return names_[id]; }
+    size_t size() const { return names_.size(); }
+
+   private:
+    std::deque<std::string> names_;  // stable addresses for the keys below
+    std::unordered_map<std::string_view, uint32_t> ids_;
   };
 
-  void Expand(const std::set<std::string>& initial_symbols,
-              Resolution& resolution) const;
+  // One export's memoized reach: span k is values_[bounds[k], bounds[k+1]).
+  // Syscall numbers are stored as their uint32_t bit patterns.
+  enum Span {
+    kSyscalls,
+    kIoctlOps,
+    kFcntlOps,
+    kPrctlOps,
+    kInt80Syscalls,
+    kPaths,    // path ids
+    kCallees,  // symbol ids of the export's plt calls
+    kSpanCount,
+  };
+  struct ExportRef {
+    uint32_t symbol = 0;
+    uint32_t library = 0;
+    std::array<uint32_t, kSpanCount + 1> bounds{};
+    int unknown_syscall_sites = 0;
+    int unknown_opcode_sites = 0;
+    int indirect_call_sites = 0;
+    int int80_sites = 0;
+    size_t function_count = 0;
+  };
+
+  // Adds one export's spans and counters to `out`, unsorted.
+  void AppendReach(const ExportRef& ref, ResolvedIds& out) const;
+  // Adds a named footprint's values and counters to `out`, unsorted; paths
+  // outside the path table go to `other_paths`.
+  void AddFootprint(const Footprint& fp, ResolvedIds& out) const;
+  // Adds `symbol` to the closure's roots, or to `out`'s unresolved imports
+  // if no registered library mentions it.
+  void AddRoot(const std::string& symbol, std::vector<uint32_t>& roots,
+               ResolvedIds& out) const;
+  // Walks the import closure of `worklist` into `out`, then sorts it.
+  void Expand(std::vector<uint32_t> worklist, ResolvedIds& out) const;
 
   runtime::Executor* executor_ = nullptr;
-  std::map<std::string, ExportReach> libraries_;  // by soname
-  std::vector<std::string> sonames_;
-  // Symbol interner. Registration is single-threaded and in canonical
-  // library order, so ids are deterministic; they never leak into exports.
-  StringPool symbols_;
-  // Dense symbol id -> index into reach_refs_, or kNoRef. First registration
-  // of a symbol wins (linker search order).
+  NameTable libraries_;  // sonames, in registration order
+  NameTable symbols_;
+  NameTable paths_;
+  std::vector<ExportRef> exports_;  // every library's, registration order
+  // Library l's exports are [library_bounds_[l], library_bounds_[l + 1]).
+  std::vector<uint32_t> library_bounds_{0};
+  std::vector<uint32_t> values_;  // span storage
+  // Symbol id -> index into exports_ of the first registered exporter.
   std::vector<uint32_t> ref_of_symbol_;
-  std::vector<ReachRef> reach_refs_;
-  static constexpr uint32_t kNoRef = 0xffffffffu;
 };
 
 }  // namespace lapis::analysis

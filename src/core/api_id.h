@@ -46,11 +46,9 @@ struct ApiId {
   friend bool operator==(const ApiId& a, const ApiId& b) {
     return a.kind == b.kind && a.code == b.code;
   }
+  // By kind, then code: one integer compare.
   friend bool operator<(const ApiId& a, const ApiId& b) {
-    if (a.kind != b.kind) {
-      return a.kind < b.kind;
-    }
-    return a.code < b.code;
+    return a.Encode() < b.Encode();
   }
 };
 

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_map>
 
 namespace lapis::core {
-
-const std::vector<PackageId> StudyDataset::kNoDependents;
 
 StudyDataset::StudyDataset(size_t package_count, uint64_t total_installations)
     : total_installations_(total_installations),
@@ -42,7 +41,9 @@ Status StudyDataset::SetInstallCount(PackageId id, uint64_t count) {
 
 Status StudyDataset::SetFootprint(PackageId id, std::vector<ApiId> footprint) {
   LAPIS_RETURN_IF_ERROR(CheckConstruction(id));
-  std::sort(footprint.begin(), footprint.end());
+  if (!std::is_sorted(footprint.begin(), footprint.end())) {
+    std::sort(footprint.begin(), footprint.end());
+  }
   footprint.erase(std::unique(footprint.begin(), footprint.end()),
                   footprint.end());
   footprints_[id] = std::move(footprint);
@@ -65,10 +66,45 @@ Status StudyDataset::Finalize() {
   if (finalized_) {
     return FailedPreconditionError("dataset already finalized");
   }
-  // Dependents index.
+  // Dependents index (CSR). A hash index numbers each footprint entry's API
+  // by first sight, the few distinct APIs are sorted once, and the numbered
+  // entries are walked twice: once to count, once to fill.
+  std::unordered_map<int64_t, uint32_t> number_of;
+  std::vector<ApiId> seen;
+  std::vector<uint32_t> slot;  // per entry, in (package, footprint) order
+  for (const auto& footprint : footprints_) {
+    for (const ApiId& api : footprint) {
+      auto [it, inserted] = number_of.try_emplace(
+          api.Encode(), static_cast<uint32_t>(seen.size()));
+      if (inserted) {
+        seen.push_back(api);
+      }
+      slot.push_back(it->second);
+    }
+  }
+  used_apis_ = seen;
+  std::sort(used_apis_.begin(), used_apis_.end());
+  std::vector<uint32_t> rank(seen.size());
+  for (size_t number = 0; number < seen.size(); ++number) {
+    rank[number] = static_cast<uint32_t>(
+        std::lower_bound(used_apis_.begin(), used_apis_.end(), seen[number]) -
+        used_apis_.begin());
+  }
+  dependents_begin_.assign(used_apis_.size() + 1, 0);
+  for (uint32_t& s : slot) {
+    s = rank[s];
+    ++dependents_begin_[s + 1];
+  }
+  for (size_t i = 1; i < dependents_begin_.size(); ++i) {
+    dependents_begin_[i] += dependents_begin_[i - 1];
+  }
+  dependents_.resize(slot.size());
+  std::vector<uint32_t> next(dependents_begin_.begin(),
+                             dependents_begin_.end() - 1);
+  size_t entry = 0;
   for (PackageId id = 0; id < footprints_.size(); ++id) {
-    for (const ApiId& api : footprints_[id]) {
-      dependents_[api.Encode()].push_back(id);
+    for (size_t i = 0; i < footprints_[id].size(); ++i) {
+      dependents_[next[slot[entry++]]++] = id;
     }
   }
   // Dependency closures (BFS, cycle-safe).
@@ -123,9 +159,15 @@ const std::vector<PackageId>& StudyDataset::DependencyClosure(
   return closures_[id];
 }
 
-const std::vector<PackageId>& StudyDataset::Dependents(ApiId api) const {
-  auto it = dependents_.find(api.Encode());
-  return it == dependents_.end() ? kNoDependents : it->second;
+std::span<const PackageId> StudyDataset::Dependents(ApiId api) const {
+  auto it = std::lower_bound(used_apis_.begin(), used_apis_.end(), api);
+  if (it == used_apis_.end() || *it != api) {
+    return {};
+  }
+  const size_t i = static_cast<size_t>(it - used_apis_.begin());
+  return std::span<const PackageId>(dependents_)
+      .subspan(dependents_begin_[i],
+               dependents_begin_[i + 1] - dependents_begin_[i]);
 }
 
 double StudyDataset::ApiImportance(ApiId api) const {
@@ -146,12 +188,10 @@ double StudyDataset::UnweightedImportance(ApiId api) const {
 
 std::vector<ApiId> StudyDataset::ApisOfKind(ApiKind kind) const {
   std::vector<ApiId> out;
-  for (const auto& [encoded, pkgs] : dependents_) {
-    (void)pkgs;
-    ApiId api = ApiId::Decode(encoded);
-    if (api.kind == kind) {
-      out.push_back(api);
-    }
+  for (auto it = std::lower_bound(used_apis_.begin(), used_apis_.end(),
+                                  ApiId{kind, 0});
+       it != used_apis_.end() && it->kind == kind; ++it) {
+    out.push_back(*it);
   }
   return out;
 }
@@ -161,15 +201,14 @@ namespace {
 std::vector<ApiId> RankHelper(const StudyDataset& dataset, ApiKind kind,
                               const std::vector<ApiId>& universe,
                               bool weighted) {
-  std::set<ApiId> all;
-  for (const ApiId& api : dataset.ApisOfKind(kind)) {
-    all.insert(api);
-  }
+  std::vector<ApiId> all = dataset.ApisOfKind(kind);
   for (const ApiId& api : universe) {
     if (api.kind == kind) {
-      all.insert(api);
+      all.push_back(api);
     }
   }
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
   // Primary score: the requested importance. Secondary: the other metric —
   // installations saturate the weighted importance of every widely-used API
   // at exactly 1.0 (any dependent with install probability 1 does), so ties

@@ -10,7 +10,7 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,8 +51,12 @@ class StudyDataset {
   bool finalized() const { return finalized_; }
 
   // ---- Metrics ----
-  // Packages whose footprint contains `api` (paper: Dependents(api)).
-  const std::vector<PackageId>& Dependents(ApiId api) const;
+  // Packages whose footprint contains `api` (paper: Dependents(api)), in
+  // package order.
+  std::span<const PackageId> Dependents(ApiId api) const;
+
+  // Every API appearing in at least one footprint, sorted.
+  const std::vector<ApiId>& UsedApis() const { return used_apis_; }
 
   // API importance (§A.1): probability a random installation contains at
   // least one package requiring `api`, assuming independent installs:
@@ -92,8 +96,11 @@ class StudyDataset {
   std::vector<std::vector<ApiId>> footprints_;
   std::vector<std::vector<PackageId>> depends_;
   std::vector<std::vector<PackageId>> closures_;
-  std::map<int64_t, std::vector<PackageId>> dependents_;
-  static const std::vector<PackageId> kNoDependents;
+  // Dependents index (CSR): the dependents of used_apis_[i] are
+  // dependents_[dependents_begin_[i], dependents_begin_[i + 1]).
+  std::vector<ApiId> used_apis_;
+  std::vector<uint32_t> dependents_begin_;
+  std::vector<PackageId> dependents_;
 };
 
 }  // namespace lapis::core

@@ -1,10 +1,53 @@
 #include "src/core/report.h"
 
-#include <algorithm>
+#include <initializer_list>
+#include <string_view>
 
 #include "src/util/strings.h"
 
 namespace lapis::core {
+
+namespace {
+
+// Collects TSV lines and hands them to the stream in large writes.
+class TsvWriter {
+ public:
+  explicit TsvWriter(std::ostream& os) : os_(os) {}
+
+  // Appends one line of tab-separated fields.
+  void Line(std::initializer_list<std::string_view> fields) {
+    const char* separator = "";
+    for (std::string_view field : fields) {
+      buffer_.append(separator).append(field);
+      separator = "\t";
+    }
+    buffer_.push_back('\n');
+    if (buffer_.size() >= kFlushBytes) {
+      Flush();
+    }
+  }
+
+  Status Finish() {
+    Flush();
+    if (!os_.good()) {
+      return IoError("write failed");
+    }
+    return Status::Ok();
+  }
+
+ private:
+  static constexpr size_t kFlushBytes = 1 << 16;
+
+  void Flush() {
+    os_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    buffer_.clear();
+  }
+
+  std::ostream& os_;
+  std::string buffer_;
+};
+
+}  // namespace
 
 std::string ApiName(const ApiId& api, const StringInterner& path_interner,
                     const StringInterner& libc_interner) {
@@ -39,40 +82,37 @@ Status ExportImportanceTsv(const StudyDataset& dataset,
   if (!dataset.finalized()) {
     return FailedPreconditionError("dataset not finalized");
   }
-  os << "kind\tapi\timportance\tunweighted_importance\tdependents\n";
+  TsvWriter out(os);
+  out.Line({"kind", "api", "importance", "unweighted_importance",
+            "dependents"});
   for (ApiKind kind : kinds) {
     for (const ApiId& api : dataset.RankByImportance(kind)) {
-      os << ApiKindName(kind) << '\t'
-         << ApiName(api, path_interner, libc_interner) << '\t'
-         << FormatDouble(dataset.ApiImportance(api), 6) << '\t'
-         << FormatDouble(dataset.UnweightedImportance(api), 6) << '\t'
-         << dataset.Dependents(api).size() << '\n';
+      out.Line({ApiKindName(kind), ApiName(api, path_interner, libc_interner),
+                FormatDouble(dataset.ApiImportance(api), 6),
+                FormatDouble(dataset.UnweightedImportance(api), 6),
+                std::to_string(dataset.Dependents(api).size())});
     }
   }
-  if (!os.good()) {
-    return IoError("write failed");
-  }
-  return Status::Ok();
+  return out.Finish();
 }
 
 Status ExportPackagesTsv(const StudyDataset& dataset, std::ostream& os) {
   if (!dataset.finalized()) {
     return FailedPreconditionError("dataset not finalized");
   }
-  os << "package\tinstall_probability\tfootprint_apis\tsyscalls\n";
+  TsvWriter out(os);
+  out.Line({"package", "install_probability", "footprint_apis", "syscalls"});
   for (PackageId id = 0; id < dataset.package_count(); ++id) {
     size_t syscalls = 0;
     for (const ApiId& api : dataset.Footprint(id)) {
       syscalls += api.kind == ApiKind::kSyscall ? 1 : 0;
     }
-    os << dataset.PackageName(id) << '\t'
-       << FormatDouble(dataset.InstallProbability(id), 6) << '\t'
-       << dataset.Footprint(id).size() << '\t' << syscalls << '\n';
+    out.Line({dataset.PackageName(id),
+              FormatDouble(dataset.InstallProbability(id), 6),
+              std::to_string(dataset.Footprint(id).size()),
+              std::to_string(syscalls)});
   }
-  if (!os.good()) {
-    return IoError("write failed");
-  }
-  return Status::Ok();
+  return out.Finish();
 }
 
 Status ExportFootprintsTsv(const StudyDataset& dataset,
@@ -82,17 +122,36 @@ Status ExportFootprintsTsv(const StudyDataset& dataset,
   if (!dataset.finalized()) {
     return FailedPreconditionError("dataset not finalized");
   }
-  os << "package\tapi\n";
+  // Each distinct API's name is rendered once. Walking the dependents
+  // index in API order lists every package's APIs in footprint order, so
+  // rows find their names without a search.
+  const std::vector<ApiId>& apis = dataset.UsedApis();
+  std::vector<std::string> names;
+  names.reserve(apis.size());
+  std::vector<size_t> cursor(dataset.package_count());  // next free row
+  size_t rows = 0;
   for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (const ApiId& api : dataset.Footprint(id)) {
-      os << dataset.PackageName(id) << '\t'
-         << ApiName(api, path_interner, libc_interner) << '\n';
+    cursor[id] = rows;
+    rows += dataset.Footprint(id).size();
+  }
+  std::vector<uint32_t> name_of_row(rows);
+  for (uint32_t i = 0; i < apis.size(); ++i) {
+    names.push_back(ApiName(apis[i], path_interner, libc_interner));
+    for (PackageId id : dataset.Dependents(apis[i])) {
+      name_of_row[cursor[id]++] = i;
     }
   }
-  if (!os.good()) {
-    return IoError("write failed");
+  // Each cursor now ends its package's rows.
+  TsvWriter out(os);
+  out.Line({"package", "api"});
+  size_t next_row = 0;
+  for (PackageId id = 0; id < dataset.package_count(); ++id) {
+    const std::string& package = dataset.PackageName(id);
+    for (; next_row < cursor[id]; ++next_row) {
+      out.Line({package, names[name_of_row[next_row]]});
+    }
   }
-  return Status::Ok();
+  return out.Finish();
 }
 
 }  // namespace lapis::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "src/analysis/binary_analyzer.h"
@@ -11,8 +10,8 @@
 #include "src/cache/analysis_codec.h"
 #include "src/cache/content_hash.h"
 #include "src/cache/survey_codec.h"
+#include "src/corpus/api_join.h"
 #include "src/corpus/api_universe.h"
-#include "src/corpus/syscall_table.h"
 #include "src/elf/elf_reader.h"
 #include "src/runtime/parallel.h"
 
@@ -108,12 +107,7 @@ struct PackageAnalysis {
 // footprints as dataset ApiIds, ready for the canonical merge.
 struct PackageFootprint {
   Status status;
-  std::vector<core::ApiId> footprint;  // sorted, unique
-  // Pseudo paths outside the interned universe, in first-seen (executable,
-  // path) order; the merge interns them so ids match a serial run.
-  std::vector<std::string> new_paths;
-  std::set<int> recovered_syscalls;
-  std::set<std::string> pseudo_paths;  // distinct over the package
+  PackageApis apis;
   size_t executables = 0;
   size_t from_cache = 0;
   std::vector<analysis::BinaryAuditResult> audits;  // executable order
@@ -170,8 +164,10 @@ PackageAnalysis AnalyzePackage(const DistroSynthesizer& synthesizer,
 // per-export reachability from the cache when possible and writing it back
 // after a recompute. Called in canonical registration order only.
 Status RegisterLibrary(const AnalyzedBinary& binary, const CacheContext& ctx,
+                       runtime::Executor* executor,
                        LibraryResolver& resolver) {
-  if (ctx && binary.content_hash != 0) {
+  const bool cached = ctx && binary.content_hash != 0;
+  if (cached) {
     auto payload = ctx.cache->Lookup({binary.content_hash, ctx.libreach_fp});
     if (payload != nullptr) {
       ByteReader reader(*payload);
@@ -182,15 +178,15 @@ Status RegisterLibrary(const AnalyzedBinary& binary, const CacheContext& ctx,
       // Undecodable payload: recompute below.
     }
   }
-  LAPIS_RETURN_IF_ERROR(resolver.AddLibrary(binary.analysis));
-  if (ctx && binary.content_hash != 0) {
-    const auto* reach = resolver.ExportReachOf(binary.analysis->soname());
-    if (reach != nullptr) {
-      ByteWriter writer;
-      AnalysisCodec::EncodeExportReach(*reach, writer);
-      ctx.cache->Insert({binary.content_hash, ctx.libreach_fp},
-                        writer.bytes());
-    }
+  LibraryResolver::ExportReach reach =
+      binary.analysis->PerExportReachable(executor);
+  ByteWriter writer;
+  if (cached) {
+    AnalysisCodec::EncodeExportReach(reach, writer);
+  }
+  LAPIS_RETURN_IF_ERROR(resolver.AddLibrary(binary.analysis, std::move(reach)));
+  if (cached) {
+    ctx.cache->Insert({binary.content_hash, ctx.libreach_fp}, writer.bytes());
   }
   return Status::Ok();
 }
@@ -214,14 +210,14 @@ void FoldBinaryCounters(const AnalyzedBinary& binary, StudyResult& result) {
   }
 }
 
-// The full footprint of one executable: decoded from the cache when the
-// same binary was resolved against the same library set (`link_fp`), else
-// resolved and written back. Safe on any worker shard.
-LibraryResolver::Resolution ResolveOrDecode(const AnalyzedBinary& binary,
-                                            const LibraryResolver& resolver,
-                                            const CacheContext& ctx,
-                                            uint64_t link_fp,
-                                            bool* from_cache) {
+// The full footprint of one executable, as resolver ids: decoded from the
+// cache when the same binary was resolved against the same library set
+// (`link_fp`), else resolved and written back. Safe on any worker shard.
+LibraryResolver::ResolvedIds ResolveOrDecode(const AnalyzedBinary& binary,
+                                             const LibraryResolver& resolver,
+                                             const CacheContext& ctx,
+                                             uint64_t link_fp,
+                                             bool* from_cache) {
   *from_cache = false;
   if (ctx && binary.content_hash != 0) {
     auto payload = ctx.cache->Lookup({binary.content_hash, link_fp});
@@ -229,66 +225,21 @@ LibraryResolver::Resolution ResolveOrDecode(const AnalyzedBinary& binary,
       ByteReader reader(*payload);
       auto decoded = AnalysisCodec::DecodeResolution(reader);
       if (decoded.ok()) {
-        *from_cache = true;
-        return decoded.take();
+        auto ids = resolver.IdsOf(decoded.value());
+        if (ids.ok()) {
+          *from_cache = true;
+          return ids.take();
+        }
       }
     }
   }
-  LibraryResolver::Resolution resolution =
-      resolver.ResolveExecutable(*binary.analysis);
+  LibraryResolver::ResolvedIds ids = resolver.ResolveIds(*binary.analysis);
   if (ctx && binary.content_hash != 0) {
     ByteWriter writer;
-    AnalysisCodec::EncodeResolution(resolution, writer);
+    AnalysisCodec::EncodeResolution(resolver.Render(ids), writer);
     ctx.cache->Insert({binary.content_hash, link_fp}, writer.bytes());
   }
-  return resolution;
-}
-
-// Adds one executable's resolved footprint and used libc exports to its
-// package's shard as dataset ApiIds. The interners hold the full universes
-// and are only read, so this is safe on any worker shard.
-void AddFootprint(const LibraryResolver::Resolution& res,
-                  const core::StringInterner& path_interner,
-                  const core::StringInterner& libc_interner,
-                  PackageFootprint& out) {
-  for (int nr : res.footprint.syscalls) {
-    if (nr >= 0 && nr < kSyscallCount) {
-      out.footprint.push_back(core::SyscallApi(static_cast<uint32_t>(nr)));
-    }
-  }
-  out.recovered_syscalls.insert(res.footprint.syscalls.begin(),
-                                res.footprint.syscalls.end());
-  for (uint32_t op : res.footprint.ioctl_ops) {
-    out.footprint.push_back(core::IoctlApi(op));
-  }
-  for (uint32_t op : res.footprint.fcntl_ops) {
-    out.footprint.push_back(core::FcntlApi(op));
-  }
-  for (uint32_t op : res.footprint.prctl_ops) {
-    out.footprint.push_back(core::PrctlApi(op));
-  }
-  for (const auto& path : res.footprint.pseudo_paths) {
-    const bool first_in_package = out.pseudo_paths.insert(path).second;
-    uint32_t id = path_interner.Find(path);
-    if (id != UINT32_MAX) {
-      out.footprint.push_back(core::ApiId{core::ApiKind::kPseudoFile, id});
-    } else if (first_in_package) {
-      out.new_paths.push_back(path);
-    }
-  }
-  auto libc_exports = res.used_exports.find(kLibcSoname);
-  if (libc_exports != res.used_exports.end()) {
-    // The libc-symbol API surface (§5, Table 7) is the 1274-entry universe
-    // the interner holds. libc also exports the non-universe `syscall` clone
-    // that tail-plt wrappers jump through; it carries no importance row and
-    // no variant lists it, so it must not enter the dataset.
-    for (const auto& symbol : libc_exports->second) {
-      uint32_t id = libc_interner.Find(symbol);
-      if (id != UINT32_MAX) {
-        out.footprint.push_back(core::ApiId{core::ApiKind::kLibcFn, id});
-      }
-    }
-  }
+  return ids;
 }
 
 }  // namespace
@@ -361,7 +312,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   // Called in canonical order only. The resolver keeps just the per-export
   // reachability, so the library's analysis is freed here.
   auto register_library = [&](AnalyzedBinary& library) -> Status {
-    LAPIS_RETURN_IF_ERROR(RegisterLibrary(library, ctx, resolver));
+    LAPIS_RETURN_IF_ERROR(RegisterLibrary(library, ctx, executor, resolver));
     if (options.audit) {
       LAPIS_RETURN_IF_ERROR(auditor.AddLibrary(std::move(library.image)));
     }
@@ -454,12 +405,14 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   // read-only now, so any shard may use them; each shard frees its own
   // executables' analyses. ----
   std::vector<std::vector<core::ApiId>> footprints(package_count);
-  std::vector<std::set<int>> recovered_syscalls(package_count);
+  std::vector<std::vector<int>> recovered_syscalls(package_count);
   {
     runtime::StageTimer timer(&stats, "resolve");
+    const ApiIdMap api_ids(resolver, kLibcSoname, result.path_interner,
+                           result.libc_interner);
     auto shards = runtime::ParallelMap(
         executor, package_count,
-        [&analyzed, &resolver, &auditor, &synthesizer, &result, &options,
+        [&analyzed, &resolver, &api_ids, &auditor, &synthesizer, &options,
          &ctx, link_fp](size_t pkg) {
           PackageFootprint out;
           std::vector<AnalyzedBinary>& binaries = analyzed[pkg].binaries;
@@ -479,13 +432,12 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
               continue;
             }
             bool from_cache = false;
-            const LibraryResolver::Resolution resolution =
+            const LibraryResolver::ResolvedIds ids =
                 ResolveOrDecode(binary, resolver, ctx, link_fp, &from_cache);
             binary.analysis.reset();
             ++out.executables;
             out.from_cache += from_cache ? 1 : 0;
-            AddFootprint(resolution, result.path_interner,
-                         result.libc_interner, out);
+            api_ids.Add(ids, out.apis);
             if (!options.audit) {
               continue;
             }
@@ -494,41 +446,45 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
               out.status = image.status();
               return out;
             }
-            auto audited = auditor.AuditExecutable(image.value(), binary.name,
-                                                   resolution.footprint);
+            auto audited = auditor.AuditExecutable(
+                image.value(), binary.name, resolver.Render(ids).footprint);
             if (!audited.ok()) {
               out.status = audited.status();
               return out;
             }
             out.audits.push_back(audited.take());
           }
-          std::sort(out.footprint.begin(), out.footprint.end());
-          out.footprint.erase(
-              std::unique(out.footprint.begin(), out.footprint.end()),
-              out.footprint.end());
+          out.apis.Finish();
           return out;
         });
     // Canonical-order merge: paths outside the universe are interned in
     // (package, executable, path) order, and audit results fold in the same
     // order, so both are identical at every worker count.
     analysis::AuditReport report;
+    std::vector<size_t> path_packages;
     for (size_t pkg = 0; pkg < package_count; ++pkg) {
       PackageFootprint& shard = shards[pkg];
       LAPIS_RETURN_IF_ERROR(shard.status);
-      for (const auto& path : shard.new_paths) {
-        shard.footprint.push_back(core::ApiId{
-            core::ApiKind::kPseudoFile, result.path_interner.Intern(path)});
+      MergeNewPaths(shard.apis, result.path_interner);
+      path_packages.resize(result.path_interner.size());
+      for (const core::ApiId& api : shard.apis.footprint) {
+        if (api.kind == core::ApiKind::kPseudoFile) {
+          ++path_packages[api.code];
+        }
       }
-      footprints[pkg] = std::move(shard.footprint);
-      recovered_syscalls[pkg] = std::move(shard.recovered_syscalls);
-      for (const auto& path : shard.pseudo_paths) {
-        ++result.pseudo_path_binary_counts[path];
-      }
+      footprints[pkg] = std::move(shard.apis.footprint);
+      recovered_syscalls[pkg] = std::move(shard.apis.recovered_syscalls);
       result.resolutions_from_cache += shard.from_cache;
       for (auto& audited : shard.audits) {
         report.Fold(std::move(audited));
       }
       timer.AddItems(shard.executables);
+    }
+    for (uint32_t path = 0; path < path_packages.size(); ++path) {
+      if (path_packages[path] != 0) {
+        result.pseudo_path_binary_counts.emplace(
+            result.path_interner.NameOf(path), path_packages[path]);
+      }
     }
     if (options.audit) {
       result.audit = std::move(report);
@@ -556,10 +512,10 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     auto mismatches = runtime::ParallelMap(
         executor, package_count,
         [&result, &recovered_syscalls](size_t pkg) -> uint8_t {
-          return result.spec.ExpectedSyscalls(pkg) !=
-                         recovered_syscalls[pkg]
-                     ? 1
-                     : 0;
+          return std::ranges::equal(result.spec.ExpectedSyscalls(pkg),
+                                    recovered_syscalls[pkg])
+                     ? 0
+                     : 1;
         });
     for (uint8_t mismatch : mismatches) {
       result.ground_truth_mismatches += mismatch;
@@ -629,7 +585,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
       LAPIS_RETURN_IF_ERROR(result.dataset->SetInstallCount(
           static_cast<uint32_t>(pkg), result.survey.install_counts[pkg]));
       LAPIS_RETURN_IF_ERROR(result.dataset->SetFootprint(
-          static_cast<uint32_t>(pkg), footprints[pkg]));
+          static_cast<uint32_t>(pkg), std::move(footprints[pkg])));
       const package::Package& pkg_meta =
           result.repository.package(static_cast<package::PackageId>(pkg));
       std::vector<core::PackageId> deps(pkg_meta.depends.begin(),

@@ -3,9 +3,10 @@
 // The pipeline shuttles the same few thousand symbol names and pseudo-file
 // paths through every stage: libc exports its 1,274 symbols and every
 // package imports a subset of them. StringPool stores each distinct string
-// once and hands out dense 32-bit ids; consumers (LibraryResolver, the
-// serve Snapshot's name table) key their maps by id instead of by
-// std::string.
+// once and hands out dense 32-bit ids; its consumer (the serve Snapshot's
+// name table) keys its maps by id instead of by std::string.
+// LibraryResolver keeps its own unlocked tables instead: only its
+// single-threaded registration interns, so its readers need no lock.
 //
 // Thread-safety: Intern and NameOf are safe to call concurrently from any
 // worker (shared_mutex; the TSan suite hammers this). The pool is

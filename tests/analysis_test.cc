@@ -768,9 +768,9 @@ TEST(LibraryResolver, PrecomputedExportReachMatchesFreshRegistration) {
     ExpectSameResolution(warm.ResolveFromSymbols(roots),
                          fresh.ResolveFromSymbols(roots), roots.front());
   }
-  ASSERT_NE(warm.ExportReachOf("libmini.so"), nullptr);
+  ASSERT_TRUE(warm.ExportReachOf("libmini.so").has_value());
   EXPECT_EQ(warm.ExportReachOf("libmini.so")->size(), 3u);
-  EXPECT_EQ(warm.ExportReachOf("libmissing.so"), nullptr);
+  EXPECT_FALSE(warm.ExportReachOf("libmissing.so").has_value());
 }
 
 TEST(LibraryResolver, ExecutorRegistrationMatchesSerial) {
@@ -782,10 +782,10 @@ TEST(LibraryResolver, ExecutorRegistrationMatchesSerial) {
     ASSERT_TRUE(serial.AddLibrary(library).ok());
   }
   for (const char* soname : {"libmini.so", "libutil.so"}) {
-    const auto* got = parallel.ExportReachOf(soname);
-    const auto* want = serial.ExportReachOf(soname);
-    ASSERT_NE(got, nullptr) << soname;
-    ASSERT_NE(want, nullptr) << soname;
+    const auto got = parallel.ExportReachOf(soname);
+    const auto want = serial.ExportReachOf(soname);
+    ASSERT_TRUE(got.has_value()) << soname;
+    ASSERT_TRUE(want.has_value()) << soname;
     ASSERT_EQ(got->size(), want->size()) << soname;
     for (const auto& [symbol, reach] : *want) {
       ASSERT_TRUE(got->contains(symbol)) << symbol;

@@ -21,10 +21,12 @@
 #include "src/cache/content_hash.h"
 #include "src/cache/footprint_cache.h"
 #include "src/cache/survey_codec.h"
+#include "src/codegen/function_builder.h"
 #include "src/core/report.h"
 #include "src/corpus/binary_synth.h"
 #include "src/corpus/distro_spec.h"
 #include "src/corpus/study_runner.h"
+#include "src/elf/elf_builder.h"
 #include "src/elf/elf_reader.h"
 #include "src/package/popcon.h"
 #include "src/util/string_pool.h"
@@ -221,6 +223,78 @@ TEST(AnalysisCodec, ResolutionRoundtrip) {
   EXPECT_EQ(decoded.value().unresolved_imports, original.unresolved_imports);
   EXPECT_EQ(decoded.value().reachable_function_count,
             original.reachable_function_count);
+}
+
+// A shared library `soname` exporting `name`, which loads `path`, makes
+// syscall `nr` and calls each of `imports` through the PLT.
+std::shared_ptr<const analysis::BinaryAnalysis> PathLib(
+    const std::string& soname, const std::string& name,
+    const std::string& path, uint32_t nr,
+    const std::vector<std::string>& imports) {
+  elf::ElfBuilder builder(elf::BinaryType::kSharedLibrary);
+  builder.SetSoname(soname);
+  std::vector<uint32_t> import_ids;
+  for (const std::string& symbol : imports) {
+    import_ids.push_back(builder.AddImport(symbol));
+  }
+  const uint32_t path_offset = builder.AddRodataString(path);
+  codegen::FunctionBuilder fn(name);
+  fn.EmitPrologue();
+  fn.LeaRodata(disasm::kRdi, path_offset);
+  fn.MovRegImm32(disasm::kRax, nr);
+  fn.Syscall();
+  for (uint32_t id : import_ids) {
+    fn.CallImport(id);
+  }
+  fn.EmitEpilogue();
+  builder.AddFunction(fn.Finish(true));
+  return std::make_shared<analysis::BinaryAnalysis>(
+      AnalyzeBytes(builder.Build().take()));
+}
+
+TEST(AnalysisCodec, ResolutionBytesListNamesLexicographically) {
+  // Registration interns zeta, mu and zz_missing (and /sys/zz) before
+  // alpha and aa_missing (and /dev/aa): the resolver's ids run against
+  // name order. The cached bytes must not depend on that.
+  analysis::LibraryResolver resolver;
+  ASSERT_TRUE(resolver
+                  .AddLibrary(PathLib("libz.so", "zeta", "/sys/zz", 2,
+                                      {"mu", "zz_missing"}))
+                  .ok());
+  ASSERT_TRUE(
+      resolver.AddLibrary(PathLib("libm.so", "mu", "/proc/mm", 1, {})).ok());
+  ASSERT_TRUE(resolver
+                  .AddLibrary(PathLib("liba.so", "alpha", "/dev/aa", 0,
+                                      {"aa_missing"}))
+                  .ok());
+  ByteWriter rendered;
+  AnalysisCodec::EncodeResolution(
+      resolver.ResolveFromSymbols({"zeta", "alpha"}), rendered);
+
+  analysis::LibraryResolver::Resolution expected;
+  expected.footprint.syscalls = {0, 1, 2};
+  expected.footprint.pseudo_paths = {"/dev/aa", "/proc/mm", "/sys/zz"};
+  expected.used_exports = {
+      {"liba.so", {"alpha"}}, {"libm.so", {"mu"}}, {"libz.so", {"zeta"}}};
+  expected.unresolved_imports = {"aa_missing", "zz_missing"};
+  expected.reachable_function_count = 3;
+  ByteWriter by_sets;
+  AnalysisCodec::EncodeResolution(expected, by_sets);
+  EXPECT_EQ(rendered.bytes(), by_sets.bytes());
+
+  const std::string bytes(rendered.bytes().begin(), rendered.bytes().end());
+  for (const auto& names :
+       {std::vector<std::string>{"/dev/aa", "/proc/mm", "/sys/zz"},
+        std::vector<std::string>{"liba.so", "libm.so", "libz.so"},
+        std::vector<std::string>{"aa_missing", "zz_missing"}}) {
+    size_t previous = 0;
+    for (const std::string& name : names) {
+      const size_t at = bytes.find(name);
+      ASSERT_NE(at, std::string::npos) << name;
+      EXPECT_GT(at, previous) << name;
+      previous = at;
+    }
+  }
 }
 
 TEST(SurveyCodec, SurveyRoundtripWithSamples) {

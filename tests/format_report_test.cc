@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "src/core/report.h"
@@ -162,6 +163,118 @@ TEST(Report, FootprintsTsv) {
   auto lines = Split(os.str(), '\n');
   ASSERT_EQ(lines.size(), 6u);  // header + 4 rows + trailing empty
   EXPECT_NE(os.str().find("alpha\tfile:/dev/null"), std::string::npos);
+}
+
+// All six kinds, ids outside both interners, and a package with an empty
+// footprint.
+core::StudyDataset SixKindDataset() {
+  core::StudyDataset dataset(3, 100);
+  EXPECT_TRUE(dataset.SetPackageName(0, "alpha").ok());
+  EXPECT_TRUE(dataset.SetPackageName(1, "beta").ok());
+  EXPECT_TRUE(dataset.SetPackageName(2, "gamma").ok());
+  EXPECT_TRUE(dataset.SetInstallCount(0, 100).ok());
+  EXPECT_TRUE(dataset.SetInstallCount(1, 25).ok());
+  EXPECT_TRUE(
+      dataset
+          .SetFootprint(0, {core::ApiId{core::ApiKind::kLibcFn, 0},
+                            core::ApiId{core::ApiKind::kPseudoFile, 7},
+                            core::PrctlApi(15), core::FcntlApi(3),
+                            core::IoctlApi(0x5401),
+                            core::ApiId{core::ApiKind::kPseudoFile, 0},
+                            core::SyscallApi(0)})
+          .ok());
+  EXPECT_TRUE(dataset
+                  .SetFootprint(1, {core::SyscallApi(7), core::SyscallApi(0),
+                                    core::ApiId{core::ApiKind::kLibcFn, 9},
+                                    core::ApiId{core::ApiKind::kPseudoFile, 0}})
+                  .ok());
+  EXPECT_TRUE(dataset.Finalize().ok());
+  return dataset;
+}
+
+struct SixKindNames {
+  core::StringInterner paths;
+  core::StringInterner libc;
+  SixKindNames() {
+    paths.Intern("/dev/null");
+    libc.Intern("printf");
+  }
+};
+
+TEST(Report, ImportanceTsvExactBytes) {
+  auto dataset = SixKindDataset();
+  SixKindNames names;
+  std::ostringstream os;
+  ASSERT_TRUE(core::ExportImportanceTsv(
+                  dataset,
+                  {core::ApiKind::kSyscall, core::ApiKind::kIoctlOp,
+                   core::ApiKind::kFcntlOp, core::ApiKind::kPrctlOp,
+                   core::ApiKind::kPseudoFile, core::ApiKind::kLibcFn},
+                  names.paths, names.libc, os)
+                  .ok());
+  EXPECT_EQ(os.str(),
+            "kind\tapi\timportance\tunweighted_importance\tdependents\n"
+            "syscall\tsyscall:0\t1.000000\t0.666667\t2\n"
+            "syscall\tsyscall:7\t0.250000\t0.333333\t1\n"
+            "ioctl-op\tioctl:21505\t1.000000\t0.333333\t1\n"
+            "fcntl-op\tfcntl:3\t1.000000\t0.333333\t1\n"
+            "prctl-op\tprctl:15\t1.000000\t0.333333\t1\n"
+            "pseudo-file\tfile:/dev/null\t1.000000\t0.666667\t2\n"
+            "pseudo-file\tfile:#7\t1.000000\t0.333333\t1\n"
+            "libc-fn\tlibc:printf\t1.000000\t0.333333\t1\n"
+            "libc-fn\tlibc:#9\t0.250000\t0.333333\t1\n");
+}
+
+TEST(Report, PackagesTsvExactBytes) {
+  auto dataset = SixKindDataset();
+  std::ostringstream os;
+  ASSERT_TRUE(core::ExportPackagesTsv(dataset, os).ok());
+  EXPECT_EQ(os.str(),
+            "package\tinstall_probability\tfootprint_apis\tsyscalls\n"
+            "alpha\t1.000000\t7\t1\n"
+            "beta\t0.250000\t4\t2\n"
+            "gamma\t0.000000\t0\t0\n");
+}
+
+TEST(Report, FootprintsTsvExactBytes) {
+  auto dataset = SixKindDataset();
+  SixKindNames names;
+  std::ostringstream os;
+  ASSERT_TRUE(
+      core::ExportFootprintsTsv(dataset, names.paths, names.libc, os).ok());
+  EXPECT_EQ(os.str(),
+            "package\tapi\n"
+            "alpha\tsyscall:0\n"
+            "alpha\tioctl:21505\n"
+            "alpha\tfcntl:3\n"
+            "alpha\tprctl:15\n"
+            "alpha\tfile:/dev/null\n"
+            "alpha\tfile:#7\n"
+            "alpha\tlibc:printf\n"
+            "beta\tsyscall:0\n"
+            "beta\tsyscall:7\n"
+            "beta\tfile:/dev/null\n"
+            "beta\tlibc:#9\n");
+}
+
+TEST(Report, FailedStreamGetsIoError) {
+  auto dataset = SixKindDataset();
+  SixKindNames names;
+  auto failed = [] {
+    auto os = std::make_unique<std::ostringstream>();
+    os->setstate(std::ios::badbit);
+    return os;
+  };
+  EXPECT_EQ(core::ExportImportanceTsv(dataset, {core::ApiKind::kSyscall},
+                                      names.paths, names.libc, *failed())
+                .code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(core::ExportPackagesTsv(dataset, *failed()).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(core::ExportFootprintsTsv(dataset, names.paths, names.libc,
+                                      *failed())
+                .code(),
+            StatusCode::kIoError);
 }
 
 TEST(Report, RequiresFinalizedDataset) {
