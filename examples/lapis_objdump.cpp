@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     labels[sym->value] = sym->name;
   }
   for (const auto& plt : image.plt_entries()) {
-    labels[plt.plt_vaddr] = plt.symbol_name + "@plt";
+    labels[plt.plt_vaddr] = image.dynsym()[plt.symbol].name + "@plt";
   }
   auto symbolizer = [&labels](uint64_t vaddr) -> std::string {
     auto it = labels.find(vaddr);

@@ -27,7 +27,7 @@ const char* ApiClassName(AuditFinding::ApiClass api_class) {
 // Compares one API class: everything in `observed` must appear in `claimed`
 // or be excused by `unknown_sites` of the same class.
 template <typename T>
-void CompareClass(const std::set<T>& observed, const std::set<T>& claimed,
+void CompareClass(const SortedSet<T>& observed, const SortedSet<T>& claimed,
                   int unknown_sites, AuditFinding::ApiClass api_class,
                   BinaryAuditResult& out) {
   for (const T& api : observed) {

@@ -29,19 +29,35 @@ std::optional<std::string> ReadStringAt(const elf::ElfImage& image,
 }  // namespace
 
 const FunctionInfo* BinaryAnalysis::FunctionAt(uint64_t vaddr) const {
-  auto it = by_vaddr_.find(vaddr);
-  if (it == by_vaddr_.end()) {
+  auto it = std::lower_bound(
+      functions_.begin(), functions_.end(), vaddr,
+      [](const FunctionInfo& fn, uint64_t v) { return fn.vaddr < v; });
+  if (it == functions_.end() || it->vaddr != vaddr) {
     return nullptr;
   }
-  return &functions_[it->second];
+  return &*it;
 }
 
 const FunctionInfo* BinaryAnalysis::FunctionNamed(std::string_view name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
+  auto it = std::lower_bound(
+      by_name_.begin(), by_name_.end(), name,
+      [this](uint32_t i, std::string_view n) { return functions_[i].name < n; });
+  if (it == by_name_.end() || functions_[*it].name != name) {
     return nullptr;
   }
-  return &functions_[it->second];
+  return &functions_[*it];
+}
+
+void BinaryAnalysis::IndexNames() {
+  by_name_.resize(functions_.size());
+  for (uint32_t i = 0; i < by_name_.size(); ++i) {
+    by_name_[i] = i;
+  }
+  // Of two functions with one name, the first comes first.
+  std::sort(by_name_.begin(), by_name_.end(), [this](uint32_t a, uint32_t b) {
+    const int order = functions_[a].name.compare(functions_[b].name);
+    return order < 0 || (order == 0 && a < b);
+  });
 }
 
 void BinaryAnalysis::ForEachReachable(
@@ -68,11 +84,21 @@ void BinaryAnalysis::ForEachReachable(
 BinaryAnalysis::ReachableResult BinaryAnalysis::Reachable(
     const std::vector<uint64_t>& roots) const {
   ReachableResult result;
-  ForEachReachable(roots, [&result](const FunctionInfo& fn) {
+  std::vector<bool> called(imports_.size(), false);
+  ForEachReachable(roots, [&](const FunctionInfo& fn) {
     ++result.function_count;
     result.footprint.MergeFrom(fn.local);
-    result.plt_calls.insert(fn.plt_calls.begin(), fn.plt_calls.end());
+    for (uint32_t id : fn.plt_calls) {
+      called[id] = true;
+    }
   });
+  // Ids ascend in name order, so the names arrive sorted.
+  for (uint32_t id = 0; id < called.size(); ++id) {
+    if (called[id]) {
+      result.plt_calls.insert(result.plt_calls.end(),
+                              std::string(imports_[id]));
+    }
+  }
   return result;
 }
 
@@ -121,18 +147,19 @@ constexpr uint8_t kSysVArgRegs[6] = {disasm::kRdi, disasm::kRsi, disasm::kRdx,
 
 // Interprets one function's decoded body against the per-instruction
 // register facts from the propagation pass: recovers syscall numbers and
-// vectored-call opcodes, records PLT calls, intra-binary callees, and
-// hard-coded pseudo paths. All state questions go through `states`; this
-// loop carries none of its own. With `ipa` non-null (use_ipa), sites whose
-// deciding register holds an argument fact are deferred as pending sites
-// instead of counted unknown, and call edges carry argument bindings for
-// the interprocedural pass.
+// vectored-call opcodes, records PLT calls (appending their dynsym indices
+// to `plt_symbols`), intra-binary callees, and hard-coded pseudo paths. All
+// state questions go through `states`; this loop carries none of its own.
+// With `ipa` non-null (use_ipa), sites whose deciding register holds an
+// argument fact are deferred as pending sites instead of counted unknown,
+// and call edges carry argument bindings for the interprocedural pass.
 void CollectFunctionFacts(const elf::ElfImage& image,
                           const AnalyzerOptions& options,
                           const disasm::SweepResult& sweep,
                           const std::vector<RegState>& states,
                           const std::vector<uint64_t>& function_starts,
                           FunctionInfo& info, BinaryAnalysis& analysis,
+                          std::vector<uint32_t>& plt_symbols,
                           IpaFunctionFacts* ipa) {
   auto defer_site = [&](const RegState& state, IpaPendingSite::Kind kind,
                         const AbsVal& number) {
@@ -172,7 +199,7 @@ void CollectFunctionFacts(const elf::ElfImage& image,
           int nr = static_cast<int>(rax.value);
           info.local.syscalls.insert(nr);
           if (options.resolve_wrapper_opcodes) {
-            auto record_op = [&](uint8_t arg_reg, std::set<uint32_t>& ops,
+            auto record_op = [&](uint8_t arg_reg, SortedSet<uint32_t>& ops,
                                  IpaPendingSite::Kind kind) {
               const AbsVal& arg = state.regs[arg_reg];
               if (arg.is_const()) {
@@ -221,11 +248,12 @@ void CollectFunctionFacts(const elf::ElfImage& image,
       }
       case InsnKind::kCallRel32:
       case InsnKind::kJmpRel: {
-        auto plt_symbol = image.ResolvePltCall(insn.target);
+        auto plt_symbol = image.PltSymbolAt(insn.target);
         if (plt_symbol.has_value()) {
-          info.plt_calls.insert(*plt_symbol);
+          plt_symbols.push_back(*plt_symbol);
+          const std::string& name = image.dynsym()[*plt_symbol].name;
           if (options.resolve_wrapper_opcodes) {
-            auto record_op = [&](uint8_t arg_reg, std::set<uint32_t>& ops,
+            auto record_op = [&](uint8_t arg_reg, SortedSet<uint32_t>& ops,
                                  IpaPendingSite::Kind kind) {
               const AbsVal& arg = state.regs[arg_reg];
               if (arg.is_const()) {
@@ -236,16 +264,16 @@ void CollectFunctionFacts(const elf::ElfImage& image,
                 ++info.local.unknown_opcode_sites;
               }
             };
-            if (*plt_symbol == "ioctl") {
+            if (name == "ioctl") {
               record_op(disasm::kRsi, info.local.ioctl_ops,
                         IpaPendingSite::Kind::kIoctlOp);
-            } else if (*plt_symbol == "fcntl" || *plt_symbol == "fcntl64") {
+            } else if (name == "fcntl" || name == "fcntl64") {
               record_op(disasm::kRsi, info.local.fcntl_ops,
                         IpaPendingSite::Kind::kFcntlOp);
-            } else if (*plt_symbol == "prctl") {
+            } else if (name == "prctl") {
               record_op(disasm::kRdi, info.local.prctl_ops,
                         IpaPendingSite::Kind::kPrctlOp);
-            } else if (*plt_symbol == "syscall") {
+            } else if (name == "syscall") {
               // long syscall(long number, ...): number in rdi.
               ++analysis.total_syscall_sites;
               const AbsVal& rdi = state.regs[disasm::kRdi];
@@ -304,6 +332,66 @@ void CollectFunctionFacts(const elf::ElfImage& image,
   }
 }
 
+// Fills `imports` with the names of the PLT calls in `plt_symbols`
+// (dynsym indices, function i's ending at plt_ends[i]), sorted and
+// distinct, and each function's plt_calls with ids into it.
+void NumberImports(const elf::ElfImage& image,
+                   std::vector<uint32_t>& plt_symbols,
+                   const std::vector<size_t>& plt_ends,
+                   std::vector<FunctionInfo>& functions,
+                   PackedStrings& imports) {
+  // One entry per distinct dynsym index called. `prefix` holds the name's
+  // first 8 bytes big-endian (names hold no NUL), so where two prefixes
+  // differ their integer order is the names' order: most comparisons of
+  // the name sort below never touch the strings.
+  struct Called {
+    uint64_t prefix = 0;
+    std::string_view name;
+    uint32_t symbol = 0;
+  };
+  constexpr uint32_t kUnseen = 0xffffffffu;
+  const std::vector<elf::Symbol>& dynsym = image.dynsym();
+  std::vector<uint32_t> id_of(dynsym.size(), kUnseen);
+  std::vector<Called> called;
+  called.reserve(std::min(plt_symbols.size(), dynsym.size()));
+  for (uint32_t symbol : plt_symbols) {
+    if (id_of[symbol] == kUnseen) {
+      id_of[symbol] = 0;
+      Called entry{0, dynsym[symbol].name, symbol};
+      for (size_t i = 0; i < 8; ++i) {
+        entry.prefix = entry.prefix << 8 |
+                       (i < entry.name.size()
+                            ? static_cast<uint8_t>(entry.name[i])
+                            : 0u);
+      }
+      called.push_back(entry);
+    }
+  }
+  std::sort(called.begin(), called.end(), [](const Called& a, const Called& b) {
+    return a.prefix != b.prefix ? a.prefix < b.prefix : a.name < b.name;
+  });
+  std::vector<std::string_view> names;
+  names.reserve(called.size());
+  for (const Called& entry : called) {
+    if (names.empty() || names.back() != entry.name) {
+      names.push_back(entry.name);
+    }
+    id_of[entry.symbol] = static_cast<uint32_t>(names.size() - 1);
+  }
+  imports = PackedStrings(names);
+  for (uint32_t& symbol : plt_symbols) {
+    symbol = id_of[symbol];
+  }
+  // Deduplicated first, each function's ids fill its set exactly.
+  auto begin = plt_symbols.begin();
+  for (size_t i = 0; i < functions.size(); ++i) {
+    auto end = plt_symbols.begin() + static_cast<ptrdiff_t>(plt_ends[i]);
+    std::sort(begin, end);
+    functions[i].plt_calls.insert(begin, std::unique(begin, end));
+    begin = end;
+  }
+}
+
 }  // namespace
 
 Result<BinaryAnalysis> BinaryAnalyzer::Analyze(const elf::ElfImage& image,
@@ -351,6 +439,11 @@ Result<BinaryAnalysis> BinaryAnalyzer::Analyze(const elf::ElfImage& image,
   ControlFlowGraph cfg;
   std::vector<RegState> states;
   DataflowScratch scratch;
+  // Every function's PLT call targets as dynsym indices, function i's
+  // ending at plt_ends[i], until NumberImports names them.
+  std::vector<uint32_t> plt_symbols;
+  std::vector<size_t> plt_ends;
+  plt_ends.reserve(funcs.size());
   analysis.functions_.reserve(funcs.size());
   std::vector<IpaFunctionFacts> ipa_facts;
   if (options.use_ipa) {
@@ -371,6 +464,7 @@ Result<BinaryAnalysis> BinaryAnalyzer::Analyze(const elf::ElfImage& image,
       // Symbol points outside mapped sections: skip but keep the record.
       info.decode_complete = false;
       analysis.functions_.push_back(std::move(info));
+      plt_ends.push_back(plt_symbols.size());
       continue;
     }
 
@@ -381,10 +475,11 @@ Result<BinaryAnalysis> BinaryAnalyzer::Analyze(const elf::ElfImage& image,
     info.basic_block_count = cfg.block_count();
     ComputeInsnStatesInto(sweep, cfg, mode, entry_state, scratch, states);
     CollectFunctionFacts(image, options, sweep, states, function_starts,
-                         info, analysis,
+                         info, analysis, plt_symbols,
                          options.use_ipa ? &ipa_facts.back() : nullptr);
 
     analysis.functions_.push_back(std::move(info));
+    plt_ends.push_back(plt_symbols.size());
   }
 
   if (options.use_ipa) {
@@ -395,10 +490,9 @@ Result<BinaryAnalysis> BinaryAnalyzer::Analyze(const elf::ElfImage& image,
     analysis.unknown_syscall_sites += ipa_stats.unknown_syscall_sites_added;
   }
 
-  for (size_t i = 0; i < analysis.functions_.size(); ++i) {
-    analysis.by_vaddr_.emplace(analysis.functions_[i].vaddr, i);
-    analysis.by_name_.emplace(analysis.functions_[i].name, i);
-  }
+  NumberImports(image, plt_symbols, plt_ends, analysis.functions_,
+                analysis.imports_);
+  analysis.IndexNames();
   return analysis;
 }
 

@@ -28,12 +28,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/analysis/footprint.h"
 #include "src/elf/elf_image.h"
+#include "src/util/packed_strings.h"
+#include "src/util/sorted_set.h"
 #include "src/util/status.h"
 
 namespace lapis::runtime {
@@ -53,8 +54,8 @@ struct FunctionInfo {
   uint64_t size = 0;
 
   Footprint local;                       // APIs requested directly here
-  std::set<std::string> plt_calls;       // imported symbols called
-  std::set<uint64_t> local_callees;      // vaddrs of intra-binary callees
+  SortedSet<uint32_t> plt_calls;         // imports called, ids into imports()
+  SortedSet<uint64_t> local_callees;     // vaddrs of intra-binary callees
   size_t basic_block_count = 0;          // CFG size (diagnostics)
   bool decode_complete = true;           // linear sweep covered whole body
 };
@@ -62,21 +63,27 @@ struct FunctionInfo {
 // Analysis result for one binary.
 class BinaryAnalysis {
  public:
+  // Sorted by vaddr.
   const std::vector<FunctionInfo>& functions() const { return functions_; }
+  // Exactly the imported symbols some function calls, sorted by name, so a
+  // function's plt_calls ids ascend in name order.
+  const PackedStrings& imports() const { return imports_; }
   const std::vector<std::string>& needed() const { return needed_; }
   const std::string& soname() const { return soname_; }
   bool is_executable() const { return is_executable_; }
   uint64_t entry() const { return entry_; }
 
-  // Function lookup by start vaddr; nullptr if absent.
+  // Function lookup by start vaddr or name; nullptr if absent. Of several
+  // definitions the first in functions() wins.
   const FunctionInfo* FunctionAt(uint64_t vaddr) const;
   const FunctionInfo* FunctionNamed(std::string_view name) const;
 
-  // Union of local footprints + plt_calls over everything reachable from
-  // `roots` (function start vaddrs) through the intra-binary call graph.
+  // Union of local footprints + plt_calls (by name) over everything
+  // reachable from `roots` (function start vaddrs) through the
+  // intra-binary call graph.
   struct ReachableResult {
     Footprint footprint;
-    std::set<std::string> plt_calls;
+    SortedSet<std::string> plt_calls;
     size_t function_count = 0;
   };
   ReachableResult Reachable(const std::vector<uint64_t>& roots) const;
@@ -110,9 +117,12 @@ class BinaryAnalysis {
   // warm run can skip parse → CFG → dataflow (src/cache/analysis_codec.h).
   friend class lapis::cache::AnalysisCodec;
 
+  // Builds by_name_ once functions_ is complete.
+  void IndexNames();
+
   std::vector<FunctionInfo> functions_;
-  std::map<uint64_t, size_t> by_vaddr_;
-  std::map<std::string, size_t, std::less<>> by_name_;
+  std::vector<uint32_t> by_name_;  // functions_ indices, sorted by name
+  PackedStrings imports_;
   std::vector<std::string> exports_;
   std::vector<std::string> needed_;
   std::string soname_;

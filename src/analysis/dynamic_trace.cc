@@ -167,7 +167,7 @@ Result<TraceResult> DynamicTracer::Trace(
         }
         int nr = static_cast<int>(rax.value);
         result.observed.syscalls.insert(nr);
-        auto record_op = [&](uint8_t reg, std::set<uint32_t>& ops) {
+        auto record_op = [&](uint8_t reg, SortedSet<uint32_t>& ops) {
           if (machine.regs[reg].known) {
             ops.insert(static_cast<uint32_t>(machine.regs[reg].value));
           }
@@ -200,9 +200,10 @@ Result<TraceResult> DynamicTracer::Trace(
         }
         break;
       case InsnKind::kCallRel32: {
-        auto plt_symbol = image->ResolvePltCall(insn.target);
+        auto plt_symbol = image->PltSymbolAt(insn.target);
         if (plt_symbol.has_value()) {
-          if (!enter_import(*plt_symbol, next, /*is_call=*/true)) {
+          if (!enter_import(image->dynsym()[*plt_symbol].name, next,
+                            /*is_call=*/true)) {
             return result;
           }
         } else {
@@ -214,9 +215,10 @@ Result<TraceResult> DynamicTracer::Trace(
         break;
       }
       case InsnKind::kJmpRel: {
-        auto plt_symbol = image->ResolvePltCall(insn.target);
+        auto plt_symbol = image->PltSymbolAt(insn.target);
         if (plt_symbol.has_value()) {
-          if (!enter_import(*plt_symbol, next, /*is_call=*/false)) {
+          if (!enter_import(image->dynsym()[*plt_symbol].name, next,
+                            /*is_call=*/false)) {
             return result;
           }
         } else {
@@ -231,11 +233,12 @@ Result<TraceResult> DynamicTracer::Trace(
         break;
       case InsnKind::kJmpIndirect: {
         // A PLT trampoline: `jmp *[rip + got]`. Resolve by stub address.
-        auto plt_symbol = image->ResolvePltCall(insn.vaddr);
+        auto plt_symbol = image->PltSymbolAt(insn.vaddr);
         if (!plt_symbol.has_value()) {
           return result;  // unknown indirect target: halt this path
         }
-        if (!enter_import(*plt_symbol, 0, /*is_call=*/false)) {
+        if (!enter_import(image->dynsym()[*plt_symbol].name, 0,
+                          /*is_call=*/false)) {
           return result;
         }
         advance = false;

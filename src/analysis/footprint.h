@@ -2,14 +2,16 @@
 //
 // A footprint is "every system API a binary could possibly request" (paper
 // §2.3): system-call numbers, vectored-call opcodes (ioctl/fcntl/prctl),
-// and hard-coded pseudo-file paths (/proc, /sys, /dev).
+// and hard-coded pseudo-file paths (/proc, /sys, /dev). Every field is a
+// SortedSet, so a footprint is six sorted vectors and a union is a merge.
 
 #ifndef LAPIS_SRC_ANALYSIS_FOOTPRINT_H_
 #define LAPIS_SRC_ANALYSIS_FOOTPRINT_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
+
+#include "src/util/sorted_set.h"
 
 namespace lapis::analysis {
 
@@ -19,14 +21,14 @@ inline constexpr int kSysFcntl = 72;
 inline constexpr int kSysPrctl = 157;
 
 struct Footprint {
-  std::set<int> syscalls;
-  std::set<uint32_t> ioctl_ops;
-  std::set<uint32_t> fcntl_ops;
-  std::set<uint32_t> prctl_ops;
-  std::set<std::string> pseudo_paths;  // canonicalized, e.g. "/proc/%/cmdline"
+  SortedSet<int> syscalls;
+  SortedSet<uint32_t> ioctl_ops;
+  SortedSet<uint32_t> fcntl_ops;
+  SortedSet<uint32_t> prctl_ops;
+  SortedSet<std::string> pseudo_paths;  // canonicalized, e.g. "/proc/%/cmdline"
   // Legacy 32-bit gate numbers (i386 table; distinct numbering from the
   // x86-64 `syscalls` set above).
-  std::set<int> int80_syscalls;
+  SortedSet<int> int80_syscalls;
 
   // Call sites whose system-call number / opcode could not be statically
   // determined (the paper reports 2,454 such sites, ~4%).

@@ -1,7 +1,6 @@
 #include "src/analysis/ipa.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <utility>
 
@@ -159,22 +158,21 @@ IpaStats PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
   IpaStats stats;
   const size_t n = functions.size();
 
-  // vaddr -> function index, first definition wins (matching by_vaddr_).
-  std::map<uint64_t, uint32_t> by_vaddr;
-  for (uint32_t i = 0; i < n; ++i) {
-    by_vaddr.emplace(functions[i].vaddr, i);
-  }
-
+  // `functions` is sorted by vaddr: the first definition of a vaddr wins,
+  // as in BinaryAnalysis::FunctionAt.
   std::vector<std::vector<Edge>> out(n);
   std::vector<uint32_t> in_degree(n, 0);
   for (uint32_t i = 0; i < n; ++i) {
     for (const IpaCallEdge& e : facts[i].edges) {
-      auto it = by_vaddr.find(e.callee_vaddr);
-      if (it == by_vaddr.end()) {
+      auto it = std::lower_bound(
+          functions.begin(), functions.end(), e.callee_vaddr,
+          [](const FunctionInfo& fn, uint64_t v) { return fn.vaddr < v; });
+      if (it == functions.end() || it->vaddr != e.callee_vaddr) {
         continue;
       }
-      out[i].push_back({it->second, &e});
-      ++in_degree[it->second];
+      const auto callee = static_cast<uint32_t>(it - functions.begin());
+      out[i].push_back({callee, &e});
+      ++in_degree[callee];
       ++stats.call_graph_edges;
     }
   }
@@ -196,7 +194,7 @@ IpaStats PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
   SccResult scc = CondenseSccs(n, out);
 
   // Attributes a resolved vectored opcode (or its absence) at the caller.
-  auto attach_op = [](const AbsVal& op, std::set<uint32_t>& ops,
+  auto attach_op = [](const AbsVal& op, SortedSet<uint32_t>& ops,
                       SiteRecord& rec) {
     if (op.is_const()) {
       ops.insert(static_cast<uint32_t>(op.value));

@@ -216,13 +216,13 @@ void LibraryResolver::AddFootprint(const Footprint& fp,
   out.int80_sites += fp.int80_sites;
 }
 
-void LibraryResolver::AddRoot(const std::string& symbol,
+void LibraryResolver::AddRoot(std::string_view symbol,
                               std::vector<uint32_t>& roots,
                               ResolvedIds& out) const {
   // Symbols never interned at registration cannot resolve.
   const uint32_t id = symbols_.Find(symbol);
   if (id == kNone) {
-    out.unresolved_imports.push_back(symbol);
+    out.unresolved_imports.emplace_back(symbol);
   } else {
     roots.push_back(id);
   }
@@ -231,16 +231,23 @@ void LibraryResolver::AddRoot(const std::string& symbol,
 LibraryResolver::ResolvedIds LibraryResolver::ResolveIds(
     const BinaryAnalysis& exe) const {
   // The entry-reachable code's footprint goes straight into the id
-  // vectors; Expand sorts and dedups them with the imports' spans.
+  // vectors; Expand sorts and dedups them with the imports' spans. Each
+  // distinct import called is looked up once, after the walk.
   ResolvedIds out;
-  std::vector<uint32_t> roots;
+  std::vector<bool> called(exe.imports().size(), false);
   exe.ForEachReachable({exe.entry()}, [&](const FunctionInfo& fn) {
     ++out.reachable_function_count;
     AddFootprint(fn.local, out);
-    for (const std::string& symbol : fn.plt_calls) {
-      AddRoot(symbol, roots, out);
+    for (uint32_t id : fn.plt_calls) {
+      called[id] = true;
     }
   });
+  std::vector<uint32_t> roots;
+  for (uint32_t id = 0; id < called.size(); ++id) {
+    if (called[id]) {
+      AddRoot(exe.imports()[id], roots, out);
+    }
+  }
   Expand(std::move(roots), out);
   return out;
 }

@@ -187,7 +187,7 @@ class LibraryResolver {
   void AddFootprint(const Footprint& fp, ResolvedIds& out) const;
   // Adds `symbol` to the closure's roots, or to `out`'s unresolved imports
   // if no registered library mentions it.
-  void AddRoot(const std::string& symbol, std::vector<uint32_t>& roots,
+  void AddRoot(std::string_view symbol, std::vector<uint32_t>& roots,
                ResolvedIds& out) const;
   // Walks the import closure of `worklist` into `out`, then sorts it.
   void Expand(std::vector<uint32_t> worklist, ResolvedIds& out) const;

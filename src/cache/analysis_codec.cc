@@ -1,6 +1,11 @@
 #include "src/cache/analysis_codec.h"
 
+#include <algorithm>
+#include <numeric>
+#include <set>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 namespace lapis::cache {
 
@@ -22,25 +27,27 @@ Status CheckCount(uint32_t count) {
   return Status::Ok();
 }
 
-template <typename T, typename Put>
-void EncodeSet(const std::set<T>& values, ByteWriter& writer, Put put) {
+template <typename Set, typename Put>
+void EncodeSet(const Set& values, ByteWriter& writer, Put put) {
   writer.PutU32(static_cast<uint32_t>(values.size()));
-  for (const T& v : values) {
+  for (const auto& v : values) {
     put(v);
   }
 }
 
-void EncodeStringSet(const std::set<std::string>& values, ByteWriter& writer) {
-  writer.PutU32(static_cast<uint32_t>(values.size()));
-  for (const auto& v : values) {
+template <typename Set>
+void EncodeStringSet(const Set& values, ByteWriter& writer) {
+  EncodeSet(values, writer, [&](const std::string& v) {
     writer.PutLengthPrefixedString(v);
-  }
+  });
 }
 
-Result<std::set<std::string>> DecodeStringSet(ByteReader& reader) {
+// Decodes a count-prefixed run of strings into any set of strings.
+template <typename Set = SortedSet<std::string>>
+Result<Set> DecodeStringSet(ByteReader& reader) {
   LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
   LAPIS_RETURN_IF_ERROR(CheckCount(count));
-  std::set<std::string> out;
+  Set out;
   for (uint32_t i = 0; i < count; ++i) {
     LAPIS_ASSIGN_OR_RETURN(std::string s, reader.ReadLengthPrefixedString());
     out.insert(out.end(), std::move(s));
@@ -139,7 +146,10 @@ void AnalysisCodec::Encode(const BinaryAnalysis& analysis,
     writer.PutU64(fn.vaddr);
     writer.PutU64(fn.size);
     EncodeFootprint(fn.local, writer);
-    EncodeStringSet(fn.plt_calls, writer);
+    // Ids ascend in name order: the same bytes as the names' set.
+    EncodeSet(fn.plt_calls, writer, [&](uint32_t id) {
+      writer.PutLengthPrefixedString(analysis.imports_[id]);
+    });
     EncodeSet(fn.local_callees, writer,
               [&](uint64_t callee) { writer.PutU64(callee); });
     writer.PutU64(fn.basic_block_count);
@@ -175,13 +185,27 @@ Result<BinaryAnalysis> AnalysisCodec::Decode(ByteReader& reader) {
   LAPIS_ASSIGN_OR_RETURN(count, reader.ReadU32());
   LAPIS_RETURN_IF_ERROR(CheckCount(count));
   analysis.functions_.reserve(count);
+  // Every function's called names in turn (function i's end at
+  // call_ends[i]), viewed in the payload until the import table exists.
+  std::vector<std::string_view> calls;
+  std::vector<size_t> call_ends;
   for (uint32_t i = 0; i < count; ++i) {
     FunctionInfo fn;
     LAPIS_ASSIGN_OR_RETURN(fn.name, reader.ReadLengthPrefixedString());
     LAPIS_ASSIGN_OR_RETURN(fn.vaddr, reader.ReadU64());
+    if (i > 0 && fn.vaddr < analysis.functions_.back().vaddr) {
+      return CorruptDataError("functions out of vaddr order");
+    }
     LAPIS_ASSIGN_OR_RETURN(fn.size, reader.ReadU64());
     LAPIS_ASSIGN_OR_RETURN(fn.local, DecodeFootprint(reader));
-    LAPIS_ASSIGN_OR_RETURN(fn.plt_calls, DecodeStringSet(reader));
+    LAPIS_ASSIGN_OR_RETURN(uint32_t call_count, reader.ReadU32());
+    LAPIS_RETURN_IF_ERROR(CheckCount(call_count));
+    for (uint32_t c = 0; c < call_count; ++c) {
+      LAPIS_ASSIGN_OR_RETURN(std::string_view name,
+                             reader.ReadLengthPrefixedView());
+      calls.push_back(name);
+    }
+    call_ends.push_back(calls.size());
     LAPIS_ASSIGN_OR_RETURN(uint32_t callees, reader.ReadU32());
     LAPIS_RETURN_IF_ERROR(CheckCount(callees));
     for (uint32_t c = 0; c < callees; ++c) {
@@ -194,10 +218,30 @@ Result<BinaryAnalysis> AnalysisCodec::Decode(ByteReader& reader) {
     fn.decode_complete = complete != 0;
     analysis.functions_.push_back(std::move(fn));
   }
-  for (size_t i = 0; i < analysis.functions_.size(); ++i) {
-    analysis.by_vaddr_.emplace(analysis.functions_[i].vaddr, i);
-    analysis.by_name_.emplace(analysis.functions_[i].name, i);
+  // Rebuild the name-sorted import table: visit the calls in name order
+  // (one function's calls already are) and number each by its name's rank.
+  std::vector<uint32_t> order(calls.size());
+  std::iota(order.begin(), order.end(), 0);
+  if (!std::is_sorted(calls.begin(), calls.end())) {
+    std::sort(order.begin(), order.end(),
+              [&](uint32_t a, uint32_t b) { return calls[a] < calls[b]; });
   }
+  std::vector<std::string_view> names;
+  std::vector<uint32_t> ids(calls.size());
+  for (uint32_t call : order) {
+    if (names.empty() || names.back() != calls[call]) {
+      names.push_back(calls[call]);
+    }
+    ids[call] = static_cast<uint32_t>(names.size() - 1);
+  }
+  analysis.imports_ = PackedStrings(names);
+  auto first = ids.begin();
+  for (uint32_t i = 0; i < count; ++i) {
+    const auto last = ids.begin() + static_cast<ptrdiff_t>(call_ends[i]);
+    analysis.functions_[i].plt_calls.insert(first, last);
+    first = last;
+  }
+  analysis.IndexNames();
   return analysis;
 }
 
@@ -245,13 +289,14 @@ Result<LibraryResolver::Resolution> AnalysisCodec::DecodeResolution(
   for (uint32_t i = 0; i < count; ++i) {
     LAPIS_ASSIGN_OR_RETURN(std::string soname,
                            reader.ReadLengthPrefixedString());
-    LAPIS_ASSIGN_OR_RETURN(auto symbols, DecodeStringSet(reader));
+    LAPIS_ASSIGN_OR_RETURN(auto symbols,
+                           DecodeStringSet<std::set<std::string>>(reader));
     resolution.used_exports.emplace_hint(resolution.used_exports.end(),
                                          std::move(soname),
                                          std::move(symbols));
   }
   LAPIS_ASSIGN_OR_RETURN(resolution.unresolved_imports,
-                         DecodeStringSet(reader));
+                         DecodeStringSet<std::set<std::string>>(reader));
   LAPIS_ASSIGN_OR_RETURN(uint64_t fns, reader.ReadU64());
   resolution.reachable_function_count = static_cast<size_t>(fns);
   return resolution;

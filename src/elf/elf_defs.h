@@ -93,6 +93,15 @@ constexpr uint64_t RInfo(uint32_t sym, uint32_t type) {
 constexpr uint32_t RSym(uint64_t info) { return static_cast<uint32_t>(info >> 32); }
 constexpr uint32_t RType(uint64_t info) { return static_cast<uint32_t>(info); }
 
+// Whether [offset, offset + size) lies inside [start, start + length),
+// without computing either end: a corrupt header can make both wrap past
+// 2^64. Covers file ranges (start 0) and address ranges alike.
+constexpr bool RangeWithin(uint64_t offset, uint64_t size, uint64_t start,
+                           uint64_t length) {
+  return offset >= start && offset - start <= length &&
+         size <= length - (offset - start);
+}
+
 // ---- Structure sizes (on-disk, ELF64) ----
 inline constexpr uint16_t kEhdrSize = 64;
 inline constexpr uint16_t kPhdrSize = 56;

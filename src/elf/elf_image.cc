@@ -1,5 +1,7 @@
 #include "src/elf/elf_image.h"
 
+#include <algorithm>
+
 #include "src/util/strings.h"
 
 namespace lapis::elf {
@@ -18,7 +20,7 @@ Status ElfImage::ValidateLayout() const {
     if (segment.filesz > segment.memsz) {
       return CorruptDataError("segment filesz exceeds memsz");
     }
-    if (segment.offset + segment.filesz > file_.size()) {
+    if (!RangeWithin(segment.offset, segment.filesz, 0, file_.size())) {
       return CorruptDataError("segment extends past end of file");
     }
   }
@@ -27,8 +29,8 @@ Status ElfImage::ValidateLayout() const {
       continue;
     }
     const Segment* segment = LoadSegmentFor(section.addr);
-    if (segment == nullptr ||
-        !segment->ContainsVaddr(section.addr + section.size - 1)) {
+    if (segment == nullptr || !RangeWithin(section.addr, section.size,
+                                           segment->vaddr, segment->memsz)) {
       return CorruptDataError("allocated section '" + section.name +
                               "' is not covered by a LOAD segment");
     }
@@ -83,13 +85,14 @@ std::vector<std::string> ElfImage::ImportedSymbolNames() const {
   return out;
 }
 
-std::optional<std::string> ElfImage::ResolvePltCall(uint64_t vaddr) const {
-  for (const auto& entry : plt_entries_) {
-    if (entry.plt_vaddr == vaddr) {
-      return entry.symbol_name;
-    }
+std::optional<uint32_t> ElfImage::PltSymbolAt(uint64_t vaddr) const {
+  auto it = std::lower_bound(
+      plt_entries_.begin(), plt_entries_.end(), vaddr,
+      [](const PltEntry& entry, uint64_t v) { return entry.plt_vaddr < v; });
+  if (it == plt_entries_.end() || it->plt_vaddr != vaddr) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return it->symbol;
 }
 
 std::span<const uint8_t> ElfImage::DataAtVaddr(uint64_t vaddr,
@@ -98,7 +101,7 @@ std::span<const uint8_t> ElfImage::DataAtVaddr(uint64_t vaddr,
     if ((s.flags & kShfAlloc) == 0 || s.type == kShtNobits) {
       continue;
     }
-    if (vaddr >= s.addr && vaddr + size <= s.addr + s.size) {
+    if (RangeWithin(vaddr, size, s.addr, s.data.size())) {
       return s.data.subspan(vaddr - s.addr, size);
     }
   }
@@ -110,7 +113,7 @@ std::span<const uint8_t> ElfImage::SpanFrom(uint64_t vaddr) const {
     if ((s.flags & kShfAlloc) == 0 || s.type == kShtNobits) {
       continue;
     }
-    if (vaddr >= s.addr && vaddr < s.addr + s.size) {
+    if (vaddr >= s.addr && vaddr - s.addr < s.data.size()) {
       return s.data.subspan(vaddr - s.addr);
     }
   }
@@ -122,9 +125,9 @@ std::optional<std::string> ElfImage::CStringAtVaddr(uint64_t vaddr) const {
     if ((s.flags & kShfAlloc) == 0 || s.type == kShtNobits) {
       continue;
     }
-    if (vaddr >= s.addr && vaddr < s.addr + s.size) {
+    if (vaddr >= s.addr && vaddr - s.addr < s.data.size()) {
       uint64_t offset = vaddr - s.addr;
-      for (uint64_t i = offset; i < s.size; ++i) {
+      for (uint64_t i = offset; i < s.data.size(); ++i) {
         if (s.data[i] == 0) {
           return std::string(
               reinterpret_cast<const char*>(s.data.data() + offset),

@@ -44,11 +44,11 @@ struct Symbol {
   bool IsDefined() const { return shndx != kShnUndef; }
 };
 
-// Resolved PLT stub: a call to plt_vaddr is a call to `symbol_name` in some
-// DT_NEEDED library.
+// Resolved PLT stub: a call to plt_vaddr is a call to the import
+// dynsym()[symbol], defined in some DT_NEEDED library.
 struct PltEntry {
   uint64_t plt_vaddr = 0;
-  std::string symbol_name;
+  uint32_t symbol = 0;  // index into ElfImage::dynsym()
 };
 
 // Program header (loader view).
@@ -65,7 +65,7 @@ struct Segment {
   bool Executable() const { return (flags & kPfX) != 0; }
   bool Writable() const { return (flags & kPfW) != 0; }
   bool ContainsVaddr(uint64_t address) const {
-    return address >= vaddr && address < vaddr + memsz;
+    return address >= vaddr && address - vaddr < memsz;
   }
 };
 
@@ -108,10 +108,12 @@ class ElfImage {
   const std::vector<std::string>& needed() const { return needed_; }
   const std::string& soname() const { return soname_; }
 
-  // PLT resolution.
+  // PLT resolution: one entry per resolved stub, sorted by plt_vaddr.
   const std::vector<PltEntry>& plt_entries() const { return plt_entries_; }
-  // Returns the imported symbol a call to `vaddr` lands on, or nullopt.
-  std::optional<std::string> ResolvePltCall(uint64_t vaddr) const;
+  // The dynsym index of the import a call to `vaddr` lands on; nullopt
+  // unless `vaddr` starts a resolved PLT stub. A binary search, so the
+  // analyzer and the tracer ask once per call without copying a name.
+  std::optional<uint32_t> PltSymbolAt(uint64_t vaddr) const;
 
   // Address translation: bytes at a virtual address (within one section),
   // or empty span if unmapped.

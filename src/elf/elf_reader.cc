@@ -1,7 +1,8 @@
 #include "src/elf/elf_reader.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <map>
+#include <utility>
 
 #include "src/util/bytes.h"
 
@@ -149,7 +150,7 @@ Result<ElfImage> ElfReader::Parse(std::span<const uint8_t> bytes) {
     return CorruptDataError("e_shstrndx out of range");
   }
   const Shdr& shstr = shdrs[ehdr.e_shstrndx];
-  if (shstr.sh_offset + shstr.sh_size > file.size()) {
+  if (!RangeWithin(shstr.sh_offset, shstr.sh_size, 0, file.size())) {
     return CorruptDataError("shstrtab out of bounds");
   }
   ByteReader shstr_reader(file.subspan(shstr.sh_offset, shstr.sh_size));
@@ -166,7 +167,7 @@ Result<ElfImage> ElfReader::Parse(std::span<const uint8_t> bytes) {
     s.link = h.sh_link;
     s.entsize = h.sh_entsize;
     if (h.sh_type != kShtNull && h.sh_type != kShtNobits && h.sh_size > 0) {
-      if (h.sh_offset + h.sh_size > file.size()) {
+      if (!RangeWithin(h.sh_offset, h.sh_size, 0, file.size())) {
         return CorruptDataError("section '" + s.name + "' out of bounds");
       }
       s.data = file.subspan(h.sh_offset, h.sh_size);
@@ -209,25 +210,36 @@ Result<ElfImage> ElfReader::Parse(std::span<const uint8_t> bytes) {
   // ---- PLT resolution ----
   // Each PLT stub is 16 bytes starting with `ff 25 rel32` (jmp *[rip+disp]);
   // the GOT slot it dereferences carries an R_X86_64_JUMP_SLOT relocation
-  // naming the imported symbol.
+  // naming the imported symbol. Stubs map to dynsym indices once here, in
+  // vaddr order, so a call target is one binary search away from its import.
   const Section* plt = image.FindSection(".plt");
   const Section* relaplt = image.FindSection(".rela.plt");
   if (plt != nullptr && relaplt != nullptr && !image.dynsym_.empty()) {
-    // Map GOT slot vaddr -> dynsym index.
-    std::map<uint64_t, uint32_t> got_to_sym;
+    // (GOT slot vaddr, dynsym index), sorted by slot; of two relocations
+    // for one slot the later wins.
+    std::vector<std::pair<uint64_t, uint32_t>> got_slots;
     ByteReader rela_reader(relaplt->data);
     size_t rela_count = relaplt->data.size() / kRelaSize;
+    got_slots.reserve(rela_count);
     for (size_t i = 0; i < rela_count; ++i) {
       LAPIS_ASSIGN_OR_RETURN(uint64_t r_offset, rela_reader.ReadU64());
       LAPIS_ASSIGN_OR_RETURN(uint64_t r_info, rela_reader.ReadU64());
       LAPIS_ASSIGN_OR_RETURN(int64_t r_addend, rela_reader.ReadI64());
       (void)r_addend;
       if (RType(r_info) == kRX8664JumpSlot) {
-        got_to_sym[r_offset] = RSym(r_info);
+        got_slots.emplace_back(r_offset, RSym(r_info));
       }
     }
-    for (uint64_t off = 0; off + 6 <= plt->size; off += 16) {
-      const uint8_t* stub = plt->data.data() + off;
+    auto by_slot = [](const std::pair<uint64_t, uint32_t>& a,
+                      const std::pair<uint64_t, uint32_t>& b) {
+      return a.first < b.first;
+    };
+    if (!std::is_sorted(got_slots.begin(), got_slots.end(), by_slot)) {
+      std::stable_sort(got_slots.begin(), got_slots.end(), by_slot);
+    }
+    const std::span<const uint8_t> stubs = plt->data;
+    for (uint64_t off = 0; off + 6 <= stubs.size(); off += 16) {
+      const uint8_t* stub = stubs.data() + off;
       if (stub[0] != 0xff || stub[1] != 0x25) {
         continue;
       }
@@ -238,15 +250,26 @@ Result<ElfImage> ElfReader::Parse(std::span<const uint8_t> bytes) {
       uint64_t stub_vaddr = plt->addr + off;
       uint64_t got_vaddr = stub_vaddr + 6 + static_cast<uint64_t>(
           static_cast<int64_t>(disp));
-      auto it = got_to_sym.find(got_vaddr);
-      if (it == got_to_sym.end()) {
+      auto it = std::upper_bound(
+          got_slots.begin(), got_slots.end(), std::make_pair(got_vaddr, 0u),
+          by_slot);
+      if (it == got_slots.begin() || std::prev(it)->first != got_vaddr) {
         continue;
       }
-      if (it->second >= image.dynsym_.size()) {
+      const uint32_t symbol = std::prev(it)->second;
+      if (symbol >= image.dynsym_.size()) {
         return CorruptDataError("rela.plt symbol index out of range");
       }
-      image.plt_entries_.push_back(
-          PltEntry{stub_vaddr, image.dynsym_[it->second].name});
+      image.plt_entries_.push_back(PltEntry{stub_vaddr, symbol});
+    }
+    // Stub vaddrs ascend unless the section's address range wraps.
+    auto by_vaddr = [](const PltEntry& a, const PltEntry& b) {
+      return a.plt_vaddr < b.plt_vaddr;
+    };
+    if (!std::is_sorted(image.plt_entries_.begin(), image.plt_entries_.end(),
+                        by_vaddr)) {
+      std::sort(image.plt_entries_.begin(), image.plt_entries_.end(),
+                by_vaddr);
     }
   }
 

@@ -1,8 +1,9 @@
 // ELF64 (x86-64) parser.
 //
 // Parses headers, sections, symbol tables, the dynamic section, and resolves
-// PLT stubs to imported symbol names — everything the static analyzer needs.
+// PLT stubs to imported symbols — everything the static analyzer needs.
 // Robust against truncated or corrupt inputs: every access is bounds-checked
+// (with RangeWithin, which never computes an end that could wrap past 2^64)
 // and failures come back as Status.
 
 #ifndef LAPIS_SRC_ELF_ELF_READER_H_

@@ -134,11 +134,16 @@ Result<std::vector<uint8_t>> ByteReader::ReadBytes(size_t count) {
 }
 
 Result<std::string> ByteReader::ReadLengthPrefixedString() {
+  LAPIS_ASSIGN_OR_RETURN(std::string_view s, ReadLengthPrefixedView());
+  return std::string(s);
+}
+
+Result<std::string_view> ByteReader::ReadLengthPrefixedView() {
   LAPIS_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
   if (len > remaining()) {
     return CorruptDataError("string length exceeds buffer");
   }
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
+  std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_), len);
   pos_ += len;
   return s;
 }

@@ -69,6 +69,8 @@ class ByteReader {
   Result<int64_t> ReadI64();
   Result<std::vector<uint8_t>> ReadBytes(size_t count);
   Result<std::string> ReadLengthPrefixedString();
+  // The same string as a view into the buffer, valid while the buffer is.
+  Result<std::string_view> ReadLengthPrefixedView();
 
   // Reads a NUL-terminated string starting at absolute `offset` without
   // moving the cursor. Fails if no NUL before end of data.

@@ -51,7 +51,7 @@ TEST(BinaryAnalyzer, RecoversDirectSyscallNumbers) {
 
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
   auto reach = analysis.FromEntry();
-  EXPECT_EQ(reach.footprint.syscalls, (std::set<int>{0, 60}));
+  EXPECT_EQ(reach.footprint.syscalls, (SortedSet<int>{0, 60}));
   EXPECT_EQ(analysis.unknown_syscall_sites, 0);
   EXPECT_EQ(analysis.total_syscall_sites, 3);
 }
@@ -66,7 +66,7 @@ TEST(BinaryAnalyzer, MovRegRegPropagatesSyscallNumber) {
   uint32_t idx = builder.AddFunction(fn.Finish(false));
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  EXPECT_EQ(analysis.FromEntry().footprint.syscalls, (std::set<int>{39}));
+  EXPECT_EQ(analysis.FromEntry().footprint.syscalls, (SortedSet<int>{39}));
 }
 
 TEST(BinaryAnalyzer, ObfuscatedSiteCountsAsUnknown) {
@@ -102,9 +102,9 @@ TEST(BinaryAnalyzer, VectoredOpcodesDirectSyscall) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
   auto fp = analysis.FromEntry().footprint;
-  EXPECT_EQ(fp.ioctl_ops, (std::set<uint32_t>{0x5401}));
-  EXPECT_EQ(fp.fcntl_ops, (std::set<uint32_t>{3}));
-  EXPECT_EQ(fp.prctl_ops, (std::set<uint32_t>{15}));
+  EXPECT_EQ(fp.ioctl_ops, (SortedSet<uint32_t>{0x5401}));
+  EXPECT_EQ(fp.fcntl_ops, (SortedSet<uint32_t>{3}));
+  EXPECT_EQ(fp.prctl_ops, (SortedSet<uint32_t>{15}));
 }
 
 TEST(BinaryAnalyzer, VectoredOpcodeViaPltWrapper) {
@@ -123,10 +123,10 @@ TEST(BinaryAnalyzer, VectoredOpcodeViaPltWrapper) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
   auto reach = analysis.FromEntry();
-  EXPECT_EQ(reach.footprint.ioctl_ops, (std::set<uint32_t>{0x5413}));
-  EXPECT_EQ(reach.footprint.syscalls, (std::set<int>{318}));
+  EXPECT_EQ(reach.footprint.ioctl_ops, (SortedSet<uint32_t>{0x5413}));
+  EXPECT_EQ(reach.footprint.syscalls, (SortedSet<int>{318}));
   EXPECT_EQ(reach.plt_calls,
-            (std::set<std::string>{"ioctl", "syscall"}));
+            (SortedSet<std::string>{"ioctl", "syscall"}));
 }
 
 TEST(BinaryAnalyzer, UnknownOpcodeAfterClobber) {
@@ -167,7 +167,7 @@ TEST(BinaryAnalyzer, PseudoPathExtraction) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
   EXPECT_EQ(analysis.FromEntry().footprint.pseudo_paths,
-            (std::set<std::string>{"/dev/null", "/proc/%/cmdline"}));
+            (SortedSet<std::string>{"/dev/null", "/proc/%/cmdline"}));
 }
 
 TEST(BinaryAnalyzer, CallGraphReachability) {
@@ -191,7 +191,7 @@ TEST(BinaryAnalyzer, CallGraphReachability) {
 
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
   auto reach = analysis.FromEntry();
-  EXPECT_EQ(reach.footprint.syscalls, (std::set<int>{1}));
+  EXPECT_EQ(reach.footprint.syscalls, (SortedSet<int>{1}));
   EXPECT_EQ(reach.function_count, 2u);
 
   // Whole-binary roots find the dead helper too.
@@ -199,7 +199,7 @@ TEST(BinaryAnalyzer, CallGraphReachability) {
   ASSERT_NE(dead_fn, nullptr);
   auto all = analysis.Reachable(
       {analysis.entry(), dead_fn->vaddr});
-  EXPECT_EQ(all.footprint.syscalls, (std::set<int>{1, 2}));
+  EXPECT_EQ(all.footprint.syscalls, (SortedSet<int>{1, 2}));
 }
 
 TEST(BinaryAnalyzer, RecursionTerminates) {
@@ -221,7 +221,7 @@ TEST(BinaryAnalyzer, RecursionTerminates) {
   uint32_t start_idx = builder.AddFunction(start.Finish(false));
   ASSERT_TRUE(builder.SetEntryFunction(start_idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  EXPECT_EQ(analysis.FromEntry().footprint.syscalls, (std::set<int>{3}));
+  EXPECT_EQ(analysis.FromEntry().footprint.syscalls, (SortedSet<int>{3}));
 }
 
 TEST(BinaryAnalyzer, Int80Counted) {
@@ -237,7 +237,7 @@ TEST(BinaryAnalyzer, Int80Counted) {
   EXPECT_EQ(fp.int80_sites, 1);
   EXPECT_TRUE(fp.syscalls.empty());  // i386 numbers are not merged
   // ...but recorded separately with i386 numbering (4 = write).
-  EXPECT_EQ(fp.int80_syscalls, (std::set<int>{4}));
+  EXPECT_EQ(fp.int80_syscalls, (SortedSet<int>{4}));
 }
 
 TEST(BinaryAnalyzer, IndirectCallsCounted) {
@@ -311,7 +311,7 @@ TEST(BinaryAnalyzer, TailCallThroughPltIsAnImport) {
   auto image = Parse(builder.Build());
   BinaryAnalysis analysis = Analyze(image);
   EXPECT_EQ(analysis.FromEntry().plt_calls,
-            (std::set<std::string>{"getpid"}));
+            (SortedSet<std::string>{"getpid"}));
 }
 
 TEST(BinaryAnalyzer, C7FormMovFeedsSyscallNumber) {
@@ -326,7 +326,7 @@ TEST(BinaryAnalyzer, C7FormMovFeedsSyscallNumber) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   auto image = Parse(builder.Build());
   BinaryAnalysis analysis = Analyze(image);
-  EXPECT_EQ(analysis.FromEntry().footprint.syscalls, (std::set<int>{39}));
+  EXPECT_EQ(analysis.FromEntry().footprint.syscalls, (SortedSet<int>{39}));
 }
 
 TEST(BinaryAnalyzer, UndecodableFunctionMarkedIncomplete) {
@@ -380,7 +380,7 @@ TEST(BinaryAnalyzer, StateResetAfterUnconditionalJump) {
 
   BinaryAnalysis dataflow_analysis = Analyze(image);
   auto dataflow_fp = dataflow_analysis.FromEntry().footprint;
-  EXPECT_EQ(dataflow_fp.ioctl_ops, (std::set<uint32_t>{0x5401}));
+  EXPECT_EQ(dataflow_fp.ioctl_ops, (SortedSet<uint32_t>{0x5401}));
   EXPECT_EQ(dataflow_fp.unknown_opcode_sites, 0);
 }
 
@@ -431,7 +431,7 @@ TEST(BinaryAnalyzer, GuardedConstantSurvivesJoinOnlyWithDataflow) {
 
   BinaryAnalysis dataflow_analysis = Analyze(image);
   EXPECT_EQ(dataflow_analysis.FromEntry().footprint.syscalls,
-            (std::set<int>{39}));
+            (SortedSet<int>{39}));
   EXPECT_EQ(dataflow_analysis.unknown_syscall_sites, 0);
 
   BinaryAnalyzer::Options linear;
@@ -496,8 +496,8 @@ TEST(LibraryResolver, PerExportFootprints) {
   auto libc = MiniLibc();
   auto exports = libc->PerExportReachable();
   ASSERT_EQ(exports.size(), 3u);
-  EXPECT_EQ(exports.at("read").footprint.syscalls, (std::set<int>{0}));
-  EXPECT_EQ(exports.at("printf").footprint.syscalls, (std::set<int>{1}));
+  EXPECT_EQ(exports.at("read").footprint.syscalls, (SortedSet<int>{0}));
+  EXPECT_EQ(exports.at("printf").footprint.syscalls, (SortedSet<int>{1}));
 }
 
 TEST(LibraryResolver, ResolvesTwoHopImportChain) {
@@ -520,7 +520,7 @@ TEST(LibraryResolver, ResolvesTwoHopImportChain) {
 
   auto resolution = resolver.ResolveExecutable(exe.value());
   // util_log -> time(201); printf -> write(1). read is never pulled in.
-  EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{1, 201}));
+  EXPECT_EQ(resolution.footprint.syscalls, (SortedSet<int>{1, 201}));
   EXPECT_EQ(resolution.used_exports.at("libutil.so"),
             (std::set<std::string>{"util_log"}));
   EXPECT_EQ(resolution.used_exports.at("libmini.so"),
@@ -532,7 +532,7 @@ TEST(LibraryResolver, UnresolvedImportsReported) {
   LibraryResolver resolver;
   ASSERT_TRUE(resolver.AddLibrary(MiniLibc()).ok());
   auto resolution = resolver.ResolveFromSymbols({"printf", "nonexistent"});
-  EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{1}));
+  EXPECT_EQ(resolution.footprint.syscalls, (SortedSet<int>{1}));
   EXPECT_EQ(resolution.unresolved_imports,
             (std::set<std::string>{"nonexistent"}));
 }
@@ -542,7 +542,7 @@ TEST(LibraryResolver, WholeLibraryClosure) {
   ASSERT_TRUE(resolver.AddLibrary(MiniLibc()).ok());
   auto resolution = resolver.ResolveWholeLibrary("libmini.so");
   ASSERT_TRUE(resolution.ok());
-  EXPECT_EQ(resolution.value().footprint.syscalls, (std::set<int>{0, 1}));
+  EXPECT_EQ(resolution.value().footprint.syscalls, (SortedSet<int>{0, 1}));
   EXPECT_FALSE(resolver.ResolveWholeLibrary("libmissing.so").ok());
 }
 
@@ -625,7 +625,7 @@ TEST(LibraryResolver, ImportCycleAcrossLibrariesSharesFootprint) {
       resolver.AddLibrary(HopLib("libpong.so", "pong", 2, {"ping"})).ok());
   for (const char* root : {"ping", "pong"}) {
     auto resolution = resolver.ResolveFromSymbols({root});
-    EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{1, 2})) << root;
+    EXPECT_EQ(resolution.footprint.syscalls, (SortedSet<int>{1, 2})) << root;
     EXPECT_EQ(resolution.used_exports.size(), 2u) << root;
     EXPECT_EQ(resolution.reachable_function_count, 2u) << root;
     EXPECT_TRUE(resolution.unresolved_imports.empty()) << root;
@@ -641,7 +641,7 @@ TEST(LibraryResolver, DiamondImportsResolveEachExportOnce) {
       resolver.AddLibrary(HopLib("libright.so", "right", 11, {"base"})).ok());
   ASSERT_TRUE(resolver.AddLibrary(HopLib("libbase.so", "base", 12, {})).ok());
   auto resolution = resolver.ResolveExecutable(ExeCalling({"left", "right"}));
-  EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{10, 11, 12}));
+  EXPECT_EQ(resolution.footprint.syscalls, (SortedSet<int>{10, 11, 12}));
   EXPECT_EQ(resolution.used_exports.at("libbase.so"),
             (std::set<std::string>{"base"}));
   // _start plus one function per export; the shared base counts once.
@@ -655,7 +655,7 @@ TEST(LibraryResolver, SelfImportAndUnreachedLibrary) {
       resolver.AddLibrary(HopLib("libself.so", "again", 3, {"again"})).ok());
   ASSERT_TRUE(resolver.AddLibrary(HopLib("libidle.so", "idle", 99, {})).ok());
   auto resolution = resolver.ResolveExecutable(ExeCalling({"again"}));
-  EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{3}));
+  EXPECT_EQ(resolution.footprint.syscalls, (SortedSet<int>{3}));
   EXPECT_EQ(resolution.used_exports,
             (std::map<std::string, std::set<std::string>>{
                 {"libself.so", {"again"}}}));
@@ -685,7 +685,7 @@ TEST(LibraryResolver, DeepImportChainResolvesIteratively) {
                       Analyze(Parse(builder.Build()))))
                   .ok());
   auto resolution = resolver.ResolveExecutable(ExeCalling({"link_0"}));
-  EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{231}));
+  EXPECT_EQ(resolution.footprint.syscalls, (SortedSet<int>{231}));
   EXPECT_EQ(resolution.used_exports.at("libdeep.so").size(),
             static_cast<size_t>(kDepth));
   EXPECT_TRUE(resolution.unresolved_imports.empty());
@@ -699,7 +699,7 @@ TEST(LibraryResolver, FirstRegisteredExporterWins) {
   ASSERT_TRUE(resolver.AddLibrary(second).ok());
   EXPECT_EQ(resolver.ExporterOf("dup"), "libfirst.so");
   auto resolution = resolver.ResolveFromSymbols({"dup"});
-  EXPECT_EQ(resolution.footprint.syscalls, (std::set<int>{1}));
+  EXPECT_EQ(resolution.footprint.syscalls, (SortedSet<int>{1}));
   EXPECT_EQ(resolution.used_exports,
             (std::map<std::string, std::set<std::string>>{
                 {"libfirst.so", {"dup"}}}));
@@ -709,7 +709,7 @@ TEST(LibraryResolver, FirstRegisteredExporterWins) {
   ASSERT_TRUE(reversed.AddLibrary(first).ok());
   EXPECT_EQ(reversed.ExporterOf("dup"), "libsecond.so");
   EXPECT_EQ(reversed.ResolveFromSymbols({"dup"}).footprint.syscalls,
-            (std::set<int>{2}));
+            (SortedSet<int>{2}));
 }
 
 TEST(LibraryResolver, VectoredOpsAndPseudoPathsFlowThroughImports) {
@@ -741,11 +741,11 @@ TEST(LibraryResolver, VectoredOpsAndPseudoPathsFlowThroughImports) {
   ASSERT_TRUE(resolver.AddLibrary(HopLib("libopen.so", "open", 2, {})).ok());
   auto resolution = resolver.ResolveExecutable(ExeCalling({"tty_probe"}));
   const Footprint& fp = resolution.footprint;
-  EXPECT_EQ(fp.syscalls, (std::set<int>{2, 16, 72, 157}));
-  EXPECT_EQ(fp.ioctl_ops, (std::set<uint32_t>{0x5401}));
-  EXPECT_EQ(fp.fcntl_ops, (std::set<uint32_t>{3}));
-  EXPECT_EQ(fp.prctl_ops, (std::set<uint32_t>{15}));
-  EXPECT_EQ(fp.pseudo_paths, (std::set<std::string>{"/dev/tty"}));
+  EXPECT_EQ(fp.syscalls, (SortedSet<int>{2, 16, 72, 157}));
+  EXPECT_EQ(fp.ioctl_ops, (SortedSet<uint32_t>{0x5401}));
+  EXPECT_EQ(fp.fcntl_ops, (SortedSet<uint32_t>{3}));
+  EXPECT_EQ(fp.prctl_ops, (SortedSet<uint32_t>{15}));
+  EXPECT_EQ(fp.pseudo_paths, (SortedSet<std::string>{"/dev/tty"}));
   EXPECT_EQ(resolution.used_exports.at("libopen.so"),
             (std::set<std::string>{"open"}));
 }
@@ -809,7 +809,7 @@ TEST(Footprint, MergeAndCounts) {
   b.pseudo_paths = {"/dev/null"};
   b.unknown_syscall_sites = 2;
   a.MergeFrom(b);
-  EXPECT_EQ(a.syscalls, (std::set<int>{1, 2, 3}));
+  EXPECT_EQ(a.syscalls, (SortedSet<int>{1, 2, 3}));
   EXPECT_EQ(a.unknown_syscall_sites, 3);
   EXPECT_EQ(a.ApiCount(), 5u);
   EXPECT_FALSE(a.Empty());

@@ -74,7 +74,8 @@ TEST(BinarySynth, CoreLibrariesRegister) {
 TEST(BinarySynth, LibcStartupClosureIsExactlyTheStartupSet) {
   auto resolution =
       Fixture().resolver.ResolveFromSymbols({"__libc_start_main"});
-  std::set<int> expected(StartupSyscalls().begin(), StartupSyscalls().end());
+  SortedSet<int> expected;
+  expected.insert(StartupSyscalls().begin(), StartupSyscalls().end());
   EXPECT_EQ(resolution.footprint.syscalls, expected);
   // The startup path stays clear of vectored operations: those belong to
   // the packages that request them.
@@ -84,7 +85,7 @@ TEST(BinarySynth, LibcStartupClosureIsExactlyTheStartupSet) {
 TEST(BinarySynth, WrapperFootprintIsItsSyscall) {
   for (const char* name : {"openat", "seccomp", "mount", "epoll_wait"}) {
     auto resolution = Fixture().resolver.ResolveFromSymbols({name});
-    std::set<int> expected = {*SyscallNumber(name)};
+    SortedSet<int> expected = {*SyscallNumber(name)};
     EXPECT_EQ(resolution.footprint.syscalls, expected) << name;
   }
 }
@@ -157,7 +158,8 @@ Footprint ReferenceClosure(
     for (uint64_t callee : fn->local_callees) {
       queue.emplace_back(binary, callee);
     }
-    for (const std::string& symbol : fn->plt_calls) {
+    for (uint32_t import : fn->plt_calls) {
+      const std::string_view symbol = binary->imports()[import];
       for (const auto& library : libraries) {
         const auto& exports = library->exports();
         const FunctionInfo* target = library->FunctionNamed(symbol);

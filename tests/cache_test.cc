@@ -75,6 +75,11 @@ void ExpectAnalysesEqual(const analysis::BinaryAnalysis& a,
   EXPECT_EQ(a.entry(), b.entry());
   EXPECT_EQ(a.total_syscall_sites, b.total_syscall_sites);
   EXPECT_EQ(a.unknown_syscall_sites, b.unknown_syscall_sites);
+  ASSERT_EQ(a.imports().size(), b.imports().size());
+  for (size_t i = 0; i < a.imports().size(); ++i) {
+    EXPECT_EQ(a.imports()[i], b.imports()[i]);
+  }
+  EXPECT_TRUE(a.imports() == b.imports());
   ASSERT_EQ(a.functions().size(), b.functions().size());
   for (size_t i = 0; i < a.functions().size(); ++i) {
     const auto& fa = a.functions()[i];
@@ -178,6 +183,72 @@ TEST(AnalysisCodec, BinaryAnalysisRoundtrip) {
     EXPECT_EQ(a.plt_calls, b.plt_calls);
     EXPECT_EQ(a.function_count, b.function_count);
   }
+}
+
+// The codec's bytes for a fixed corpus sample, pinned by FNV-1a digest:
+// the core libraries and every 15th ELF package's binaries (dataflow and
+// ipa tiers), libc's export reach, and the sample executables'
+// resolutions. The digests were taken from the set-based analyses the
+// flat ones replaced, so cache entries written by either decode as the
+// same analyses; a change here orphans every cached entry and must come
+// with a kCacheSchemaVersion bump. Each analysis also survives a
+// decode field by field.
+TEST(AnalysisCodec, BytesMatchPinnedDigests) {
+  analysis::AnalyzerOptions ipa_options;
+  ipa_options.use_ipa = true;
+  ByteWriter analyses;
+  ByteWriter reach;
+  ByteWriter resolutions;
+  auto encode = [&](const analysis::BinaryAnalysis& analyzed) {
+    ByteWriter alone;
+    AnalysisCodec::Encode(analyzed, alone);
+    AnalysisCodec::Encode(analyzed, analyses);
+    ByteReader reader(alone.bytes());
+    auto decoded = AnalysisCodec::Decode(reader);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ExpectAnalysesEqual(analyzed, decoded.value());
+  };
+  analysis::LibraryResolver resolver;
+  std::vector<analysis::BinaryAnalysis> executables;
+  auto analyze = [&](const corpus::SynthesizedBinary& binary) {
+    auto image = elf::ElfReader::Parse(binary.bytes).take();
+    auto analyzed = analysis::BinaryAnalyzer::Analyze(image).take();
+    encode(analyzed);
+    encode(analysis::BinaryAnalyzer::Analyze(image, ipa_options).take());
+    if (binary.name == corpus::kLibcSoname) {
+      AnalysisCodec::EncodeExportReach(analyzed.PerExportReachable(), reach);
+    }
+    if (binary.is_library) {
+      ASSERT_TRUE(resolver
+                      .AddLibrary(std::make_shared<analysis::BinaryAnalysis>(
+                          std::move(analyzed)))
+                      .ok());
+    } else {
+      executables.push_back(std::move(analyzed));
+    }
+  };
+  for (const auto& lib : CoreLibs()) {
+    analyze(lib);
+  }
+  corpus::DistroSynthesizer synthesizer(Spec());
+  for (size_t pkg = 0; pkg < Spec().packages.size(); pkg += 15) {
+    const auto& plan = Spec().packages[pkg];
+    if (plan.data_only || !plan.interpreter_package.empty()) {
+      continue;
+    }
+    for (const auto& binary : synthesizer.PackageBinaries(pkg).take()) {
+      analyze(binary);
+    }
+  }
+  for (const auto& exe : executables) {
+    AnalysisCodec::EncodeResolution(resolver.ResolveExecutable(exe),
+                                    resolutions);
+  }
+  EXPECT_EQ(executables.size(), 36u);
+  EXPECT_EQ(analyses.bytes().size(), 356170u);
+  EXPECT_EQ(cache::HashBytes(analyses.bytes()), 0x43afb957c6b1e561u);
+  EXPECT_EQ(cache::HashBytes(reach.bytes()), 0x4febbb1901f18e08u);
+  EXPECT_EQ(cache::HashBytes(resolutions.bytes()), 0x4bb3487ca404a809u);
 }
 
 TEST(AnalysisCodec, ExportReachRoundtrip) {

@@ -45,7 +45,7 @@ TEST(DynamicTracer, ExecutesInlineSyscalls) {
   DynamicTracer tracer;
   auto trace = tracer.Trace(*image);
   ASSERT_TRUE(trace.ok()) << trace.status().ToString();
-  EXPECT_EQ(trace.value().observed.syscalls, (std::set<int>{39, 60}));
+  EXPECT_EQ(trace.value().observed.syscalls, (SortedSet<int>{39, 60}));
   EXPECT_FALSE(trace.value().hit_step_limit);
   EXPECT_GE(trace.value().instructions_executed, 5u);
 }
@@ -70,7 +70,7 @@ TEST(DynamicTracer, SyscallClobbersRax) {
   // observes read(0) -- matching what a real kernel+strace would see for a
   // getpid returning... nothing; the important property is no crash and
   // deterministic, recorded behaviour.
-  EXPECT_TRUE(trace.value().observed.syscalls.count(39));
+  EXPECT_TRUE(trace.value().observed.syscalls.contains(39));
 }
 
 TEST(DynamicTracer, FollowsLocalCalls) {
@@ -90,7 +90,7 @@ TEST(DynamicTracer, FollowsLocalCalls) {
   DynamicTracer tracer;
   auto trace = tracer.Trace(*image);
   ASSERT_TRUE(trace.ok());
-  EXPECT_EQ(trace.value().observed.syscalls, (std::set<int>{12}));
+  EXPECT_EQ(trace.value().observed.syscalls, (SortedSet<int>{12}));
   EXPECT_EQ(trace.value().calls_followed, 2u);
 }
 
@@ -121,8 +121,8 @@ TEST(DynamicTracer, CrossLibraryCallCarriesArguments) {
   ASSERT_TRUE(tracer.AddLibrary(lib).ok());
   auto trace = tracer.Trace(*exe);
   ASSERT_TRUE(trace.ok());
-  EXPECT_EQ(trace.value().observed.syscalls, (std::set<int>{16}));
-  EXPECT_EQ(trace.value().observed.ioctl_ops, (std::set<uint32_t>{0x5401}));
+  EXPECT_EQ(trace.value().observed.syscalls, (SortedSet<int>{16}));
+  EXPECT_EQ(trace.value().observed.ioctl_ops, (SortedSet<uint32_t>{0x5401}));
   EXPECT_TRUE(trace.value().stubbed_imports.empty());
 }
 
@@ -143,7 +143,7 @@ TEST(DynamicTracer, StubsUnresolvedImports) {
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace.value().stubbed_imports,
             (std::set<std::string>{"mystery_function"}));
-  EXPECT_EQ(trace.value().observed.syscalls, (std::set<int>{60}));
+  EXPECT_EQ(trace.value().observed.syscalls, (SortedSet<int>{60}));
 }
 
 TEST(DynamicTracer, RecordsPseudoPathAtUse) {
@@ -161,7 +161,7 @@ TEST(DynamicTracer, RecordsPseudoPathAtUse) {
   auto trace = tracer.Trace(*image);
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace.value().observed.pseudo_paths,
-            (std::set<std::string>{"/proc/meminfo"}));
+            (SortedSet<std::string>{"/proc/meminfo"}));
 }
 
 TEST(DynamicTracer, ObfuscatedNumberStaysUnknown) {
@@ -266,17 +266,17 @@ TEST_P(StraceCrossCheck, DynamicIsSubsetOfStatic) {
     // the tracer here, so their imports are stubbed; stubbed wrapper
     // semantics still only produce statically-known facts.)
     for (int nr : dynamic_fp.syscalls) {
-      EXPECT_TRUE(static_fp.syscalls.count(nr))
+      EXPECT_TRUE(static_fp.syscalls.contains(nr))
           << binary.name << " dynamic-only syscall " << nr;
     }
     for (uint32_t op : dynamic_fp.ioctl_ops) {
-      EXPECT_TRUE(static_fp.ioctl_ops.count(op)) << binary.name;
+      EXPECT_TRUE(static_fp.ioctl_ops.contains(op)) << binary.name;
     }
     for (uint32_t op : dynamic_fp.prctl_ops) {
-      EXPECT_TRUE(static_fp.prctl_ops.count(op)) << binary.name;
+      EXPECT_TRUE(static_fp.prctl_ops.contains(op)) << binary.name;
     }
     for (const auto& path : dynamic_fp.pseudo_paths) {
-      EXPECT_TRUE(static_fp.pseudo_paths.count(path)) << binary.name;
+      EXPECT_TRUE(static_fp.pseudo_paths.contains(path)) << binary.name;
     }
   }
 }

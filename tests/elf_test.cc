@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "src/corpus/binary_synth.h"
+#include "src/corpus/distro_spec.h"
+#include "src/disasm/decoder.h"
 #include "src/elf/elf_builder.h"
 #include "src/elf/elf_defs.h"
 #include "src/elf/elf_reader.h"
+#include "src/util/bytes.h"
 
 namespace lapis::elf {
 namespace {
@@ -58,10 +66,10 @@ TEST(ElfBuilder, NeededLibraries) {
 TEST(ElfBuilder, PltResolvesToImportedSymbol) {
   ElfImage image = BuildSimpleExecutable();
   ASSERT_EQ(image.plt_entries().size(), 1u);
-  EXPECT_EQ(image.plt_entries()[0].symbol_name, "read");
-  EXPECT_EQ(image.ResolvePltCall(image.plt_entries()[0].plt_vaddr).value(),
-            "read");
-  EXPECT_FALSE(image.ResolvePltCall(0x1).has_value());
+  const uint32_t symbol = image.plt_entries()[0].symbol;
+  EXPECT_EQ(image.dynsym()[symbol].name, "read");
+  EXPECT_EQ(image.PltSymbolAt(image.plt_entries()[0].plt_vaddr), symbol);
+  EXPECT_FALSE(image.PltSymbolAt(0x1).has_value());
 }
 
 TEST(ElfBuilder, CallDisplacementPointsAtPlt) {
@@ -293,6 +301,103 @@ TEST(ElfReader, DataAtVaddrBounds) {
   EXPECT_FALSE(image.DataAtVaddr(text->addr, text->size + 1).size() > 0);
   EXPECT_EQ(image.DataAtVaddr(text->addr, text->size).size(), text->size);
   EXPECT_TRUE(image.DataAtVaddr(0xffff0000, 1).empty());
+}
+
+// The linear PLT resolution the slot index replaced, re-derived from the
+// raw sections: find the stub at `vaddr`, then the last JUMP_SLOT
+// relocation of the GOT slot it jumps through.
+std::optional<std::string> LinearPltCall(const ElfImage& image,
+                                         uint64_t vaddr) {
+  const Section* plt = image.FindSection(".plt");
+  const Section* rela = image.FindSection(".rela.plt");
+  if (plt == nullptr || rela == nullptr || vaddr < plt->addr) {
+    return std::nullopt;
+  }
+  const uint64_t off = vaddr - plt->addr;
+  if (off % 16 != 0 || off + 6 > plt->data.size() ||
+      plt->data[off] != 0xff || plt->data[off + 1] != 0x25) {
+    return std::nullopt;
+  }
+  int32_t disp = 0;
+  for (int b = 3; b >= 0; --b) {
+    disp = static_cast<int32_t>(static_cast<uint32_t>(disp) << 8 |
+                                plt->data[off + 2 + static_cast<size_t>(b)]);
+  }
+  const uint64_t got = vaddr + 6 + static_cast<uint64_t>(int64_t{disp});
+  std::optional<std::string> name;
+  ByteReader reader(rela->data);
+  for (size_t i = 0; i < rela->data.size() / kRelaSize; ++i) {
+    const uint64_t r_offset = reader.ReadU64().value();
+    const uint64_t r_info = reader.ReadU64().value();
+    (void)reader.ReadU64();
+    if (RType(r_info) == kRX8664JumpSlot && r_offset == got) {
+      name = image.dynsym().at(RSym(r_info)).name;
+    }
+  }
+  return name;
+}
+
+TEST(ElfReader, PltSymbolAtMatchesLinearStubScan) {
+  corpus::DistroOptions options;
+  options.app_package_count = 300;
+  options.script_package_count = 30;
+  options.data_package_count = 6;
+  const corpus::DistroSpec spec = corpus::BuildDistroSpec(options).take();
+  const corpus::DistroSynthesizer synthesizer(spec);
+  std::vector<corpus::SynthesizedBinary> sample =
+      synthesizer.CoreLibraries().take();
+  for (size_t pkg = 0; pkg < spec.packages.size(); pkg += 15) {
+    if (!spec.packages[pkg].data_only &&
+        spec.packages[pkg].interpreter_package.empty()) {
+      for (auto& binary : synthesizer.PackageBinaries(pkg).take()) {
+        sample.push_back(std::move(binary));
+      }
+    }
+  }
+  size_t targets = 0;
+  size_t stub_calls = 0;
+  for (const auto& binary : sample) {
+    const ElfImage image = ElfReader::Parse(binary.bytes).take();
+    auto check = [&](uint64_t target) {
+      ++targets;
+      const std::optional<uint32_t> symbol = image.PltSymbolAt(target);
+      const std::optional<std::string> linear = LinearPltCall(image, target);
+      ASSERT_EQ(symbol.has_value(), linear.has_value())
+          << binary.name << " @" << target;
+      if (symbol.has_value()) {
+        ++stub_calls;
+        EXPECT_EQ(image.dynsym()[*symbol].name, *linear) << binary.name;
+      }
+    };
+    // Every call and jump target in the code, and every stub's own jump.
+    for (const Section& section : image.sections()) {
+      if ((section.flags & kShfExecinstr) == 0) {
+        continue;
+      }
+      for (const disasm::Insn& insn :
+           disasm::LinearSweep(section.data, section.addr).insns) {
+        if (insn.kind == disasm::InsnKind::kCallRel32 ||
+            insn.kind == disasm::InsnKind::kJmpRel) {
+          check(insn.target);
+        } else if (insn.kind == disasm::InsnKind::kJmpIndirect) {
+          check(insn.vaddr);
+        }
+      }
+    }
+    // Addresses that are no stub start.
+    for (const auto* fn : image.DefinedFunctions()) {
+      EXPECT_FALSE(image.PltSymbolAt(fn->value).has_value()) << fn->name;
+    }
+    for (const PltEntry& entry : image.plt_entries()) {
+      for (uint64_t inside : {entry.plt_vaddr + 1, entry.plt_vaddr + 6,
+                              entry.plt_vaddr + 15}) {
+        EXPECT_FALSE(image.PltSymbolAt(inside).has_value()) << binary.name;
+      }
+    }
+    EXPECT_FALSE(image.PltSymbolAt(0).has_value());
+  }
+  EXPECT_GT(stub_calls, sample.size());
+  EXPECT_GT(targets, stub_calls);
 }
 
 }  // namespace

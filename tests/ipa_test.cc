@@ -65,12 +65,12 @@ TEST(Ipa, SingleHopWrapperRecoveredOnlyByIpa) {
   EXPECT_EQ(dataflow.unknown_syscall_sites, 1);
 
   BinaryAnalysis ipa = AnalyzeWith(image, /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (std::set<int>{39}));
+  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (SortedSet<int>{39}));
   EXPECT_EQ(ipa.total_syscall_sites, 1);
   EXPECT_EQ(ipa.unknown_syscall_sites, 0);
   // The constant is attributed to the call site's owner, not the wrapper.
   EXPECT_EQ(ipa.FunctionNamed("_start")->local.syscalls,
-            (std::set<int>{39}));
+            (SortedSet<int>{39}));
   EXPECT_TRUE(ipa.FunctionNamed("my_syscall")->local.syscalls.empty());
 }
 
@@ -92,7 +92,7 @@ TEST(Ipa, MultipleCallSitesEachContributeTheirConstant) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
 
   BinaryAnalysis ipa = AnalyzeWith(Parse(builder.Build()), /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (std::set<int>{0, 1}));
+  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (SortedSet<int>{0, 1}));
   EXPECT_EQ(ipa.unknown_syscall_sites, 0);
 }
 
@@ -117,7 +117,7 @@ TEST(Ipa, TailForwardedPltSyscallRecovered) {
   EXPECT_EQ(dataflow.unknown_syscall_sites, 1);
 
   BinaryAnalysis ipa = AnalyzeWith(image, /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (std::set<int>{2}));
+  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (SortedSet<int>{2}));
   EXPECT_EQ(ipa.unknown_syscall_sites, 0);
 }
 
@@ -152,7 +152,7 @@ TEST(Ipa, TwoHopIoctlOpcodeRecovered) {
 
   BinaryAnalysis ipa = AnalyzeWith(image, /*use_ipa=*/true);
   EXPECT_EQ(ipa.FromEntry().footprint.ioctl_ops,
-            (std::set<uint32_t>{0x5401}));
+            (SortedSet<uint32_t>{0x5401}));
   EXPECT_EQ(ipa.FromEntry().footprint.unknown_opcode_sites, 0);
 }
 
@@ -181,7 +181,7 @@ TEST(Ipa, GuardedWrapperNeedsCfgJoinAndIpa) {
   EXPECT_EQ(dataflow.unknown_syscall_sites, 1);
 
   BinaryAnalysis ipa = AnalyzeWith(image, /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (std::set<int>{60}));
+  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (SortedSet<int>{60}));
   EXPECT_EQ(ipa.unknown_syscall_sites, 0);
 }
 
@@ -265,7 +265,7 @@ TEST(Ipa, DepthBoundCutsLongChains) {
   ElfImage image = TwoHopNumberImage();
 
   BinaryAnalysis deep = AnalyzeWith(image, /*use_ipa=*/true, /*max_depth=*/4);
-  EXPECT_EQ(deep.FromEntry().footprint.syscalls, (std::set<int>{39}));
+  EXPECT_EQ(deep.FromEntry().footprint.syscalls, (SortedSet<int>{39}));
   EXPECT_EQ(deep.unknown_syscall_sites, 0);
 
   // max_depth=0 forbids the re-exposure hop through `forward`.
@@ -293,7 +293,7 @@ TEST(Ipa, ExportedWrapperStaysUnknownButLocalCallerResolves) {
   builder.AddFunction(user.Finish(true));
 
   BinaryAnalysis ipa = AnalyzeWith(Parse(builder.Build()), /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FunctionNamed("user")->local.syscalls, (std::set<int>{1}));
+  EXPECT_EQ(ipa.FunctionNamed("user")->local.syscalls, (SortedSet<int>{1}));
   EXPECT_EQ(ipa.unknown_syscall_sites, 1);
 }
 

@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/binary_analyzer.h"
 #include "src/corpus/distro_spec.h"
 #include "src/corpus/study_runner.h"
 #include "src/corpus/syscall_table.h"
 #include "src/disasm/decoder.h"
 #include "src/elf/elf_builder.h"
 #include "src/elf/elf_reader.h"
+#include "src/util/bytes.h"
 #include "src/util/prng.h"
 
 namespace lapis {
@@ -107,6 +109,84 @@ TEST(ElfRobustness, HeaderFieldFuzzNeverCrashes) {
     auto parsed = elf::ElfReader::Parse(mutated);
     (void)parsed.ok();
   }
+}
+
+uint64_t ReadU64At(const std::vector<uint8_t>& bytes, size_t offset) {
+  ByteReader reader(bytes);
+  EXPECT_TRUE(reader.Seek(offset).ok());
+  return reader.ReadU64().value();
+}
+
+void WriteU64At(std::vector<uint8_t>& bytes, size_t offset, uint64_t value) {
+  for (size_t i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
+// A section (or segment) whose offset + size wraps past 2^64 must not pass
+// as lying inside the file.
+TEST(ElfRobustness, WrappedSectionRangeIsCorrupt) {
+  const std::vector<uint8_t> base = ValidElf();
+  const elf::ElfImage image = elf::ElfReader::Parse(base).take();
+  const size_t shoff = ReadU64At(base, 0x28);
+  size_t wrapping = 0;
+  for (size_t i = 0; i < image.sections().size(); ++i) {
+    const elf::Section& section = image.sections()[i];
+    if (section.type == elf::kShtNull || section.type == elf::kShtNobits ||
+        section.size == 0) {
+      continue;
+    }
+    std::vector<uint8_t> mutated = base;
+    WriteU64At(mutated, shoff + i * 64 + 24, ~uint64_t{0} - 7);  // sh_offset
+    wrapping += section.size >= 8 ? 1 : 0;
+    auto parsed = elf::ElfReader::Parse(mutated);
+    ASSERT_FALSE(parsed.ok()) << section.name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruptData)
+        << section.name;
+  }
+  EXPECT_GT(wrapping, 3u);
+
+  const size_t phoff = ReadU64At(base, 0x20);
+  size_t loads = 0;
+  for (size_t i = 0; i < image.segments().size(); ++i) {
+    if (!image.segments()[i].IsLoad() || image.segments()[i].filesz < 8) {
+      continue;
+    }
+    ++loads;
+    std::vector<uint8_t> mutated = base;
+    WriteU64At(mutated, phoff + i * 56 + 8, ~uint64_t{0} - 7);  // p_offset
+    auto parsed = elf::ElfReader::Parse(mutated);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value().ValidateLayout().code(),
+              StatusCode::kCorruptData);
+  }
+  EXPECT_GT(loads, 0u);
+}
+
+// A function symbol whose size wraps its end past 2^64 gets no body: the
+// analyzer records it as undecoded instead of sweeping outside the file.
+TEST(ElfRobustness, WrappedSymbolSizeGivesNoBody) {
+  std::vector<uint8_t> bytes = ValidElf();
+  const elf::ElfImage image = elf::ElfReader::Parse(bytes).take();
+  const elf::Section* symtab = image.FindSection(".symtab");
+  ASSERT_NE(symtab, nullptr);
+  size_t start = image.symtab().size();
+  for (size_t i = 0; i < image.symtab().size(); ++i) {
+    if (image.symtab()[i].name == "_start") {
+      start = i;
+    }
+  }
+  ASSERT_LT(start, image.symtab().size());
+  WriteU64At(bytes, symtab->offset + start * elf::kSymSize + 16,
+             ~uint64_t{0} - 1);  // st_size
+  const elf::ElfImage wrapped = elf::ElfReader::Parse(bytes).take();
+  const elf::Symbol& sym = wrapped.symtab()[start];
+  EXPECT_TRUE(wrapped.DataAtVaddr(sym.value, sym.size).empty());
+  auto analysis = analysis::BinaryAnalyzer::Analyze(wrapped);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  const analysis::FunctionInfo* fn = analysis.value().FunctionNamed("_start");
+  ASSERT_NE(fn, nullptr);
+  EXPECT_FALSE(fn->decode_complete);
 }
 
 // ---------------- Corpus determinism & scale (parameterized) ----------------

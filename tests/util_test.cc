@@ -5,7 +5,9 @@
 #include <sstream>
 
 #include "src/util/bytes.h"
+#include "src/util/packed_strings.h"
 #include "src/util/prng.h"
+#include "src/util/sorted_set.h"
 #include "src/util/status.h"
 #include "src/util/strings.h"
 #include "src/util/table_writer.h"
@@ -307,6 +309,95 @@ TEST(TableWriter, ShortRowsArePadded) {
   std::ostringstream os;
   t.Print(os);  // must not crash; missing cells render empty
   EXPECT_NE(os.str().find("only"), std::string::npos);
+}
+
+// ---------------- SortedSet / PackedStrings ----------------
+
+std::vector<int> Values(const SortedSet<int>& set) {
+  return std::vector<int>(set.begin(), set.end());
+}
+
+TEST(SortedSet, ContentIsIndependentOfInsertOrder) {
+  std::vector<int> values = {5, -3, 9, 0, 5, 12, -3, 7, 1, 9};
+  std::set<int> reference(values.begin(), values.end());
+  Prng prng(17);
+  for (int round = 0; round < 20; ++round) {
+    prng.Shuffle(values);
+    SortedSet<int> set;
+    size_t added = 0;
+    for (int v : values) {
+      added += set.insert(v) ? 1 : 0;
+    }
+    EXPECT_EQ(added, reference.size());
+    EXPECT_EQ(Values(set), std::vector<int>(reference.begin(), reference.end()));
+    EXPECT_EQ(set.size(), reference.size());
+    for (int v = -5; v <= 14; ++v) {
+      EXPECT_EQ(set.contains(v), reference.contains(v)) << v;
+    }
+  }
+  EXPECT_TRUE(SortedSet<int>().empty());
+  EXPECT_EQ(Values(SortedSet<int>{3, 1, 3, 2}), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SortedSet, HintedInsertKeepsOrderWhateverTheHint) {
+  SortedSet<int> set;
+  for (int v : {1, 2, 2, 4}) {
+    set.insert(set.end(), v);  // ascending appends, one duplicate
+  }
+  EXPECT_EQ(Values(set), (std::vector<int>{1, 2, 4}));
+  set.insert(set.end(), 3);    // wrong hint: lands before 4 anyway
+  set.insert(set.begin(), 0);  // right hint
+  set.insert(set.begin(), 4);  // wrong hint, already present
+  set.insert(set.begin() + 1, 9);
+  EXPECT_EQ(Values(set), (std::vector<int>{0, 1, 2, 3, 4, 9}));
+}
+
+TEST(SortedSet, RangeInsertMergesAndDeduplicates) {
+  SortedSet<int> set = {2, 4, 6};
+  std::vector<int> unsorted = {7, 4, 1, 7, 3, 2};
+  set.insert(unsorted.begin(), unsorted.end());
+  EXPECT_EQ(Values(set), (std::vector<int>{1, 2, 3, 4, 6, 7}));
+  const SortedSet<int> other = {0, 6, 8};
+  set.insert(other.begin(), other.end());
+  EXPECT_EQ(Values(set), (std::vector<int>{0, 1, 2, 3, 4, 6, 7, 8}));
+  set.insert(other.begin(), other.end());  // all duplicates
+  set.insert(unsorted.end(), unsorted.end());  // empty range
+  EXPECT_EQ(set.size(), 8u);
+
+  SortedSet<std::string> names;
+  std::vector<std::string> batch = {"open", "close", "open", "dup"};
+  names.insert(batch.begin(), batch.end());
+  names.insert(batch.begin(), batch.end());
+  EXPECT_EQ(std::vector<std::string>(names.begin(), names.end()),
+            (std::vector<std::string>{"close", "dup", "open"}));
+}
+
+TEST(SortedSet, EraseAndEquality) {
+  SortedSet<int> set = {1, 2, 3};
+  EXPECT_EQ(set.erase(2), 1u);
+  EXPECT_EQ(set.erase(2), 0u);
+  EXPECT_EQ(set.erase(7), 0u);
+  EXPECT_EQ(Values(set), (std::vector<int>{1, 3}));
+  EXPECT_TRUE(set == (SortedSet<int>{3, 1}));
+  EXPECT_FALSE(set == (SortedSet<int>{1, 2, 3}));
+  EXPECT_FALSE(set == SortedSet<int>());
+  EXPECT_EQ(set.erase(1) + set.erase(3), 2u);
+  EXPECT_TRUE(set.empty());
+  EXPECT_TRUE(set == SortedSet<int>());
+}
+
+TEST(PackedStrings, StoresEachStringInOrder) {
+  std::vector<std::string_view> names = {"", "ioctl", "a", "__libc_start_main"};
+  PackedStrings packed(names);
+  ASSERT_EQ(packed.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(packed[i], names[i]) << i;
+  }
+  EXPECT_TRUE(packed == PackedStrings(names));
+  // Same characters, different split: not equal.
+  std::vector<std::string_view> resplit = {"", "ioc", "tla", "__libc_start_main"};
+  EXPECT_FALSE(packed == PackedStrings(resplit));
+  EXPECT_TRUE(PackedStrings().empty());
 }
 
 }  // namespace
