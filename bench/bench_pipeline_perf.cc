@@ -273,13 +273,13 @@ void AppendRun(std::ostringstream& os, const char* label,
       "      \"pipeline_cpu_s\": %.3f,\n"
       "      \"cache\": { \"hits\": %" PRIu64 ", \"lookups\": %" PRIu64
       ", \"hit_rate\": %.4f, \"analyses_restored\": %zu, "
-      "\"analyzed_binaries\": %zu, \"resolutions_restored\": %zu, "
-      "\"kib_read\": %" PRIu64 ", \"kib_written\": %" PRIu64 " },\n",
+      "\"analyzed_binaries\": %zu, \"kib_read\": %" PRIu64
+      ", \"kib_written\": %" PRIu64 " },\n",
       label, run.wall_seconds, run.result.pipeline_stats.TotalWallSeconds(),
       run.result.pipeline_stats.TotalCpuSeconds(), cs.hits, cs.Lookups(),
       cs.HitRate(), run.result.analyses_from_cache,
-      run.result.analyzed_binaries, run.result.resolutions_from_cache,
-      cs.bytes_read / 1024, cs.bytes_written / 1024);
+      run.result.analyzed_binaries, cs.bytes_read / 1024,
+      cs.bytes_written / 1024);
   os << buf;
   AppendStages(os, run.result);
   os << "\n    }";
@@ -343,9 +343,9 @@ int WriteColdWarmJson() {
   os << "  \"description\": \"Cold-vs-warm RunStudy pair sharing one "
         "content-addressed footprint cache (src/cache), emitted by "
         "bench_pipeline_perf at startup. Warm runs skip the per-binary "
-        "analysis chain (ELF parse, linear sweep, CFG, dataflow), the "
-        "per-library export reachability, the per-executable resolution, "
-        "and the popcon survey; exports are byte-identical cold vs. "
+        "analysis chain (ELF parse, linear sweep, CFG, dataflow) and the "
+        "popcon survey, and rebuild library reach and resolutions from "
+        "the restored analyses; exports are byte-identical cold vs. "
         "warm.\",\n";
   os << bench::HostJson();
   char buf[512];

@@ -35,15 +35,6 @@ Status LibraryResolver::AddLibrary(
   if (library == nullptr) {
     return InvalidArgumentError("null library");
   }
-  ExportReach reach = library->PerExportReachable(executor_);
-  return AddLibrary(std::move(library), std::move(reach));
-}
-
-Status LibraryResolver::AddLibrary(std::shared_ptr<const BinaryAnalysis> library,
-                                   ExportReach export_reach) {
-  if (library == nullptr) {
-    return InvalidArgumentError("null library");
-  }
   const std::string& soname = library->soname();
   if (soname.empty()) {
     return InvalidArgumentError("library has no soname");
@@ -52,7 +43,7 @@ Status LibraryResolver::AddLibrary(std::shared_ptr<const BinaryAnalysis> library
     return FailedPreconditionError("library already registered: " + soname);
   }
   const uint32_t library_index = libraries_.Intern(soname);
-  for (const auto& [symbol, reach] : export_reach) {
+  for (const auto& [symbol, reach] : library->PerExportReachable(executor_)) {
     ExportRef ref;
     ref.symbol = symbols_.Intern(symbol);
     ref.library = library_index;
@@ -303,28 +294,6 @@ LibraryResolver::Resolution LibraryResolver::Render(
   out.unresolved_imports.insert(ids.unresolved_imports.begin(),
                                 ids.unresolved_imports.end());
   out.reachable_function_count = ids.reachable_function_count;
-  return out;
-}
-
-Result<LibraryResolver::ResolvedIds> LibraryResolver::IdsOf(
-    const Resolution& resolution) const {
-  ResolvedIds out;
-  AddFootprint(resolution.footprint, out);
-  std::sort(out.paths.begin(), out.paths.end());
-  for (const auto& [soname, symbols] : resolution.used_exports) {
-    for (const std::string& symbol : symbols) {
-      const uint32_t id = symbols_.Find(symbol);
-      if (id == kNone || SymbolExporter(id) != soname) {
-        return CorruptDataError("export " + symbol + " of " + soname +
-                                " is not registered there");
-      }
-      out.used_exports.push_back(id);
-    }
-  }
-  std::sort(out.used_exports.begin(), out.used_exports.end());
-  out.unresolved_imports.assign(resolution.unresolved_imports.begin(),
-                                resolution.unresolved_imports.end());
-  out.reachable_function_count = resolution.reachable_function_count;
   return out;
 }
 

@@ -15,6 +15,8 @@
 // numbers, opcodes, pseudo-path ids, callee-symbol ids), interning names
 // into tables that only registration writes. Resolution walks those spans
 // into a ResolvedIds; the named Resolution is rendered from it on demand.
+// Neither is cached: a warm study registers and resolves again from its
+// cache-restored analyses, which costs less than decoding either would.
 
 #ifndef LAPIS_SRC_ANALYSIS_LIBRARY_RESOLVER_H_
 #define LAPIS_SRC_ANALYSIS_LIBRARY_RESOLVER_H_
@@ -52,11 +54,6 @@ class LibraryResolver {
   // (mirrors linker search order). Only the reachability is kept; the
   // caller may drop the analysis afterwards.
   Status AddLibrary(std::shared_ptr<const BinaryAnalysis> library);
-
-  // Same, but with per-export reachability already computed (a warm-cache
-  // hit decodes it instead of recomputing; libc alone has 1,274 exports).
-  Status AddLibrary(std::shared_ptr<const BinaryAnalysis> library,
-                    ExportReach export_reach);
 
   // A registered library's per-export reachability, rendered back from its
   // spans. nullopt if the soname is not registered.
@@ -113,9 +110,6 @@ class LibraryResolver {
   // Names the ids: the sets list names in lexicographic order whatever
   // order they were interned in.
   Resolution Render(const ResolvedIds& ids) const;
-  // The inverse, for a Resolution decoded from the cache. Fails if a used
-  // export does not resolve to the library it is listed under.
-  Result<ResolvedIds> IdsOf(const Resolution& resolution) const;
 
   size_t library_count() const { return libraries_.size(); }
 

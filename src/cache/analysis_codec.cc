@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -14,7 +13,6 @@ namespace {
 using analysis::BinaryAnalysis;
 using analysis::Footprint;
 using analysis::FunctionInfo;
-using analysis::LibraryResolver;
 
 // Decoded collection sizes are sanity-capped so a corrupt length prefix
 // fails fast instead of attempting a multi-gigabyte allocation.
@@ -35,19 +33,11 @@ void EncodeSet(const Set& values, ByteWriter& writer, Put put) {
   }
 }
 
-template <typename Set>
-void EncodeStringSet(const Set& values, ByteWriter& writer) {
-  EncodeSet(values, writer, [&](const std::string& v) {
-    writer.PutLengthPrefixedString(v);
-  });
-}
-
-// Decodes a count-prefixed run of strings into any set of strings.
-template <typename Set = SortedSet<std::string>>
-Result<Set> DecodeStringSet(ByteReader& reader) {
+// Decodes a count-prefixed run of strings.
+Result<SortedSet<std::string>> DecodeStringSet(ByteReader& reader) {
   LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
   LAPIS_RETURN_IF_ERROR(CheckCount(count));
-  Set out;
+  SortedSet<std::string> out;
   for (uint32_t i = 0; i < count; ++i) {
     LAPIS_ASSIGN_OR_RETURN(std::string s, reader.ReadLengthPrefixedString());
     out.insert(out.end(), std::move(s));
@@ -55,27 +45,7 @@ Result<Set> DecodeStringSet(ByteReader& reader) {
   return out;
 }
 
-void EncodeReach(const BinaryAnalysis::ReachableResult& reach,
-                 ByteWriter& writer) {
-  AnalysisCodec::EncodeFootprint(reach.footprint, writer);
-  EncodeStringSet(reach.plt_calls, writer);
-  writer.PutU64(reach.function_count);
-}
-
-Result<BinaryAnalysis::ReachableResult> DecodeReach(ByteReader& reader) {
-  BinaryAnalysis::ReachableResult reach;
-  LAPIS_ASSIGN_OR_RETURN(reach.footprint,
-                         AnalysisCodec::DecodeFootprint(reader));
-  LAPIS_ASSIGN_OR_RETURN(reach.plt_calls, DecodeStringSet(reader));
-  LAPIS_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
-  reach.function_count = static_cast<size_t>(count);
-  return reach;
-}
-
-}  // namespace
-
-void AnalysisCodec::EncodeFootprint(const Footprint& footprint,
-                                    ByteWriter& writer) {
+void EncodeFootprint(const Footprint& footprint, ByteWriter& writer) {
   EncodeSet(footprint.syscalls, writer,
             [&](int nr) { writer.PutI32(nr); });
   EncodeSet(footprint.ioctl_ops, writer,
@@ -84,7 +54,9 @@ void AnalysisCodec::EncodeFootprint(const Footprint& footprint,
             [&](uint32_t op) { writer.PutU32(op); });
   EncodeSet(footprint.prctl_ops, writer,
             [&](uint32_t op) { writer.PutU32(op); });
-  EncodeStringSet(footprint.pseudo_paths, writer);
+  EncodeSet(footprint.pseudo_paths, writer, [&](const std::string& path) {
+    writer.PutLengthPrefixedString(path);
+  });
   EncodeSet(footprint.int80_syscalls, writer,
             [&](int nr) { writer.PutI32(nr); });
   writer.PutI32(footprint.unknown_syscall_sites);
@@ -93,7 +65,7 @@ void AnalysisCodec::EncodeFootprint(const Footprint& footprint,
   writer.PutI32(footprint.int80_sites);
 }
 
-Result<Footprint> AnalysisCodec::DecodeFootprint(ByteReader& reader) {
+Result<Footprint> DecodeFootprint(ByteReader& reader) {
   Footprint fp;
   LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
   LAPIS_RETURN_IF_ERROR(CheckCount(count));
@@ -122,6 +94,8 @@ Result<Footprint> AnalysisCodec::DecodeFootprint(ByteReader& reader) {
   LAPIS_ASSIGN_OR_RETURN(fp.int80_sites, reader.ReadI32());
   return fp;
 }
+
+}  // namespace
 
 void AnalysisCodec::Encode(const BinaryAnalysis& analysis,
                            ByteWriter& writer) {
@@ -243,63 +217,6 @@ Result<BinaryAnalysis> AnalysisCodec::Decode(ByteReader& reader) {
   }
   analysis.IndexNames();
   return analysis;
-}
-
-void AnalysisCodec::EncodeExportReach(const ExportReach& reach,
-                                      ByteWriter& writer) {
-  writer.PutU32(static_cast<uint32_t>(reach.size()));
-  for (const auto& [symbol, result] : reach) {
-    writer.PutLengthPrefixedString(symbol);
-    EncodeReach(result, writer);
-  }
-}
-
-Result<AnalysisCodec::ExportReach> AnalysisCodec::DecodeExportReach(
-    ByteReader& reader) {
-  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
-  LAPIS_RETURN_IF_ERROR(CheckCount(count));
-  ExportReach out;
-  for (uint32_t i = 0; i < count; ++i) {
-    LAPIS_ASSIGN_OR_RETURN(std::string symbol,
-                           reader.ReadLengthPrefixedString());
-    LAPIS_ASSIGN_OR_RETURN(auto reach, DecodeReach(reader));
-    out.emplace_hint(out.end(), std::move(symbol), std::move(reach));
-  }
-  return out;
-}
-
-void AnalysisCodec::EncodeResolution(
-    const LibraryResolver::Resolution& resolution, ByteWriter& writer) {
-  EncodeFootprint(resolution.footprint, writer);
-  writer.PutU32(static_cast<uint32_t>(resolution.used_exports.size()));
-  for (const auto& [soname, symbols] : resolution.used_exports) {
-    writer.PutLengthPrefixedString(soname);
-    EncodeStringSet(symbols, writer);
-  }
-  EncodeStringSet(resolution.unresolved_imports, writer);
-  writer.PutU64(resolution.reachable_function_count);
-}
-
-Result<LibraryResolver::Resolution> AnalysisCodec::DecodeResolution(
-    ByteReader& reader) {
-  LibraryResolver::Resolution resolution;
-  LAPIS_ASSIGN_OR_RETURN(resolution.footprint, DecodeFootprint(reader));
-  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
-  LAPIS_RETURN_IF_ERROR(CheckCount(count));
-  for (uint32_t i = 0; i < count; ++i) {
-    LAPIS_ASSIGN_OR_RETURN(std::string soname,
-                           reader.ReadLengthPrefixedString());
-    LAPIS_ASSIGN_OR_RETURN(auto symbols,
-                           DecodeStringSet<std::set<std::string>>(reader));
-    resolution.used_exports.emplace_hint(resolution.used_exports.end(),
-                                         std::move(soname),
-                                         std::move(symbols));
-  }
-  LAPIS_ASSIGN_OR_RETURN(resolution.unresolved_imports,
-                         DecodeStringSet<std::set<std::string>>(reader));
-  LAPIS_ASSIGN_OR_RETURN(uint64_t fns, reader.ReadU64());
-  resolution.reachable_function_count = static_cast<size_t>(fns);
-  return resolution;
 }
 
 }  // namespace lapis::cache

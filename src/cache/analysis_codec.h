@@ -1,17 +1,11 @@
-// Byte codec for the cacheable analysis artifacts.
-//
-// Three payload families (content_hash.h EntryKind):
-//   * BinaryAnalysis — the full per-binary analysis: function table with
-//     local footprints (syscalls, ioctl/fcntl/prctl opcodes, pseudo paths,
-//     unknown-site counters), imported symbols, intra-binary call edges,
-//     exports/needed/soname/entry. Restoring one skips ELF parse, linear
-//     sweep, CFG build and dataflow entirely.
-//   * per-export ReachableResult map — a shared library's memoized
-//     within-library reachability (what LibraryResolver::AddLibrary
-//     precomputes; libc alone has 1,274 exports).
-//   * LibraryResolver::Resolution — an executable's fully resolved
-//     cross-binary footprint (valid only for an identical library set, so
-//     its cache key folds in a link fingerprint — see study_runner.cc).
+// Byte codec for the cached per-binary analysis (content_hash.h
+// EntryKind::kAnalysis): the function table with local footprints
+// (syscalls, ioctl/fcntl/prctl opcodes, pseudo paths, unknown-site
+// counters), imported symbols, intra-binary call edges, and
+// exports/needed/soname/entry. Restoring one skips ELF parse, linear sweep,
+// CFG build, dataflow and IPA entirely. Library reach and cross-library
+// resolution are not cached: rebuilding them from the analyses costs less
+// than decoding them.
 //
 // All encodings are little-endian via ByteWriter/ByteReader and carry no
 // internal versioning: the cache key's schema fingerprint is the version.
@@ -20,11 +14,7 @@
 #ifndef LAPIS_SRC_CACHE_ANALYSIS_CODEC_H_
 #define LAPIS_SRC_CACHE_ANALYSIS_CODEC_H_
 
-#include <map>
-#include <string>
-
 #include "src/analysis/binary_analyzer.h"
-#include "src/analysis/library_resolver.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
 
@@ -35,21 +25,6 @@ class AnalysisCodec {
   static void Encode(const analysis::BinaryAnalysis& analysis,
                      ByteWriter& writer);
   static Result<analysis::BinaryAnalysis> Decode(ByteReader& reader);
-
-  using ExportReach =
-      std::map<std::string, analysis::BinaryAnalysis::ReachableResult>;
-  static void EncodeExportReach(const ExportReach& reach, ByteWriter& writer);
-  static Result<ExportReach> DecodeExportReach(ByteReader& reader);
-
-  static void EncodeResolution(
-      const analysis::LibraryResolver::Resolution& resolution,
-      ByteWriter& writer);
-  static Result<analysis::LibraryResolver::Resolution> DecodeResolution(
-      ByteReader& reader);
-
-  static void EncodeFootprint(const analysis::Footprint& footprint,
-                              ByteWriter& writer);
-  static Result<analysis::Footprint> DecodeFootprint(ByteReader& reader);
 };
 
 }  // namespace lapis::cache

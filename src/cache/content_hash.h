@@ -1,9 +1,9 @@
 // Content addressing for the incremental analysis cache.
 //
 // A cache key has two halves:
-//   * content  — FNV-1a 64 over the raw ELF bytes (or, for derived entries
-//     like cross-binary resolutions, over a canonical byte encoding of the
-//     inputs). Flipping a single byte of a binary changes this half.
+//   * content  — FNV-1a 64 over the raw ELF bytes (or, for the popcon
+//     survey, over a canonical byte encoding of its inputs). Flipping a
+//     single byte of a binary changes this half.
 //   * fingerprint — everything that changes what the pipeline would compute
 //     from those bytes: the cache schema version, the entry kind, and every
 //     AnalyzerOptions methodology switch (use_dataflow is the big one).
@@ -26,13 +26,14 @@ namespace lapis::cache {
 // change in a way old entries must not survive.
 inline constexpr uint32_t kCacheSchemaVersion = 2;
 
-// What a cached payload holds; part of the fingerprint so the three entry
-// families never collide even at equal content hashes.
+// What a cached payload holds; part of the fingerprint so the entry
+// families never collide even at equal content hashes. Values 2 and 3
+// (a library's export reach, an executable's resolution) are retired and
+// must never be reused: older caches still hold records under them, which
+// a reused value would read as stale entries of the new kind.
 enum class EntryKind : uint8_t {
-  kAnalysis = 1,    // serialized BinaryAnalysis (per-binary)
-  kLibReach = 2,    // serialized per-export ReachableResult map (libraries)
-  kResolution = 3,  // serialized LibraryResolver::Resolution (executables)
-  kSurvey = 4,      // serialized PopconSurvey (whole simulated survey)
+  kAnalysis = 1,  // serialized BinaryAnalysis (per-binary)
+  kSurvey = 4,    // serialized PopconSurvey (whole simulated survey)
 };
 
 // FNV-1a 64-bit.

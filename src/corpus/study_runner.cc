@@ -27,27 +27,22 @@ using cache::FootprintCache;
 
 // One synthesized binary after the per-binary analysis fan-out. The raw
 // ELF bytes are dropped inside the worker shard; only the analysis
-// (everything downstream needs), the content hash (the cache key for
-// derived entries) and, for a library under audit, the parsed image the
-// tracer follows calls into survive.
+// (everything downstream needs) and, for a library under audit, the parsed
+// image the tracer follows calls into survive.
 struct AnalyzedBinary {
   std::string name;
   bool is_library = false;
   bool is_static = false;
-  // FNV-1a of the raw ELF bytes; 0 when no cache is configured.
-  uint64_t content_hash = 0;
   bool from_cache = false;
   std::shared_ptr<const BinaryAnalysis> analysis;
   std::shared_ptr<const elf::ElfImage> image;  // audited libraries only
 };
 
 // Per-run cache context threaded through the pipeline stages. `cache` may be
-// null (cache disabled); the fingerprints are computed once per run.
+// null (cache disabled); the fingerprint is computed once per run.
 struct CacheContext {
   FootprintCache* cache = nullptr;
   uint64_t analysis_fp = 0;
-  uint64_t libreach_fp = 0;
-  uint64_t resolution_fp = 0;
 
   explicit operator bool() const { return cache != nullptr; }
 };
@@ -61,9 +56,10 @@ Status AnalyzeInto(const std::vector<uint8_t>& bytes,
                    const analysis::AnalyzerOptions& analyzer,
                    const CacheContext& ctx, bool keep_image,
                    AnalyzedBinary& out) {
+  cache::CacheKey key;
   if (ctx) {
-    out.content_hash = cache::HashBytes(bytes);
-    auto payload = ctx.cache->Lookup({out.content_hash, ctx.analysis_fp});
+    key = {cache::HashBytes(bytes), ctx.analysis_fp};
+    auto payload = ctx.cache->Lookup(key);
     if (payload != nullptr) {
       ByteReader reader(*payload);
       auto decoded = AnalysisCodec::Decode(reader);
@@ -85,7 +81,7 @@ Status AnalyzeInto(const std::vector<uint8_t>& bytes,
     if (ctx) {
       ByteWriter writer;
       AnalysisCodec::Encode(*out.analysis, writer);
-      ctx.cache->Insert({out.content_hash, ctx.analysis_fp}, writer.bytes());
+      ctx.cache->Insert(key, writer.bytes());
     }
   }
   if (keep_image) {
@@ -109,7 +105,6 @@ struct PackageFootprint {
   Status status;
   PackageApis apis;
   size_t executables = 0;
-  size_t from_cache = 0;
   std::vector<analysis::BinaryAuditResult> audits;  // executable order
 };
 
@@ -160,37 +155,6 @@ PackageAnalysis AnalyzePackage(const DistroSynthesizer& synthesizer,
   return out;
 }
 
-// Registers one analyzed library with the resolver, restoring its memoized
-// per-export reachability from the cache when possible and writing it back
-// after a recompute. Called in canonical registration order only.
-Status RegisterLibrary(const AnalyzedBinary& binary, const CacheContext& ctx,
-                       runtime::Executor* executor,
-                       LibraryResolver& resolver) {
-  const bool cached = ctx && binary.content_hash != 0;
-  if (cached) {
-    auto payload = ctx.cache->Lookup({binary.content_hash, ctx.libreach_fp});
-    if (payload != nullptr) {
-      ByteReader reader(*payload);
-      auto reach = AnalysisCodec::DecodeExportReach(reader);
-      if (reach.ok()) {
-        return resolver.AddLibrary(binary.analysis, reach.take());
-      }
-      // Undecodable payload: recompute below.
-    }
-  }
-  LibraryResolver::ExportReach reach =
-      binary.analysis->PerExportReachable(executor);
-  ByteWriter writer;
-  if (cached) {
-    AnalysisCodec::EncodeExportReach(reach, writer);
-  }
-  LAPIS_RETURN_IF_ERROR(resolver.AddLibrary(binary.analysis, std::move(reach)));
-  if (cached) {
-    ctx.cache->Insert({binary.content_hash, ctx.libreach_fp}, writer.bytes());
-  }
-  return Status::Ok();
-}
-
 // Folds one analyzed binary's counters into the study result — called in
 // canonical (package, binary) order only, never from a worker.
 void FoldBinaryCounters(const AnalyzedBinary& binary, StudyResult& result) {
@@ -208,38 +172,6 @@ void FoldBinaryCounters(const AnalyzedBinary& binary, StudyResult& result) {
     result.int80_numbers.insert(fn.local.int80_syscalls.begin(),
                                 fn.local.int80_syscalls.end());
   }
-}
-
-// The full footprint of one executable, as resolver ids: decoded from the
-// cache when the same binary was resolved against the same library set
-// (`link_fp`), else resolved and written back. Safe on any worker shard.
-LibraryResolver::ResolvedIds ResolveOrDecode(const AnalyzedBinary& binary,
-                                             const LibraryResolver& resolver,
-                                             const CacheContext& ctx,
-                                             uint64_t link_fp,
-                                             bool* from_cache) {
-  *from_cache = false;
-  if (ctx && binary.content_hash != 0) {
-    auto payload = ctx.cache->Lookup({binary.content_hash, link_fp});
-    if (payload != nullptr) {
-      ByteReader reader(*payload);
-      auto decoded = AnalysisCodec::DecodeResolution(reader);
-      if (decoded.ok()) {
-        auto ids = resolver.IdsOf(decoded.value());
-        if (ids.ok()) {
-          *from_cache = true;
-          return ids.take();
-        }
-      }
-    }
-  }
-  LibraryResolver::ResolvedIds ids = resolver.ResolveIds(*binary.analysis);
-  if (ctx && binary.content_hash != 0) {
-    ByteWriter writer;
-    AnalysisCodec::EncodeResolution(resolver.Render(ids), writer);
-    ctx.cache->Insert({binary.content_hash, link_fp}, writer.bytes());
-  }
-  return ids;
 }
 
 }  // namespace
@@ -270,10 +202,6 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   if (ctx) {
     ctx.analysis_fp = cache::ConfigFingerprint(options.analyzer,
                                                cache::EntryKind::kAnalysis);
-    ctx.libreach_fp = cache::ConfigFingerprint(options.analyzer,
-                                               cache::EntryKind::kLibReach);
-    ctx.resolution_fp = cache::ConfigFingerprint(
-        options.analyzer, cache::EntryKind::kResolution);
   }
   const cache::CacheStats cache_start =
       ctx ? ctx.cache->stats() : cache::CacheStats{};
@@ -302,21 +230,16 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   }
 
   // ---- Core libraries: analyze shards in parallel, register in order ----
-  // The link fingerprint folds every registered library's content hash in
-  // registration order; it keys per-executable resolutions, which are only
-  // valid against an identical library set. Under audit the tracer gets
-  // each library's image in the same order.
+  // Under audit the tracer gets each library's image in the same order.
   LibraryResolver resolver(executor);
   analysis::FootprintAuditor auditor;
-  uint64_t link_fp = ctx.resolution_fp;
   // Called in canonical order only. The resolver keeps just the per-export
   // reachability, so the library's analysis is freed here.
   auto register_library = [&](AnalyzedBinary& library) -> Status {
-    LAPIS_RETURN_IF_ERROR(RegisterLibrary(library, ctx, executor, resolver));
+    LAPIS_RETURN_IF_ERROR(resolver.AddLibrary(library.analysis));
     if (options.audit) {
       LAPIS_RETURN_IF_ERROR(auditor.AddLibrary(std::move(library.image)));
     }
-    link_fp = cache::HashU64(library.content_hash, link_fp);
     result.binary_stats.elf_shared_libraries += 1;
     library.analysis.reset();
     return Status::Ok();
@@ -412,8 +335,8 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
                            result.libc_interner);
     auto shards = runtime::ParallelMap(
         executor, package_count,
-        [&analyzed, &resolver, &api_ids, &auditor, &synthesizer, &options,
-         &ctx, link_fp](size_t pkg) {
+        [&analyzed, &resolver, &api_ids, &auditor, &synthesizer,
+         &options](size_t pkg) {
           PackageFootprint out;
           std::vector<AnalyzedBinary>& binaries = analyzed[pkg].binaries;
           // The analysis stage dropped the bytes; replay needs them again.
@@ -431,12 +354,10 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
             if (binary.is_library) {
               continue;
             }
-            bool from_cache = false;
             const LibraryResolver::ResolvedIds ids =
-                ResolveOrDecode(binary, resolver, ctx, link_fp, &from_cache);
+                resolver.ResolveIds(*binary.analysis);
             binary.analysis.reset();
             ++out.executables;
-            out.from_cache += from_cache ? 1 : 0;
             api_ids.Add(ids, out.apis);
             if (!options.audit) {
               continue;
@@ -474,7 +395,6 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
       }
       footprints[pkg] = std::move(shard.apis.footprint);
       recovered_syscalls[pkg] = std::move(shard.apis.recovered_syscalls);
-      result.resolutions_from_cache += shard.from_cache;
       for (auto& audited : shard.audits) {
         report.Fold(std::move(audited));
       }

@@ -58,9 +58,10 @@ struct StudyOptions {
   size_t jobs = 0;
   // Content-addressed incremental cache (src/cache). Non-empty `cache_dir`
   // opens (creating if needed) a persistent store there; on a hit the whole
-  // per-binary analysis chain (ELF parse, linear sweep, CFG, dataflow), the
-  // per-library export reachability, the per-executable resolution, and the
-  // popcon survey are skipped. Exports are byte-identical cold vs. warm.
+  // per-binary analysis chain (ELF parse, linear sweep, CFG, dataflow, IPA)
+  // or the popcon survey is skipped. Library reach and executable
+  // resolution always run, on the restored analyses: rebuilding them costs
+  // less than decoding them would. Exports are byte-identical cold vs. warm.
   std::string cache_dir;
   // Run against an existing cache instance instead (overrides `cache_dir`;
   // not owned). In-process warm-run benches use this.
@@ -133,8 +134,7 @@ struct StudyResult {
   // cache instance.
   bool cache_enabled = false;
   cache::CacheStats cache_stats;
-  size_t analyses_from_cache = 0;     // binaries restored via kAnalysis hits
-  size_t resolutions_from_cache = 0;  // executables restored via kResolution
+  size_t analyses_from_cache = 0;  // binaries restored via kAnalysis hits
 };
 
 Result<StudyResult> RunStudy(const StudyOptions& options);

@@ -750,29 +750,6 @@ TEST(LibraryResolver, VectoredOpsAndPseudoPathsFlowThroughImports) {
             (std::set<std::string>{"open"}));
 }
 
-TEST(LibraryResolver, PrecomputedExportReachMatchesFreshRegistration) {
-  // A warm cache registers libraries with decoded reachability instead of
-  // recomputing it; resolution must not tell the two apart.
-  auto libc = MiniLibc();
-  auto util = MiniUtilLib();
-  LibraryResolver fresh;
-  ASSERT_TRUE(fresh.AddLibrary(libc).ok());
-  ASSERT_TRUE(fresh.AddLibrary(util).ok());
-  LibraryResolver warm;
-  ASSERT_TRUE(warm.AddLibrary(libc, libc->PerExportReachable()).ok());
-  ASSERT_TRUE(warm.AddLibrary(util, util->PerExportReachable()).ok());
-  for (const std::vector<std::string>& roots :
-       {std::vector<std::string>{"util_log"},
-        std::vector<std::string>{"read", "printf"},
-        std::vector<std::string>{"nonexistent"}}) {
-    ExpectSameResolution(warm.ResolveFromSymbols(roots),
-                         fresh.ResolveFromSymbols(roots), roots.front());
-  }
-  ASSERT_TRUE(warm.ExportReachOf("libmini.so").has_value());
-  EXPECT_EQ(warm.ExportReachOf("libmini.so")->size(), 3u);
-  EXPECT_FALSE(warm.ExportReachOf("libmissing.so").has_value());
-}
-
 TEST(LibraryResolver, ExecutorRegistrationMatchesSerial) {
   runtime::Executor executor(4);
   LibraryResolver parallel(&executor);
@@ -794,6 +771,8 @@ TEST(LibraryResolver, ExecutorRegistrationMatchesSerial) {
       EXPECT_EQ(got->at(symbol).plt_calls, reach.plt_calls) << symbol;
     }
   }
+  EXPECT_EQ(serial.ExportReachOf("libmini.so")->size(), 3u);
+  EXPECT_FALSE(serial.ExportReachOf("libmissing.so").has_value());
   ExpectSameResolution(parallel.ResolveWholeLibrary("libutil.so").value(),
                        serial.ResolveWholeLibrary("libutil.so").value(),
                        "libutil.so");

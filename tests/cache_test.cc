@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,12 +21,10 @@
 #include "src/cache/content_hash.h"
 #include "src/cache/footprint_cache.h"
 #include "src/cache/survey_codec.h"
-#include "src/codegen/function_builder.h"
 #include "src/core/report.h"
 #include "src/corpus/binary_synth.h"
 #include "src/corpus/distro_spec.h"
 #include "src/corpus/study_runner.h"
-#include "src/elf/elf_builder.h"
 #include "src/elf/elf_reader.h"
 #include "src/package/popcon.h"
 #include "src/util/string_pool.h"
@@ -114,8 +112,6 @@ TEST(ContentHash, UseDataflowFlipChangesFingerprint) {
   linear.use_dataflow = false;
   EXPECT_NE(cache::ConfigFingerprint(dataflow, EntryKind::kAnalysis),
             cache::ConfigFingerprint(linear, EntryKind::kAnalysis));
-  EXPECT_NE(cache::ConfigFingerprint(dataflow, EntryKind::kResolution),
-            cache::ConfigFingerprint(linear, EntryKind::kResolution));
 }
 
 TEST(ContentHash, UseIpaFlipChangesFingerprint) {
@@ -124,8 +120,6 @@ TEST(ContentHash, UseIpaFlipChangesFingerprint) {
   ipa.use_ipa = true;
   EXPECT_NE(cache::ConfigFingerprint(dataflow, EntryKind::kAnalysis),
             cache::ConfigFingerprint(ipa, EntryKind::kAnalysis));
-  EXPECT_NE(cache::ConfigFingerprint(dataflow, EntryKind::kResolution),
-            cache::ConfigFingerprint(ipa, EntryKind::kResolution));
 }
 
 TEST(ContentHash, IpaMaxDepthChangesFingerprint) {
@@ -151,12 +145,54 @@ TEST(ContentHash, SchemaVersionBumpChangesFingerprint) {
 
 TEST(ContentHash, EntryKindsNeverCollide) {
   analysis::AnalyzerOptions options;
-  std::set<uint64_t> fingerprints = {
-      cache::ConfigFingerprint(options, EntryKind::kAnalysis),
-      cache::ConfigFingerprint(options, EntryKind::kLibReach),
-      cache::ConfigFingerprint(options, EntryKind::kResolution),
-      cache::BaseFingerprint(EntryKind::kSurvey)};
-  EXPECT_EQ(fingerprints.size(), 4u);
+  EXPECT_NE(cache::ConfigFingerprint(options, EntryKind::kAnalysis),
+            cache::BaseFingerprint(EntryKind::kSurvey));
+}
+
+// The fingerprints a cache written at schema 2 holds its live entries
+// under. A change here leaves every cached analysis and survey unreachable,
+// so it must come with a kCacheSchemaVersion bump.
+TEST(ContentHash, LiveFingerprintsMatchParent) {
+  analysis::AnalyzerOptions dataflow;
+  analysis::AnalyzerOptions linear;
+  linear.use_dataflow = false;
+  analysis::AnalyzerOptions ipa;
+  ipa.use_ipa = true;
+  EXPECT_EQ(cache::ConfigFingerprint(dataflow, EntryKind::kAnalysis),
+            0xbad7e79e15993e83u);
+  EXPECT_EQ(cache::ConfigFingerprint(linear, EntryKind::kAnalysis),
+            0x94303e62582f5422u);
+  EXPECT_EQ(cache::ConfigFingerprint(ipa, EntryKind::kAnalysis),
+            0x6bd9d1d602842642u);
+  EXPECT_EQ(cache::BaseFingerprint(EntryKind::kSurvey), 0xaa312f255b6c6c63u);
+}
+
+// Values 2 and 3 (a library's export reach, an executable's resolution)
+// are retired, but caches written before their retirement still hold
+// records under them. Those fingerprints must stay clear of every live one
+// at each analyzer tier, so a dead record is never read as a live entry.
+TEST(ContentHash, RetiredEntryKindsNeverAliasLiveOnes) {
+  EXPECT_EQ(static_cast<int>(EntryKind::kAnalysis), 1);
+  EXPECT_EQ(static_cast<int>(EntryKind::kSurvey), 4);
+  analysis::AnalyzerOptions dataflow;
+  analysis::AnalyzerOptions linear;
+  linear.use_dataflow = false;
+  analysis::AnalyzerOptions ipa;
+  ipa.use_ipa = true;
+  const std::vector<analysis::AnalyzerOptions> tiers = {dataflow, linear, ipa};
+  std::vector<uint64_t> live = {cache::BaseFingerprint(EntryKind::kSurvey)};
+  for (const auto& options : tiers) {
+    live.push_back(cache::ConfigFingerprint(options, EntryKind::kAnalysis));
+  }
+  for (const auto& options : tiers) {
+    for (int retired : {2, 3}) {
+      const uint64_t dead =
+          cache::ConfigFingerprint(options, static_cast<EntryKind>(retired));
+      for (uint64_t fingerprint : live) {
+        EXPECT_NE(dead, fingerprint) << "retired kind " << retired;
+      }
+    }
+  }
 }
 
 // --- Codec roundtrips ------------------------------------------------------
@@ -187,18 +223,15 @@ TEST(AnalysisCodec, BinaryAnalysisRoundtrip) {
 
 // The codec's bytes for a fixed corpus sample, pinned by FNV-1a digest:
 // the core libraries and every 15th ELF package's binaries (dataflow and
-// ipa tiers), libc's export reach, and the sample executables'
-// resolutions. The digests were taken from the set-based analyses the
-// flat ones replaced, so cache entries written by either decode as the
-// same analyses; a change here orphans every cached entry and must come
-// with a kCacheSchemaVersion bump. Each analysis also survives a
-// decode field by field.
+// ipa tiers). The digest was taken from the set-based analyses the flat
+// ones replaced, so cache entries written by either decode as the same
+// analyses; a change here orphans every cached entry and must come with a
+// kCacheSchemaVersion bump. Each analysis also survives a decode field by
+// field.
 TEST(AnalysisCodec, BytesMatchPinnedDigests) {
   analysis::AnalyzerOptions ipa_options;
   ipa_options.use_ipa = true;
   ByteWriter analyses;
-  ByteWriter reach;
-  ByteWriter resolutions;
   auto encode = [&](const analysis::BinaryAnalysis& analyzed) {
     ByteWriter alone;
     AnalysisCodec::Encode(analyzed, alone);
@@ -208,24 +241,12 @@ TEST(AnalysisCodec, BytesMatchPinnedDigests) {
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ExpectAnalysesEqual(analyzed, decoded.value());
   };
-  analysis::LibraryResolver resolver;
-  std::vector<analysis::BinaryAnalysis> executables;
+  size_t executables = 0;
   auto analyze = [&](const corpus::SynthesizedBinary& binary) {
     auto image = elf::ElfReader::Parse(binary.bytes).take();
-    auto analyzed = analysis::BinaryAnalyzer::Analyze(image).take();
-    encode(analyzed);
+    encode(analysis::BinaryAnalyzer::Analyze(image).take());
     encode(analysis::BinaryAnalyzer::Analyze(image, ipa_options).take());
-    if (binary.name == corpus::kLibcSoname) {
-      AnalysisCodec::EncodeExportReach(analyzed.PerExportReachable(), reach);
-    }
-    if (binary.is_library) {
-      ASSERT_TRUE(resolver
-                      .AddLibrary(std::make_shared<analysis::BinaryAnalysis>(
-                          std::move(analyzed)))
-                      .ok());
-    } else {
-      executables.push_back(std::move(analyzed));
-    }
+    executables += binary.is_library ? 0 : 1;
   };
   for (const auto& lib : CoreLibs()) {
     analyze(lib);
@@ -240,131 +261,63 @@ TEST(AnalysisCodec, BytesMatchPinnedDigests) {
       analyze(binary);
     }
   }
-  for (const auto& exe : executables) {
-    AnalysisCodec::EncodeResolution(resolver.ResolveExecutable(exe),
-                                    resolutions);
-  }
-  EXPECT_EQ(executables.size(), 36u);
+  EXPECT_EQ(executables, 36u);
   EXPECT_EQ(analyses.bytes().size(), 356170u);
   EXPECT_EQ(cache::HashBytes(analyses.bytes()), 0x43afb957c6b1e561u);
-  EXPECT_EQ(cache::HashBytes(reach.bytes()), 0x4febbb1901f18e08u);
-  EXPECT_EQ(cache::HashBytes(resolutions.bytes()), 0x4bb3487ca404a809u);
 }
 
-TEST(AnalysisCodec, ExportReachRoundtrip) {
-  analysis::BinaryAnalysis libc = AnalyzeBytes(CoreLibs().back().bytes);
-  auto original = libc.PerExportReachable();
-  ASSERT_FALSE(original.empty());
-  ByteWriter writer;
-  AnalysisCodec::EncodeExportReach(original, writer);
-  ByteReader reader(writer.bytes());
-  auto decoded = AnalysisCodec::DecodeExportReach(reader);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded.value().size(), original.size());
-  for (const auto& [name, reach] : original) {
-    auto it = decoded.value().find(name);
-    ASSERT_NE(it, decoded.value().end()) << name;
-    EXPECT_TRUE(it->second.footprint == reach.footprint) << name;
-    EXPECT_EQ(it->second.plt_calls, reach.plt_calls);
-    EXPECT_EQ(it->second.function_count, reach.function_count);
-  }
-}
-
-TEST(AnalysisCodec, ResolutionRoundtrip) {
-  analysis::LibraryResolver resolver;
-  for (const auto& lib : CoreLibs()) {
-    ASSERT_TRUE(resolver
-                    .AddLibrary(std::make_shared<analysis::BinaryAnalysis>(
-                        AnalyzeBytes(lib.bytes)))
-                    .ok());
-  }
-  analysis::BinaryAnalysis libc = AnalyzeBytes(CoreLibs().back().bytes);
-  std::vector<std::string> roots(libc.exports().begin(),
-                                 libc.exports().begin() + 16);
-  auto original = resolver.ResolveFromSymbols(roots);
-  ASSERT_FALSE(original.footprint.Empty());
-
-  ByteWriter writer;
-  AnalysisCodec::EncodeResolution(original, writer);
-  ByteReader reader(writer.bytes());
-  auto decoded = AnalysisCodec::DecodeResolution(reader);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded.value().footprint == original.footprint);
-  EXPECT_EQ(decoded.value().used_exports, original.used_exports);
-  EXPECT_EQ(decoded.value().unresolved_imports, original.unresolved_imports);
-  EXPECT_EQ(decoded.value().reachable_function_count,
-            original.reachable_function_count);
-}
-
-// A shared library `soname` exporting `name`, which loads `path`, makes
-// syscall `nr` and calls each of `imports` through the PLT.
-std::shared_ptr<const analysis::BinaryAnalysis> PathLib(
-    const std::string& soname, const std::string& name,
-    const std::string& path, uint32_t nr,
-    const std::vector<std::string>& imports) {
-  elf::ElfBuilder builder(elf::BinaryType::kSharedLibrary);
-  builder.SetSoname(soname);
-  std::vector<uint32_t> import_ids;
-  for (const std::string& symbol : imports) {
-    import_ids.push_back(builder.AddImport(symbol));
-  }
-  const uint32_t path_offset = builder.AddRodataString(path);
-  codegen::FunctionBuilder fn(name);
-  fn.EmitPrologue();
-  fn.LeaRodata(disasm::kRdi, path_offset);
-  fn.MovRegImm32(disasm::kRax, nr);
-  fn.Syscall();
-  for (uint32_t id : import_ids) {
-    fn.CallImport(id);
-  }
-  fn.EmitEpilogue();
-  builder.AddFunction(fn.Finish(true));
-  return std::make_shared<analysis::BinaryAnalysis>(
-      AnalyzeBytes(builder.Build().take()));
-}
-
-TEST(AnalysisCodec, ResolutionBytesListNamesLexicographically) {
-  // Registration interns zeta, mu and zz_missing (and /sys/zz) before
-  // alpha and aa_missing (and /dev/aa): the resolver's ids run against
-  // name order. The cached bytes must not depend on that.
-  analysis::LibraryResolver resolver;
-  ASSERT_TRUE(resolver
-                  .AddLibrary(PathLib("libz.so", "zeta", "/sys/zz", 2,
-                                      {"mu", "zz_missing"}))
-                  .ok());
-  ASSERT_TRUE(
-      resolver.AddLibrary(PathLib("libm.so", "mu", "/proc/mm", 1, {})).ok());
-  ASSERT_TRUE(resolver
-                  .AddLibrary(PathLib("liba.so", "alpha", "/dev/aa", 0,
-                                      {"aa_missing"}))
-                  .ok());
-  ByteWriter rendered;
-  AnalysisCodec::EncodeResolution(
-      resolver.ResolveFromSymbols({"zeta", "alpha"}), rendered);
-
-  analysis::LibraryResolver::Resolution expected;
-  expected.footprint.syscalls = {0, 1, 2};
-  expected.footprint.pseudo_paths = {"/dev/aa", "/proc/mm", "/sys/zz"};
-  expected.used_exports = {
-      {"liba.so", {"alpha"}}, {"libm.so", {"mu"}}, {"libz.so", {"zeta"}}};
-  expected.unresolved_imports = {"aa_missing", "zz_missing"};
-  expected.reachable_function_count = 3;
-  ByteWriter by_sets;
-  AnalysisCodec::EncodeResolution(expected, by_sets);
-  EXPECT_EQ(rendered.bytes(), by_sets.bytes());
-
-  const std::string bytes(rendered.bytes().begin(), rendered.bytes().end());
-  for (const auto& names :
-       {std::vector<std::string>{"/dev/aa", "/proc/mm", "/sys/zz"},
-        std::vector<std::string>{"liba.so", "libm.so", "libz.so"},
-        std::vector<std::string>{"aa_missing", "zz_missing"}}) {
-    size_t previous = 0;
-    for (const std::string& name : names) {
-      const size_t at = bytes.find(name);
-      ASSERT_NE(at, std::string::npos) << name;
-      EXPECT_GT(at, previous) << name;
-      previous = at;
+// The cache holds no resolutions: a warm run registers libraries and
+// resolves executables from decoded analyses. The resolver must not tell
+// decoded analyses from computed ones.
+TEST(AnalysisCodec, RestoredAnalysesResolveLikeComputed) {
+  auto restore = [](const analysis::BinaryAnalysis& analyzed) {
+    ByteWriter writer;
+    AnalysisCodec::Encode(analyzed, writer);
+    ByteReader reader(writer.bytes());
+    auto decoded = AnalysisCodec::Decode(reader);
+    EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    return std::make_shared<analysis::BinaryAnalysis>(decoded.take());
+  };
+  analysis::LibraryResolver computed;
+  analysis::LibraryResolver restored;
+  std::vector<analysis::BinaryAnalysis> executables;
+  auto add = [&](const corpus::SynthesizedBinary& binary) {
+    analysis::BinaryAnalysis analyzed = AnalyzeBytes(binary.bytes);
+    if (!binary.is_library) {
+      executables.push_back(std::move(analyzed));
+      return;
     }
+    ASSERT_TRUE(restored.AddLibrary(restore(analyzed)).ok());
+    ASSERT_TRUE(computed
+                    .AddLibrary(std::make_shared<analysis::BinaryAnalysis>(
+                        std::move(analyzed)))
+                    .ok());
+  };
+  for (const auto& lib : CoreLibs()) {
+    add(lib);
+  }
+  corpus::DistroSynthesizer synthesizer(Spec());
+  for (size_t pkg = 0; pkg < Spec().packages.size(); pkg += 15) {
+    const auto& plan = Spec().packages[pkg];
+    if (plan.data_only || !plan.interpreter_package.empty()) {
+      continue;
+    }
+    for (const auto& binary : synthesizer.PackageBinaries(pkg).take()) {
+      add(binary);
+    }
+  }
+  ASSERT_EQ(computed.library_count(), restored.library_count());
+  ASSERT_EQ(executables.size(), 36u);
+  for (size_t i = 0; i < executables.size(); ++i) {
+    const auto want = computed.ResolveExecutable(executables[i]);
+    const auto got = restored.ResolveExecutable(*restore(executables[i]));
+    EXPECT_FALSE(want.footprint.Empty()) << "executable " << i;
+    EXPECT_TRUE(got.footprint == want.footprint) << "executable " << i;
+    EXPECT_EQ(got.used_exports, want.used_exports) << "executable " << i;
+    EXPECT_EQ(got.unresolved_imports, want.unresolved_imports)
+        << "executable " << i;
+    EXPECT_EQ(got.reachable_function_count, want.reachable_function_count)
+        << "executable " << i;
   }
 }
 
@@ -686,6 +639,9 @@ TEST(CacheStudyTest, WarmRunSkipsAnalysesWithByteIdenticalExports) {
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_TRUE(cold.value().cache_enabled);
   EXPECT_GT(cold.value().cache_stats.inserts, 0u);
+  // One lookup per analyzed binary, plus the survey's.
+  EXPECT_EQ(cold.value().cache_stats.Lookups(),
+            cold.value().analyzed_binaries + 1);
 
   auto warm = corpus::RunStudy(options);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
@@ -695,7 +651,8 @@ TEST(CacheStudyTest, WarmRunSkipsAnalysesWithByteIdenticalExports) {
   ASSERT_GT(warm.value().analyzed_binaries, 0u);
   EXPECT_GE(static_cast<double>(warm.value().analyses_from_cache),
             0.95 * static_cast<double>(warm.value().analyzed_binaries));
-  EXPECT_GT(warm.value().resolutions_from_cache, 0u);
+  EXPECT_EQ(warm.value().cache_stats.Lookups(),
+            warm.value().analyzed_binaries + 1);
   EXPECT_EQ(warm.value().cache_stats.misses, 0u);
   EXPECT_EQ(warm.value().cache_stats.HitRate(), 1.0);
   // Per-run stats windows: the warm window must not re-count cold inserts.
@@ -740,8 +697,6 @@ TEST(CacheStudyTest, MethodologyFlipForcesRecompute) {
   ASSERT_TRUE(linear.ok()) << linear.status().ToString();
   EXPECT_EQ(linear.value().analyses_from_cache,
             baseline.value().analyses_from_cache);
-  EXPECT_EQ(linear.value().resolutions_from_cache,
-            baseline.value().resolutions_from_cache);
   EXPECT_EQ(linear.value().cache_stats.hits,
             baseline.value().cache_stats.hits + 1);
 }
@@ -819,6 +774,93 @@ TEST(CacheStudyTest, PersistentCacheDirSurvivesAcrossRuns) {
   EXPECT_EQ(ExportAll(warm.value()).footprints,
             ExportAll(cold.value()).footprints);
   std::filesystem::remove_all(dir);
+}
+
+// A cache written before the library-reach and resolution kinds were
+// retired still holds their records. They load with the store but are
+// never looked up: a warm run makes one lookup per analyzed binary plus
+// the survey's, all hits, and exports what the cold run did.
+TEST(CacheStudyTest, RetiredKindRecordsLoadButAreNeverLookedUp) {
+  auto dir = std::filesystem::temp_directory_path() /
+             "lapis-cache-test-retired-kinds";
+  std::filesystem::remove_all(dir);
+
+  corpus::StudyOptions options = corpus::SmallStudyOptions();
+  options.cache_dir = dir.string();
+  auto cold = corpus::RunStudy(options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  // Dead records under the retired kinds, keyed by the study's own core
+  // libraries: the content an older cache filed library reach under.
+  const corpus::DistroSpec spec =
+      corpus::BuildDistroSpec(options.distro).take();
+  corpus::DistroSynthesizer synthesizer(spec);
+  const auto libs = synthesizer.CoreLibraries().take();
+  ASSERT_FALSE(libs.empty());
+  {
+    auto store = FootprintCache::Open(dir.string());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (int retired : {2, 3}) {
+      const uint64_t fingerprint = cache::ConfigFingerprint(
+          options.analyzer, static_cast<EntryKind>(retired));
+      for (const auto& lib : libs) {
+        store.value()->Insert({cache::HashBytes(lib.bytes), fingerprint},
+                              Payload(0xee));
+      }
+    }
+  }
+
+  auto warm = corpus::RunStudy(options);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  const cache::CacheStats& stats = warm.value().cache_stats;
+  EXPECT_EQ(stats.entries_loaded,
+            cold.value().cache_stats.entries + 2 * libs.size());
+  EXPECT_EQ(stats.Lookups(), warm.value().analyzed_binaries + 1);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(warm.value().analyses_from_cache,
+            warm.value().analyzed_binaries);
+
+  StudyExports cold_exports = ExportAll(cold.value());
+  StudyExports warm_exports = ExportAll(warm.value());
+  EXPECT_EQ(warm_exports.importance, cold_exports.importance);
+  EXPECT_EQ(warm_exports.packages, cold_exports.packages);
+  EXPECT_EQ(warm_exports.footprints, cold_exports.footprints);
+  std::filesystem::remove_all(dir);
+}
+
+// On a warm cache, a corpus in which some binaries changed restores the
+// unchanged analyses and recomputes the rest; resolution over the mix
+// must give exactly what a run without a cache gives.
+TEST(CacheStudyTest, ChangedBinariesOnWarmCacheResolveAsUncached) {
+  auto cache = FootprintCache::Open("");
+  ASSERT_TRUE(cache.ok());
+  corpus::StudyOptions options = corpus::SmallStudyOptions();
+  options.cache = cache.value().get();
+  auto before = corpus::RunStudy(options);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  options.distro.modern_variant_adoption = 2.0;
+  auto warm = corpus::RunStudy(options);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  options.cache = nullptr;
+  auto uncached = corpus::RunStudy(options);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+
+  EXPECT_GT(warm.value().analyses_from_cache, 0u);
+  EXPECT_LT(warm.value().analyses_from_cache,
+            warm.value().analyzed_binaries);
+  EXPECT_EQ(warm.value().cache_stats.Lookups(),
+            warm.value().analyzed_binaries + 1);
+
+  StudyExports warm_exports = ExportAll(warm.value());
+  StudyExports uncached_exports = ExportAll(uncached.value());
+  EXPECT_EQ(warm_exports.importance, uncached_exports.importance);
+  EXPECT_EQ(warm_exports.packages, uncached_exports.packages);
+  EXPECT_EQ(warm_exports.footprints, uncached_exports.footprints);
+  EXPECT_NE(warm_exports.footprints, ExportAll(before.value()).footprints);
+  EXPECT_EQ(warm.value().ground_truth_mismatches,
+            uncached.value().ground_truth_mismatches);
 }
 
 }  // namespace

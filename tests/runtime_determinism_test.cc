@@ -177,8 +177,8 @@ INSTANTIATE_TEST_SUITE_P(TwoSeeds, CacheDeterminismTest,
 
 // Audit counters are folded in canonical order; the report, the evidence
 // it lifts and the saved artifact must be identical at any worker count.
-// A warm run audits resolutions restored from the cache (the footprints the
-// study exports, not a recomputation), and must agree with the cold runs.
+// A warm run audits the footprints it resolves from cache-restored analyses
+// (the footprints the study exports), and must agree with the cold runs.
 TEST(RuntimeDeterminism, AuditReportIsIdenticalAcrossJobCounts) {
   auto cache = cache::FootprintCache::Open("");
   ASSERT_TRUE(cache.ok()) << cache.status().ToString();
@@ -237,8 +237,9 @@ TEST(RuntimeDeterminism, AuditReportIsIdenticalAcrossJobCounts) {
     EXPECT_EQ(reference_bytes, serialize(study.value()))
         << "saved artifact differs: " << run.label;
     if (run.warm) {
-      // Every audited footprint came out of the cache.
-      EXPECT_EQ(study.value().resolutions_from_cache, b.executables_audited)
+      // Every audited footprint was resolved from a cache-restored analysis.
+      EXPECT_EQ(study.value().analyses_from_cache,
+                study.value().analyzed_binaries)
           << run.label;
     }
   }
