@@ -14,22 +14,6 @@ void SortUnique(std::vector<T>& values) {
 
 }  // namespace
 
-uint32_t LibraryResolver::NameTable::Intern(std::string_view name) {
-  auto it = ids_.find(name);
-  if (it != ids_.end()) {
-    return it->second;
-  }
-  const uint32_t id = static_cast<uint32_t>(names_.size());
-  names_.emplace_back(name);
-  ids_.emplace(std::string_view(names_.back()), id);
-  return id;
-}
-
-uint32_t LibraryResolver::NameTable::Find(std::string_view name) const {
-  auto it = ids_.find(name);
-  return it == ids_.end() ? kNone : it->second;
-}
-
 Status LibraryResolver::AddLibrary(
     std::shared_ptr<const BinaryAnalysis> library) {
   if (library == nullptr) {

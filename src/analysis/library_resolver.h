@@ -13,8 +13,9 @@
 //
 // Registration flattens each export's reach into sorted id spans (syscall
 // numbers, opcodes, pseudo-path ids, callee-symbol ids), interning names
-// into tables that only registration writes. Resolution walks those spans
-// into a ResolvedIds; the named Resolution is rendered from it on demand.
+// into StringInterners that only registration writes. Resolution walks
+// those spans into a ResolvedIds; the named Resolution is rendered from it
+// on demand.
 // Neither is cached: a warm study registers and resolves again from its
 // cache-restored analyses, which costs less than decoding either would.
 
@@ -22,18 +23,17 @@
 #define LAPIS_SRC_ANALYSIS_LIBRARY_RESOLVER_H_
 
 #include <array>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/analysis/binary_analyzer.h"
 #include "src/util/status.h"
+#include "src/util/string_interner.h"
 
 namespace lapis::analysis {
 
@@ -129,27 +129,7 @@ class LibraryResolver {
   }
 
  private:
-  static constexpr uint32_t kNone = 0xffffffffu;
-
-  // Append-only name <-> dense id table. Only AddLibrary writes it, so
-  // lookups take no lock. Not copyable: the keys view its own strings.
-  class NameTable {
-   public:
-    NameTable() = default;
-    NameTable(const NameTable&) = delete;
-    NameTable& operator=(const NameTable&) = delete;
-    NameTable(NameTable&&) = default;
-    NameTable& operator=(NameTable&&) = default;
-
-    uint32_t Intern(std::string_view name);
-    uint32_t Find(std::string_view name) const;  // kNone if absent
-    const std::string& NameOf(uint32_t id) const { return names_[id]; }
-    size_t size() const { return names_.size(); }
-
-   private:
-    std::deque<std::string> names_;  // stable addresses for the keys below
-    std::unordered_map<std::string_view, uint32_t> ids_;
-  };
+  static constexpr uint32_t kNone = StringInterner::kNotFound;
 
   // One export's memoized reach: span k is values_[bounds[k], bounds[k+1]).
   // Syscall numbers are stored as their uint32_t bit patterns.
@@ -187,9 +167,9 @@ class LibraryResolver {
   void Expand(std::vector<uint32_t> worklist, ResolvedIds& out) const;
 
   runtime::Executor* executor_ = nullptr;
-  NameTable libraries_;  // sonames, in registration order
-  NameTable symbols_;
-  NameTable paths_;
+  StringInterner libraries_;  // sonames, in registration order
+  StringInterner symbols_;
+  StringInterner paths_;
   std::vector<ExportRef> exports_;  // every library's, registration order
   // Library l's exports are [library_bounds_[l], library_bounds_[l + 1]).
   std::vector<uint32_t> library_bounds_{0};

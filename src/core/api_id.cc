@@ -20,24 +20,4 @@ const char* ApiKindName(ApiKind kind) {
   return "?";
 }
 
-uint32_t StringInterner::Intern(std::string_view s) {
-  auto it = ids_.find(s);
-  if (it != ids_.end()) {
-    return it->second;
-  }
-  uint32_t id = static_cast<uint32_t>(names_.size());
-  names_.emplace_back(s);
-  ids_.emplace(std::string(s), id);
-  return id;
-}
-
-uint32_t StringInterner::Find(std::string_view s) const {
-  auto it = ids_.find(s);
-  return it == ids_.end() ? UINT32_MAX : it->second;
-}
-
-const std::string& StringInterner::NameOf(uint32_t id) const {
-  return names_[id];
-}
-
 }  // namespace lapis::core

@@ -10,10 +10,8 @@
 #define LAPIS_SRC_CORE_API_ID_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
-#include <vector>
+
+#include "src/util/string_interner.h"
 
 namespace lapis::core {
 
@@ -57,19 +55,9 @@ inline ApiId IoctlApi(uint32_t op) { return ApiId{ApiKind::kIoctlOp, op}; }
 inline ApiId FcntlApi(uint32_t op) { return ApiId{ApiKind::kFcntlOp, op}; }
 inline ApiId PrctlApi(uint32_t op) { return ApiId{ApiKind::kPrctlOp, op}; }
 
-// Bidirectional string interner for pseudo-file paths and libc symbols.
-class StringInterner {
- public:
-  uint32_t Intern(std::string_view s);
-  // Returns the id if present, or UINT32_MAX.
-  uint32_t Find(std::string_view s) const;
-  const std::string& NameOf(uint32_t id) const;
-  size_t size() const { return names_.size(); }
-
- private:
-  std::vector<std::string> names_;
-  std::map<std::string, uint32_t, std::less<>> ids_;
-};
+// Pseudo-file and libc codes index the study's two StringInterners
+// (src/util/string_interner.h), named here for core's callers.
+using ::lapis::StringInterner;
 
 }  // namespace lapis::core
 

@@ -1,5 +1,6 @@
 #include "src/corpus/dataset_io.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/util/io.h"
@@ -30,6 +31,29 @@ Result<core::StringInterner> DeserializeInterner(ByteReader& reader) {
     }
   }
   return interner;
+}
+
+// One past the largest pseudo-file and libc codes an artifact's ApiIds
+// name. The interners follow the footprints on disk, so the codes are
+// checked against them once everything is read.
+struct CodeBounds {
+  uint64_t paths = 0;
+  uint64_t libc = 0;
+};
+
+// Reads one footprint or evidence ApiId, rejecting unknown kinds.
+Result<core::ApiId> ReadApiId(ByteReader& reader, CodeBounds& bounds) {
+  LAPIS_ASSIGN_OR_RETURN(int64_t encoded, reader.ReadI64());
+  if (static_cast<uint64_t>(encoded) >> 32 >= core::kApiKindCount) {
+    return CorruptDataError("artifact names an unknown API kind");
+  }
+  const core::ApiId api = core::ApiId::Decode(encoded);
+  if (api.kind == core::ApiKind::kPseudoFile) {
+    bounds.paths = std::max(bounds.paths, api.code + uint64_t{1});
+  } else if (api.kind == core::ApiKind::kLibcFn) {
+    bounds.libc = std::max(bounds.libc, api.code + uint64_t{1});
+  }
+  return api;
 }
 
 }  // namespace
@@ -82,6 +106,7 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
   LAPIS_ASSIGN_OR_RETURN(uint32_t package_count, reader.ReadU32());
 
   StudyArtifact artifact;
+  CodeBounds bounds;
   artifact.dataset =
       std::make_unique<core::StudyDataset>(package_count, installations);
   for (uint32_t pkg = 0; pkg < package_count; ++pkg) {
@@ -103,8 +128,8 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
     std::vector<core::ApiId> footprint;
     footprint.reserve(api_count);
     for (uint32_t i = 0; i < api_count; ++i) {
-      LAPIS_ASSIGN_OR_RETURN(int64_t encoded, reader.ReadI64());
-      footprint.push_back(core::ApiId::Decode(encoded));
+      LAPIS_ASSIGN_OR_RETURN(core::ApiId api, ReadApiId(reader, bounds));
+      footprint.push_back(api);
     }
     LAPIS_RETURN_IF_ERROR(
         artifact.dataset->SetFootprint(pkg, std::move(footprint)));
@@ -117,9 +142,13 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
     LAPIS_ASSIGN_OR_RETURN(artifact.evidence_kinds_mask, reader.ReadU8());
     LAPIS_ASSIGN_OR_RETURN(uint32_t observed_count, reader.ReadU32());
     for (uint32_t i = 0; i < observed_count; ++i) {
-      LAPIS_ASSIGN_OR_RETURN(int64_t encoded, reader.ReadI64());
-      artifact.evidence_observed.insert(core::ApiId::Decode(encoded));
+      LAPIS_ASSIGN_OR_RETURN(core::ApiId api, ReadApiId(reader, bounds));
+      artifact.evidence_observed.insert(api);
     }
+  }
+  if (bounds.paths > artifact.path_interner.size() ||
+      bounds.libc > artifact.libc_interner.size()) {
+    return CorruptDataError("artifact names an API its interners lack");
   }
   LAPIS_RETURN_IF_ERROR(artifact.dataset->Finalize());
   return artifact;

@@ -41,7 +41,9 @@ struct StudyArtifact {
 // dependencies, interners) into `writer`.
 Status SerializeStudy(const StudyResult& study, ByteWriter& writer);
 
-// Reverse of SerializeStudy; the returned dataset is finalized.
+// Reverse of SerializeStudy; the returned dataset is finalized. An artifact
+// whose footprints or evidence name an unknown API kind, or a path or libc
+// id its interners lack, is kCorruptData.
 Result<StudyArtifact> DeserializeStudy(ByteReader& reader);
 
 // File convenience wrappers.

@@ -103,10 +103,6 @@ double CostModel::ActionCost(core::ApiId api, SupportAction action,
   return full;
 }
 
-void CostModel::SetKindBase(core::ApiKind kind, double cost) {
-  full_base_[static_cast<size_t>(kind)] = cost;
-}
-
 void CostModel::SetKindActionCost(core::ApiKind kind, SupportAction action,
                                   double cost) {
   kind_action_[{static_cast<uint8_t>(kind), static_cast<uint8_t>(action)}] =

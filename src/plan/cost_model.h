@@ -50,8 +50,6 @@ class CostModel {
                     size_t family_breadth) const;
 
   // ---- Override surface (TSV loader + tests) ----
-  // Kind-wide base cost of a full implementation.
-  void SetKindBase(core::ApiKind kind, double cost);
   // Kind-wide cost of one action (full/stub/fake) for every API of `kind`.
   void SetKindActionCost(core::ApiKind kind, SupportAction action,
                          double cost);

@@ -83,39 +83,6 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::FromArtifactBytes(
         kind, kind == core::ApiKind::kSyscall ? corpus::FullSyscallUniverse()
                                               : std::vector<core::ApiId>{});
   }
-
-  // Intern canonical names for everything rankable (and thus returnable).
-  auto intern = [&snapshot](core::ApiId api, std::string_view name) {
-    snapshot->name_ids_.emplace(api.Encode(), snapshot->names_.Intern(name));
-  };
-  char buf[48];
-  for (const auto& ranked : snapshot->ranked_) {
-    for (const core::ApiId& api : ranked) {
-      switch (api.kind) {
-        case core::ApiKind::kSyscall:
-          intern(api, corpus::SyscallName(static_cast<int>(api.code)));
-          break;
-        case core::ApiKind::kIoctlOp:
-          std::snprintf(buf, sizeof buf, "ioctl:0x%x", api.code);
-          intern(api, buf);
-          break;
-        case core::ApiKind::kFcntlOp:
-          std::snprintf(buf, sizeof buf, "fcntl:%u", api.code);
-          intern(api, buf);
-          break;
-        case core::ApiKind::kPrctlOp:
-          std::snprintf(buf, sizeof buf, "prctl:%u", api.code);
-          intern(api, buf);
-          break;
-        case core::ApiKind::kPseudoFile:
-          intern(api, snapshot->artifact_.path_interner.NameOf(api.code));
-          break;
-        case core::ApiKind::kLibcFn:
-          intern(api, snapshot->artifact_.libc_interner.NameOf(api.code));
-          break;
-      }
-    }
-  }
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 
@@ -133,10 +100,30 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::FromStudy(
   return FromArtifactBytes(writer.bytes(), std::move(source));
 }
 
-std::string_view Snapshot::ApiName(core::ApiId api) const {
-  auto it = name_ids_.find(api.Encode());
-  if (it != name_ids_.end()) {
-    return names_.NameOf(it->second);
+std::string Snapshot::ApiName(core::ApiId api) const {
+  if (api.kind == core::ApiKind::kSyscall) {
+    return std::string(corpus::SyscallName(static_cast<int>(api.code)));
+  }
+  if (dataset().Dependents(api).empty()) {
+    return "";
+  }
+  char buf[32];
+  switch (api.kind) {
+    case core::ApiKind::kIoctlOp:
+      std::snprintf(buf, sizeof buf, "ioctl:0x%x", api.code);
+      return buf;
+    case core::ApiKind::kFcntlOp:
+      std::snprintf(buf, sizeof buf, "fcntl:%u", api.code);
+      return buf;
+    case core::ApiKind::kPrctlOp:
+      std::snprintf(buf, sizeof buf, "prctl:%u", api.code);
+      return buf;
+    case core::ApiKind::kPseudoFile:
+      return artifact_.path_interner.NameOf(api.code);
+    case core::ApiKind::kLibcFn:
+      return artifact_.libc_interner.NameOf(api.code);
+    case core::ApiKind::kSyscall:
+      break;
   }
   return "";
 }
@@ -257,9 +244,10 @@ QueryResponse Snapshot::ExecuteImportance(const QueryRequest& request) const {
     return response;
   }
   result.api = api;
-  std::string_view canonical = ApiName(api);
-  result.name = canonical.empty() ? request.api.name
-                                  : std::string(canonical);
+  result.name = ApiName(api);
+  if (result.name.empty()) {
+    result.name = request.api.name;
+  }
   result.importance = dataset().ApiImportance(api);
   result.unweighted = dataset().UnweightedImportance(api);
   result.dependents = static_cast<uint32_t>(dataset().Dependents(api).size());
@@ -337,7 +325,7 @@ QueryResponse Snapshot::ExecuteTopK(const QueryRequest& request) const {
     }
     TopKEntry entry;
     entry.api = api;
-    entry.name = std::string(ApiName(api));
+    entry.name = ApiName(api);
     entry.importance = dataset().ApiImportance(api);
     response.top_k.push_back(std::move(entry));
   }
@@ -384,11 +372,11 @@ QueryResponse Snapshot::ExecutePlanFrontier(
   for (const plan::PlanAction& action : support_plan.actions) {
     PlanActionWire wire;
     wire.api = action.api;
-    std::string_view canonical = ApiName(action.api);
-    wire.name = canonical.empty()
-                    ? plan::PlanApiName(action.api, artifact_.path_interner,
-                                        artifact_.libc_interner)
-                    : std::string(canonical);
+    wire.name = ApiName(action.api);
+    if (wire.name.empty()) {
+      wire.name = plan::PlanApiName(action.api, artifact_.path_interner,
+                                    artifact_.libc_interner);
+    }
     wire.action = static_cast<uint8_t>(action.action);
     wire.evidence = static_cast<uint8_t>(action.evidence);
     wire.cost = action.cost;

@@ -2,12 +2,13 @@
 // survey, ready to answer the paper's questions repeatedly.
 //
 // A Snapshot is built once (from a saved study artifact file, raw artifact
-// bytes, or an in-process StudyResult) and never mutated: the dataset, the
-// per-kind importance rankings, and the canonical API display names (held
-// in a util::StringPool keyed by an ApiId -> name-id index) are all
-// precomputed at load. Every query method is const and safe to call from
-// any number of threads concurrently — GenerationStore publishes Snapshots
-// behind an atomic shared_ptr precisely because nothing here needs a lock.
+// bytes, or an in-process StudyResult) and never mutated: the dataset and
+// the per-kind importance rankings are precomputed at load, and display
+// names are rendered on demand from the syscall table and the artifact's
+// own path and libc interners. Every query method is const and safe to
+// call from any number of threads concurrently — GenerationStore publishes
+// Snapshots behind an atomic shared_ptr precisely because nothing here
+// needs a lock.
 //
 // Identity: `content_hash` is cache::HashBytes over the serialized study
 // artifact (the same FNV-1a the incremental cache keys on), so two daemons
@@ -19,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <span>
@@ -31,7 +31,6 @@
 #include "src/corpus/dataset_io.h"
 #include "src/serve/protocol.h"
 #include "src/util/status.h"
-#include "src/util/string_pool.h"
 
 namespace lapis::corpus {
 struct StudyResult;
@@ -72,9 +71,10 @@ class Snapshot {
   WireStatus ResolveApi(const ApiRef& ref, core::ApiId* out,
                         bool* absent) const;
 
-  // Canonical display name for an API (syscall table name, "ioctl:0x5401",
-  // interned pseudo-file path / libc symbol, or "<kind>:<code>").
-  std::string_view ApiName(core::ApiId api) const;
+  // Canonical display name for an API: the syscall table name, or, for an
+  // API some package uses, "ioctl:0x5401", "fcntl:4", "prctl:15" or the
+  // interned pseudo-file path / libc symbol. Empty for anything else.
+  std::string ApiName(core::ApiId api) const;
 
  private:
   Snapshot() = default;
@@ -98,11 +98,6 @@ class Snapshot {
   // Importance-ranked APIs per kind (syscalls ranked over the full 320-
   // entry universe so zero-importance calls still appear in top-K tails).
   std::array<std::vector<core::ApiId>, core::kApiKindCount> ranked_;
-
-  // Canonical names, interned once at load; queries return views into the
-  // pool instead of allocating.
-  StringPool names_;
-  std::map<int64_t, uint32_t> name_ids_;  // ApiId::Encode() -> pool id
 };
 
 }  // namespace lapis::serve

@@ -50,12 +50,6 @@ void ByteWriter::PatchU32(size_t offset, uint32_t v) {
   }
 }
 
-void ByteWriter::PatchU64(size_t offset, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes_[offset + i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
 Status ByteReader::Seek(size_t position) {
   if (position > data_.size()) {
     return OutOfRangeError("seek past end of buffer");

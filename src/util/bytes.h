@@ -39,7 +39,6 @@ class ByteWriter {
 
   // Overwrite previously-written bytes (for back-patching offsets).
   void PatchU32(size_t offset, uint32_t v);
-  void PatchU64(size_t offset, uint64_t v);
 
   size_t size() const { return bytes_.size(); }
   const std::vector<uint8_t>& bytes() const { return bytes_; }

@@ -61,24 +61,6 @@ bool ParseUint64(const std::string& text, uint64_t* out) {
 
 }  // namespace
 
-const char* SiteName(Site site) {
-  for (const SiteEntry& entry : kSites) {
-    if (entry.site == site) {
-      return entry.name;
-    }
-  }
-  return "unknown";
-}
-
-const char* KindName(Kind kind) {
-  for (const KindEntry& entry : kKinds) {
-    if (entry.kind == kind) {
-      return entry.name;
-    }
-  }
-  return "none";
-}
-
 int InjectedErrno(Kind kind) {
   switch (kind) {
     case Kind::kEintr:
@@ -358,8 +340,5 @@ struct EnvInitializer {
 const EnvInitializer g_env_initializer;
 
 }  // namespace
-
-void InitFromEnvForTest() { InitFromEnv(); }
-
 }  // namespace fault
 }  // namespace lapis

@@ -1,7 +1,7 @@
 // The content-addressed incremental cache (src/cache): codec roundtrips,
 // key invalidation (methodology flip, schema bump, byte mutation),
-// persistence across reopen, corruption tolerance, the StringPool diet,
-// and the study-level warm-run guarantee (>=95% of analyses skipped with
+// persistence across reopen, corruption tolerance, lock-free interner
+// reads, and the study-level warm-run guarantee (>=95% of analyses skipped with
 // byte-identical exports).
 
 #include <gtest/gtest.h>
@@ -27,7 +27,7 @@
 #include "src/corpus/study_runner.h"
 #include "src/elf/elf_reader.h"
 #include "src/package/popcon.h"
-#include "src/util/string_pool.h"
+#include "src/util/string_interner.h"
 
 namespace lapis {
 namespace {
@@ -555,46 +555,30 @@ TEST(FootprintCacheTest, ConcurrentInsertLookupHammer) {
   }
 }
 
-// --- StringPool (hot-path memory diet) -------------------------------------
+// --- StringInterner: concurrent readers once writes stop -----------------
 
-TEST(StringPoolTest, InternIsIdempotentAndAppendOnly) {
-  StringPool pool;
-  uint32_t a = pool.Intern("read");
-  uint32_t b = pool.Intern("write");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.Intern("read"), a);
-  EXPECT_EQ(pool.NameOf(a), "read");
-  EXPECT_EQ(pool.NameOf(b), "write");
-  EXPECT_EQ(pool.Find("read"), a);
-  EXPECT_EQ(pool.Find("missing"), StringPool::kNotFound);
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.payload_bytes(), 9u);
-}
-
-TEST(StringPoolTest, ConcurrentInternHammer) {
-  StringPool pool;
-  constexpr size_t kThreads = 8;
-  constexpr size_t kStrings = 512;
+TEST(StringInternerTest, ConcurrentReadersAfterWrites) {
+  StringInterner interner;
+  constexpr uint32_t kStrings = 512;
+  for (uint32_t i = 0; i < kStrings; ++i) {
+    ASSERT_EQ(interner.Intern("sym_" + std::to_string(i)), i);
+  }
+  constexpr size_t kThreads = 4;
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool] {
-      for (size_t i = 0; i < kStrings; ++i) {
-        std::string name = "sym_" + std::to_string(i);
-        uint32_t id = pool.Intern(name);
-        // Ids are stable the instant they are handed out, even while other
-        // threads keep appending.
-        ASSERT_EQ(pool.NameOf(id), name);
-        ASSERT_EQ(pool.Find(name), id);
+    threads.emplace_back([&interner] {
+      for (uint32_t i = 0; i < kStrings; ++i) {
+        const std::string name = "sym_" + std::to_string(i);
+        ASSERT_EQ(interner.Find(name), i);
+        ASSERT_EQ(interner.NameOf(i), name);
+        ASSERT_EQ(interner.Find(name + "_"), StringInterner::kNotFound);
       }
     });
   }
   for (auto& thread : threads) {
     thread.join();
   }
-  EXPECT_EQ(pool.size(), kStrings);  // no duplicate ids under races
-  for (size_t i = 0; i < kStrings; ++i) {
-    EXPECT_NE(pool.Find("sym_" + std::to_string(i)), StringPool::kNotFound);
-  }
+  EXPECT_EQ(interner.size(), kStrings);
 }
 
 // --- Study-level: the warm-run guarantee -----------------------------------

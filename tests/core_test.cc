@@ -73,6 +73,23 @@ TEST(StringInterner, InternFindName) {
   EXPECT_EQ(interner.size(), 2u);
 }
 
+TEST(StringInterner, NamesStayPutAcrossGrowthAndMove) {
+  StringInterner interner;
+  const uint32_t id = interner.Intern("alpha");
+  const std::string* name = &interner.NameOf(id);
+  for (int i = 0; i < 10000; ++i) {
+    interner.Intern("name_" + std::to_string(i));
+  }
+  EXPECT_EQ(&interner.NameOf(id), name);
+  StringInterner moved(std::move(interner));
+  EXPECT_EQ(&moved.NameOf(id), name);
+  StringInterner assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(&assigned.NameOf(id), name);
+  EXPECT_EQ(assigned.Find("alpha"), id);
+  EXPECT_EQ(assigned.Find("name_9999"), 10000u);
+}
+
 TEST(StudyDataset, ImportanceFormula) {
   auto ds = MakeDataset();
   // syscall 0: used by everything incl. libc (p=1) -> importance 1.

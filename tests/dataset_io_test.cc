@@ -90,14 +90,13 @@ TEST(DatasetIo, FileRoundTrip) {
 
 // Minimal finalized StudyResult (SerializeStudy only reads the dataset,
 // the interners, and the evidence fields).
-StudyResult TinyStudy() {
+StudyResult TinyStudy(std::vector<core::ApiId> footprint = {
+                          core::SyscallApi(0), core::SyscallApi(9)}) {
   StudyResult study;
   study.dataset = std::make_unique<core::StudyDataset>(1, 100);
   EXPECT_TRUE(study.dataset->SetPackageName(0, "p").ok());
   EXPECT_TRUE(study.dataset->SetInstallCount(0, 100).ok());
-  EXPECT_TRUE(
-      study.dataset->SetFootprint(0, {core::SyscallApi(0), core::SyscallApi(9)})
-          .ok());
+  EXPECT_TRUE(study.dataset->SetFootprint(0, std::move(footprint)).ok());
   EXPECT_TRUE(study.dataset->Finalize().ok());
   return study;
 }
@@ -165,6 +164,37 @@ TEST(DatasetIo, RejectsUnknownVersion) {
   ByteReader reader(bytes);
   EXPECT_EQ(DeserializeStudy(reader).status().code(),
             StatusCode::kUnimplemented);
+}
+
+// The status of saving `study` and loading it back.
+StatusCode ReloadCode(const StudyResult& study) {
+  ByteWriter writer;
+  EXPECT_TRUE(SerializeStudy(study, writer).ok());
+  auto bytes = writer.Take();
+  ByteReader reader(bytes);
+  return DeserializeStudy(reader).status().code();
+}
+
+TEST(DatasetIo, RejectsPathIdPastTheInterner) {
+  for (uint32_t id : {0u, 1u}) {
+    StudyResult study =
+        TinyStudy({core::ApiId{core::ApiKind::kPseudoFile, id}});
+    study.path_interner.Intern("/dev/null");
+    EXPECT_EQ(ReloadCode(study),
+              id == 0 ? StatusCode::kOk : StatusCode::kCorruptData);
+  }
+  // Evidence is held to the same bound.
+  StudyResult study = TinyStudy();
+  study.evidence_kinds_mask =
+      1u << static_cast<uint8_t>(core::ApiKind::kLibcFn);
+  study.evidence_observed = {core::ApiId{core::ApiKind::kLibcFn, 0}};
+  EXPECT_EQ(ReloadCode(study), StatusCode::kCorruptData);
+}
+
+TEST(DatasetIo, RejectsUnknownApiKind) {
+  StudyResult study =
+      TinyStudy({core::ApiId{static_cast<core::ApiKind>(42), 1}});
+  EXPECT_EQ(ReloadCode(study), StatusCode::kCorruptData);
 }
 
 TEST(DatasetIo, LoadMissingFileFails) {

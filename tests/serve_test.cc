@@ -104,6 +104,88 @@ TEST(ServeSnapshot, AbsentPseudoFileHasZeroImportance) {
   EXPECT_EQ(response.importance.dependents, 0u);
 }
 
+// The display name kImportance returns for a reference.
+std::string ImportanceName(core::ApiKind kind, uint32_t code,
+                           std::string name) {
+  QueryRequest request;
+  request.opcode = Opcode::kImportance;
+  request.api = ApiRef{kind, code, std::move(name)};
+  auto response = SharedSnapshot()->Execute(request);
+  EXPECT_EQ(response.status, WireStatus::kOk) << request.api.name;
+  return response.importance.name;
+}
+
+TEST(ServeSnapshot, DisplayNamesForEveryKind) {
+  const corpus::StudyResult& study = Study();
+  const core::StudyDataset& dataset = *study.dataset;
+  // The most important used API of each kind gets its canonical name
+  // whether it is requested by code, by bare name or by canonical name,
+  // and from top-K too.
+  for (core::ApiKind kind :
+       {core::ApiKind::kIoctlOp, core::ApiKind::kFcntlOp,
+        core::ApiKind::kPrctlOp, core::ApiKind::kPseudoFile,
+        core::ApiKind::kLibcFn}) {
+    auto ranked = dataset.RankByImportance(kind, {});
+    ASSERT_FALSE(ranked.empty()) << core::ApiKindName(kind);
+    const core::ApiId api = ranked.front();
+    std::string bare = std::to_string(api.code);
+    std::string canonical;
+    char hex[16];
+    switch (kind) {
+      case core::ApiKind::kIoctlOp:
+        std::snprintf(hex, sizeof hex, "0x%x", api.code);
+        bare = hex;
+        canonical = "ioctl:" + bare;
+        break;
+      case core::ApiKind::kFcntlOp:
+        canonical = "fcntl:" + bare;
+        break;
+      case core::ApiKind::kPrctlOp:
+        canonical = "prctl:" + bare;
+        break;
+      case core::ApiKind::kPseudoFile:
+        bare = canonical = study.path_interner.NameOf(api.code);
+        break;
+      default:
+        bare = canonical = study.libc_interner.NameOf(api.code);
+        break;
+    }
+    EXPECT_EQ(ImportanceName(kind, api.code, ""), canonical);
+    EXPECT_EQ(ImportanceName(kind, 0, bare), canonical);
+    EXPECT_EQ(ImportanceName(kind, 0, canonical), canonical);
+
+    QueryRequest top;
+    top.opcode = Opcode::kTopK;
+    top.top_kind = kind;
+    top.top_k = 1;
+    auto response = SharedSnapshot()->Execute(top);
+    ASSERT_EQ(response.top_k.size(), 1u) << canonical;
+    EXPECT_EQ(response.top_k[0].api, api);
+    EXPECT_EQ(response.top_k[0].name, canonical);
+  }
+
+  // With no package using the API there is no canonical name, and the
+  // reply echoes the request's own spelling: an interned libc symbol...
+  uint32_t unused = 0;
+  while (unused < study.libc_interner.size() &&
+         !dataset.Dependents({core::ApiKind::kLibcFn, unused}).empty()) {
+    ++unused;
+  }
+  ASSERT_LT(unused, study.libc_interner.size());
+  const std::string& symbol = study.libc_interner.NameOf(unused);
+  EXPECT_EQ(ImportanceName(core::ApiKind::kLibcFn, unused, ""), "");
+  EXPECT_EQ(ImportanceName(core::ApiKind::kLibcFn, 0, symbol), symbol);
+  // ...and an opcode.
+  ASSERT_TRUE(dataset.Dependents(core::IoctlApi(0x12345)).empty());
+  EXPECT_EQ(ImportanceName(core::ApiKind::kIoctlOp, 0x12345, ""), "");
+  EXPECT_EQ(ImportanceName(core::ApiKind::kIoctlOp, 0, "0x12345"),
+            "0x12345");
+  // A syscall number past the table has no name.
+  EXPECT_EQ(ImportanceName(core::ApiKind::kSyscall, corpus::kSyscallCount,
+                           ""),
+            "");
+}
+
 TEST(ServeSnapshot, EvalProfileMatchesWeightedCompleteness) {
   auto snapshot = SharedSnapshot();
   const auto& dataset = *Study().dataset;
@@ -746,9 +828,10 @@ TEST(ServeServer, ConcurrentClientsSurviveGenerationSwaps) {
 
 // The lapis_serve SIGHUP handler is one call: store.PublishFromFile(path).
 // These tests drive that exact API with every flavor of broken artifact an
-// operator can produce — missing, garbage, truncated mid-save — and assert
-// the daemon's contract: the old generation keeps serving untouched, the
-// failure is counted, and a subsequent good reload recovers.
+// operator can produce — missing, garbage, truncated mid-save, naming an
+// id its interners lack — and assert the daemon's contract: the old
+// generation keeps serving untouched, the failure is counted, and a
+// subsequent good reload recovers.
 
 std::string SavedArtifactPath() {
   static const std::string* path = [] {
@@ -792,7 +875,24 @@ TEST(ServeGeneration, ReloadFailuresKeepOldGenerationServing) {
   EXPECT_FALSE(store.PublishFromFile(truncated_path).ok());
   EXPECT_EQ(store.reload_failures(), 3u);
 
-  // Through all three failures the original generation never moved and
+  // A well-formed artifact whose footprint names a path id its interner
+  // lacks (a bit flip, or a buggy writer).
+  corpus::StudyResult bad;
+  bad.dataset = std::make_unique<core::StudyDataset>(1, 100);
+  ASSERT_TRUE(bad.dataset->SetPackageName(0, "p").ok());
+  ASSERT_TRUE(bad.dataset->SetInstallCount(0, 100).ok());
+  ASSERT_TRUE(bad.dataset
+                  ->SetFootprint(0, {core::ApiId{core::ApiKind::kPseudoFile,
+                                                 0x7fffff}})
+                  .ok());
+  ASSERT_TRUE(bad.dataset->Finalize().ok());
+  std::string bad_id_path = testing::TempDir() + "/lapis_serve_bad_id.bin";
+  ASSERT_TRUE(corpus::SaveStudy(bad, bad_id_path).ok());
+  EXPECT_EQ(store.PublishFromFile(bad_id_path).status().code(),
+            StatusCode::kCorruptData);
+  EXPECT_EQ(store.reload_failures(), 4u);
+
+  // Through all four failures the original generation never moved and
   // still answers queries.
   EXPECT_EQ(store.latest(), 1u);
   auto current = store.Current();
@@ -800,6 +900,9 @@ TEST(ServeGeneration, ReloadFailuresKeepOldGenerationServing) {
   EXPECT_EQ(current->number, 1u);
   EXPECT_EQ(current->snapshot->content_hash(),
             SharedSnapshot()->content_hash());
+  auto answer = current->snapshot->Execute(ImportanceRequest("read"));
+  EXPECT_EQ(answer.status, WireStatus::kOk);
+  EXPECT_EQ(answer.importance.name, "read");
 
   // A good artifact recovers: next generation publishes, the failure
   // counter keeps its history.
@@ -807,10 +910,11 @@ TEST(ServeGeneration, ReloadFailuresKeepOldGenerationServing) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded.value(), 2u);
   EXPECT_EQ(store.latest(), 2u);
-  EXPECT_EQ(store.reload_failures(), 3u);
+  EXPECT_EQ(store.reload_failures(), 4u);
 
   std::filesystem::remove(corrupt_path);
   std::filesystem::remove(truncated_path);
+  std::filesystem::remove(bad_id_path);
 }
 
 TEST(ServeServer, InfoReportsReloadFailuresOverTheWire) {

@@ -62,9 +62,7 @@ int EvaluateSyscallList(const core::StudyDataset& dataset,
   return 0;
 }
 
-void PrintTop(const core::StudyDataset& dataset,
-              const core::StringInterner& paths,
-              const core::StringInterner& libc, int64_t top) {
+void PrintTop(const core::StudyDataset& dataset, int64_t top) {
   TableWriter table({"API", "Importance", "Unweighted", "Dependents"});
   auto ranked = dataset.RankByImportance(core::ApiKind::kSyscall,
                                          corpus::FullSyscallUniverse());
@@ -77,8 +75,6 @@ void PrintTop(const core::StudyDataset& dataset,
                   FormatPercent(dataset.UnweightedImportance(api)),
                   std::to_string(dataset.Dependents(api).size())});
   }
-  (void)paths;
-  (void)libc;
   table.Print(std::cout);
 }
 
@@ -290,7 +286,7 @@ int main(int argc, char** argv) {
     return EvaluateSyscallList(*dataset, flags.GetString("eval"));
   }
   if (flags.GetInt("top") > 0) {
-    PrintTop(*dataset, path_interner, libc_interner, flags.GetInt("top"));
+    PrintTop(*dataset, flags.GetInt("top"));
     return 0;
   }
 
