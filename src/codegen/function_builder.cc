@@ -1,11 +1,13 @@
 #include "src/codegen/function_builder.h"
 
+#include "src/util/bytes.h"
+
 namespace lapis::codegen {
 
 void FunctionBuilder::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    PutU8(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  uint8_t le[4];
+  StoreLittleEndian(le, v);
+  body_.insert(body_.end(), le, le + 4);
 }
 
 void FunctionBuilder::EmitRexIfNeeded(uint8_t reg) {
@@ -137,8 +139,8 @@ void FunctionBuilder::AddRspImm8(uint8_t imm) {
 }
 
 void FunctionBuilder::Nop(int count) {
-  for (int i = 0; i < count; ++i) {
-    PutU8(0x90);
+  if (count > 0) {
+    body_.insert(body_.end(), static_cast<size_t>(count), 0x90);
   }
 }
 

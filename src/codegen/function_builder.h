@@ -19,7 +19,10 @@ namespace lapis::codegen {
 
 class FunctionBuilder {
  public:
-  explicit FunctionBuilder(std::string name) : name_(std::move(name)) {}
+  // Reserves room for a typical body up front: short ones never regrow.
+  explicit FunctionBuilder(std::string name) : name_(std::move(name)) {
+    body_.reserve(kBodyReserve);
+  }
 
   // push rbp; mov rbp, rsp
   void EmitPrologue();
@@ -80,6 +83,8 @@ class FunctionBuilder {
   void PutU8(uint8_t b) { body_.push_back(b); }
   void PutU32(uint32_t v);
   void EmitRexIfNeeded(uint8_t reg);
+
+  static constexpr size_t kBodyReserve = 64;
 
   std::string name_;
   std::vector<uint8_t> body_;

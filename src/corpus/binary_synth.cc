@@ -92,6 +92,15 @@ std::string ExpandPseudoPath(const std::string& canonical) {
   return out;
 }
 
+// The calling thread's builder, reset for a new binary. Like the
+// analyzer's per-binary scratch, it keeps its buffers' capacity across
+// every package the thread synthesizes.
+ElfBuilder& ThreadBuilder(BinaryType type) {
+  thread_local ElfBuilder builder(type);
+  builder.Reset(type);
+  return builder;
+}
+
 uint64_t HashName(const std::string& name) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (char c : name) {
@@ -191,8 +200,8 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::CoreLibraries()
       fn.EmitEpilogue();
     }
     // Pad to the synthetic code size so the §3.5 size accounting is real.
-    while (fn.size() < spec.code_size) {
-      fn.Nop();
+    if (fn.size() < spec.code_size) {
+      fn.Nop(static_cast<int>(spec.code_size - fn.size()));
     }
     elf::FunctionDef def = fn.Finish(/*exported=*/true);
     builder.AddFunction(std::move(def));
@@ -241,7 +250,7 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
 
   // ---- Static executable: everything inline ----
   if (plan.static_binary) {
-    ElfBuilder builder(BinaryType::kExecutable);
+    ElfBuilder& builder = ThreadBuilder(BinaryType::kExecutable);
     FunctionBuilder start("_start");
     start.EmitPrologue();
     for (int nr : spec_.ExpectedSyscalls(package_index)) {
@@ -258,11 +267,10 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
     start.EmitEpilogue();
     uint32_t entry = builder.AddFunction(start.Finish(/*exported=*/false));
     LAPIS_RETURN_IF_ERROR(builder.SetEntryFunction(entry));
-    LAPIS_ASSIGN_OR_RETURN(auto bytes, builder.Build());
     SynthesizedBinary binary;
+    LAPIS_RETURN_IF_ERROR(builder.BuildInto(binary.bytes));
     binary.name = plan.name;
     binary.is_static = true;
-    binary.bytes = std::move(bytes);
     out.push_back(std::move(binary));
     return out;
   }
@@ -271,7 +279,7 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
   std::vector<std::string> lib_sonames;
   std::vector<std::string> lib_exports;
   for (int lib = 0; lib < plan.lib_count; ++lib) {
-    ElfBuilder builder(BinaryType::kSharedLibrary);
+    ElfBuilder& builder = ThreadBuilder(BinaryType::kSharedLibrary);
     std::string soname = "lib" + plan.name + std::to_string(lib) + ".so.1";
     builder.SetSoname(soname);
     builder.AddNeeded(kLibcSoname);
@@ -285,16 +293,15 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
     // package's library, not its executable.
     if (plan.extras_via_library && lib == 0) {
       for (int nr : plan.extra_syscalls) {
-        fn.CallImport(builder.AddImport(std::string(SyscallName(nr))));
+        fn.CallImport(builder.AddImport(SyscallName(nr)));
       }
     }
     fn.EmitEpilogue();
     builder.AddFunction(fn.Finish(/*exported=*/true));
-    LAPIS_ASSIGN_OR_RETURN(auto bytes, builder.Build());
     SynthesizedBinary binary;
+    LAPIS_RETURN_IF_ERROR(builder.BuildInto(binary.bytes));
     binary.name = soname;
     binary.is_library = true;
-    binary.bytes = std::move(bytes);
     out.push_back(std::move(binary));
     lib_sonames.push_back(soname);
     lib_exports.push_back(export_name);
@@ -302,7 +309,7 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
 
   // ---- Executables ----
   for (int exe = 0; exe < plan.exe_count; ++exe) {
-    ElfBuilder builder(BinaryType::kExecutable);
+    ElfBuilder& builder = ThreadBuilder(BinaryType::kExecutable);
     builder.AddNeeded(kLibcSoname);
     for (const auto& soname : lib_sonames) {
       builder.AddNeeded(soname);
@@ -338,7 +345,6 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
                        r < static_cast<int>(spec_.syscall_rank_order.size());
            ++r) {
         int nr = spec_.syscall_rank_order[static_cast<size_t>(r)];
-        std::string wrapper(SyscallName(nr));
         if (nr == analysis::kSysIoctl) {
           main_fn.MovRegImm32(disasm::kRsi, ioctl_ops[0].code);
         } else if (nr == analysis::kSysFcntl) {
@@ -346,12 +352,12 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
         } else if (nr == analysis::kSysPrctl) {
           main_fn.MovRegImm32(disasm::kRdi, prctl_ops[0].code);
         }
-        main_fn.CallImport(builder.AddImport(wrapper));
+        main_fn.CallImport(builder.AddImport(SyscallName(nr)));
       }
       // Dedicated tail syscalls (unless they live in the library).
       if (!plan.extras_via_library) {
         for (int nr : plan.extra_syscalls) {
-          main_fn.CallImport(builder.AddImport(std::string(SyscallName(nr))));
+          main_fn.CallImport(builder.AddImport(SyscallName(nr)));
         }
       }
       // Vectored opcodes.
@@ -515,11 +521,10 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
       builder.AddFunction(dead_fn.Finish(/*exported=*/false));
     }
     LAPIS_RETURN_IF_ERROR(builder.SetEntryFunction(start_index));
-    LAPIS_ASSIGN_OR_RETURN(auto bytes, builder.Build());
     SynthesizedBinary binary;
+    LAPIS_RETURN_IF_ERROR(builder.BuildInto(binary.bytes));
     binary.name = exe == 0 ? plan.name : plan.name + "-alt" +
                                              std::to_string(exe);
-    binary.bytes = std::move(bytes);
     out.push_back(std::move(binary));
   }
   return out;

@@ -229,8 +229,6 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     result.path_interner.Intern(file.path);
   }
 
-  // ---- Core libraries: analyze shards in parallel, register in order ----
-  // Under audit the tracer gets each library's image in the same order.
   LibraryResolver resolver(executor);
   analysis::FootprintAuditor auditor;
   // Called in canonical order only. The resolver keeps just the per-export
@@ -244,71 +242,65 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     library.analysis.reset();
     return Status::Ok();
   };
-  {
-    runtime::StageTimer timer(&stats, "core-libs");
-    LAPIS_ASSIGN_OR_RETURN(auto core_libs, synthesizer.CoreLibraries());
-    struct CoreShard {
-      Status status;
-      AnalyzedBinary binary;
-    };
-    auto shards = runtime::ParallelMap(
-        executor, core_libs.size(), [&core_libs, &options, &ctx](size_t i) {
-          CoreShard shard;
-          shard.binary.name = core_libs[i].name;
-          shard.binary.is_library = true;
-          shard.status = AnalyzeInto(core_libs[i].bytes, options.analyzer,
-                                     ctx, options.audit, shard.binary);
-          return shard;
-        });
-    for (auto& shard : shards) {
-      LAPIS_RETURN_IF_ERROR(shard.status);
-      AnalyzedBinary& library = shard.binary;
-      FoldBinaryCounters(library, result);
-      if (library.from_cache) {
-        ++result.analyses_from_cache;
-      }
-      if (library.name == kLibcSoname) {
-        // Record measured per-symbol sizes for the §3.5 analysis.
-        for (const auto& fn : library.analysis->functions()) {
-          uint32_t id = result.libc_interner.Find(fn.name);
-          if (id != UINT32_MAX) {
-            result.libc_symbol_sizes[id] = fn.size;
-          }
-        }
-      }
-      LAPIS_RETURN_IF_ERROR(register_library(library));
-    }
-    timer.AddItems(core_libs.size());
-  }
 
-  // ---- Packages, stage 1: synthesize + analyze on worker shards ----
+  // ---- Stage 1: synthesize + analyze on worker shards. The core
+  // libraries are queued first, so libc's analysis starts at once and the
+  // packages overlap it; under audit each keeps its image for the tracer.
+  // The packages keep a ParallelMap of their own, chunked as if the core
+  // libraries were not there: which within-run duplicates share a chunk,
+  // and so hit the cache in a cold run, does not move. ----
   const size_t package_count = result.spec.packages.size();
+  std::vector<PackageAnalysis> core;
   std::vector<PackageAnalysis> analyzed;
   {
     runtime::StageTimer timer(&stats, "synthesize+analyze");
+    LAPIS_ASSIGN_OR_RETURN(auto core_libs, synthesizer.CoreLibraries());
+    core.resize(core_libs.size());
+    for (size_t i = 0; i < core_libs.size(); ++i) {
+      executor->Submit([&core, &core_libs, &options, &ctx, i] {
+        AnalyzedBinary& library = core[i].binaries.emplace_back();
+        library.name = core_libs[i].name;
+        library.is_library = true;
+        core[i].status = AnalyzeInto(core_libs[i].bytes, options.analyzer,
+                                     ctx, options.audit, library);
+      });
+    }
     analyzed = runtime::ParallelMap(
         executor, package_count,
         [&synthesizer, &result, &options, &ctx](size_t pkg) {
           return AnalyzePackage(synthesizer, result.spec, options, ctx, pkg);
         });
+    executor->WaitAll();
+    timer.AddItems(core_libs.size());
     for (const auto& shard : analyzed) {
       timer.AddItems(shard.binaries.size());
     }
   }
 
-  // ---- Packages, stage 2: deterministic merge — counters + library
-  // registration in canonical package order ----
+  // ---- Stage 2: deterministic merge — counters + library registration
+  // in canonical order: the core libraries, then every package ----
   {
     runtime::StageTimer timer(&stats, "register");
-    for (size_t pkg = 0; pkg < package_count; ++pkg) {
-      LAPIS_RETURN_IF_ERROR(analyzed[pkg].status);
-      for (const auto& [kind, count] : analyzed[pkg].script_kinds) {
+    for (size_t i = 0; i < core.size() + package_count; ++i) {
+      const bool is_core = i < core.size();
+      PackageAnalysis& shard = is_core ? core[i] : analyzed[i - core.size()];
+      LAPIS_RETURN_IF_ERROR(shard.status);
+      for (const auto& [kind, count] : shard.script_kinds) {
         result.binary_stats.script_programs[kind] += count;
       }
-      for (auto& binary : analyzed[pkg].binaries) {
+      for (auto& binary : shard.binaries) {
         FoldBinaryCounters(binary, result);
         if (binary.from_cache) {
           ++result.analyses_from_cache;
+        }
+        if (is_core && binary.name == kLibcSoname) {
+          // Record measured per-symbol sizes for the §3.5 analysis.
+          for (const auto& fn : binary.analysis->functions()) {
+            uint32_t id = result.libc_interner.Find(fn.name);
+            if (id != UINT32_MAX) {
+              result.libc_symbol_sizes[id] = fn.size;
+            }
+          }
         }
         if (binary.is_library) {
           LAPIS_RETURN_IF_ERROR(register_library(binary));
@@ -321,8 +313,9 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     }
     timer.AddItems(package_count);
   }
+  core.clear();
 
-  // ---- Packages, stage 3: take each executable from resolution to
+  // ---- Stage 3: take each executable from resolution to
   // dataset ApiIds (and, under audit, through a replay against that very
   // footprint) on worker shards. The resolver, tracer and interners are
   // read-only now, so any shard may use them; each shard frees its own

@@ -1,6 +1,8 @@
 #include "src/elf/elf_builder.h"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 
 #include "src/elf/elf_defs.h"
 #include "src/util/bytes.h"
@@ -12,68 +14,173 @@ namespace {
 constexpr uint64_t kExecBase = 0x400000;
 constexpr uint64_t kPltStubSize = 16;
 constexpr uint64_t kGotEntrySize = 8;
+constexpr uint16_t kPhnum = 3;  // LOAD(RX) LOAD(RW) DYNAMIC
+constexpr size_t kMinSlots = 64;
 
-// Accumulates a string table (index 0 is the empty string).
-class StringTable {
- public:
-  StringTable() { data_.push_back(0); }
-
-  uint32_t Add(std::string_view s) {
-    if (s.empty()) {
-      return 0;
-    }
-    auto it = offsets_.find(std::string(s));
-    if (it != offsets_.end()) {
-      return it->second;
-    }
-    uint32_t off = static_cast<uint32_t>(data_.size());
-    data_.insert(data_.end(), s.begin(), s.end());
-    data_.push_back(0);
-    offsets_.emplace(std::string(s), off);
-    return off;
-  }
-
-  const std::vector<uint8_t>& data() const { return data_; }
-
- private:
-  std::vector<uint8_t> data_;
-  std::unordered_map<std::string, uint32_t> offsets_;
+// Sections in file order, after the leading null section header.
+enum SectionIndex : uint32_t {
+  kIdxNull = 0,
+  kIdxDynsym,
+  kIdxDynstr,
+  kIdxRelaPlt,
+  kIdxPlt,
+  kIdxText,
+  kIdxRodata,
+  kIdxGotPlt,
+  kIdxDynamic,
+  kIdxSymtab,
+  kIdxStrtab,
+  kIdxShstrtab,
+  kSectionCount,
 };
 
-void WriteSym(ByteWriter& w, uint32_t name, uint8_t info, uint16_t shndx,
-              uint64_t value, uint64_t size) {
-  w.PutU32(name);
-  w.PutU8(info);
-  w.PutU8(0);  // st_other
-  w.PutU16(shndx);
-  w.PutU64(value);
-  w.PutU64(size);
+// The header fields every emitted binary shares, per section.
+struct SectionSpec {
+  std::string_view name;
+  uint32_t type;
+  uint64_t flags;
+  uint64_t align;
+  uint64_t entsize;
+  uint32_t link;
+};
+
+constexpr SectionSpec kSections[kSectionCount] = {
+    {"", kShtNull, 0, 0, 0, 0},
+    {".dynsym", kShtDynsym, kShfAlloc, 8, kSymSize, kIdxDynstr},
+    {".dynstr", kShtStrtab, kShfAlloc, 1, 0, 0},
+    {".rela.plt", kShtRela, kShfAlloc, 8, kRelaSize, kIdxDynsym},
+    {".plt", kShtProgbits, kShfAlloc | kShfExecinstr, 16, 0, 0},
+    {".text", kShtProgbits, kShfAlloc | kShfExecinstr, 16, 0, 0},
+    {".rodata", kShtProgbits, kShfAlloc, 8, 0, 0},
+    {".got.plt", kShtProgbits, kShfAlloc | kShfWrite, 8, 0, 0},
+    {".dynamic", kShtDynamic, kShfAlloc | kShfWrite, 8, kDynSize, kIdxDynstr},
+    {".symtab", kShtSymtab, 0, 8, kSymSize, kIdxStrtab},
+    {".strtab", kShtStrtab, 0, 1, 0, 0},
+    {".shstrtab", kShtStrtab, 0, 1, 0, 0},
+};
+
+// .shstrtab, the same in every binary: the empty name, then each section's.
+constexpr uint64_t ShstrtabSize() {
+  uint64_t size = 1;
+  for (const SectionSpec& spec : kSections) {
+    size += spec.name.empty() ? 0 : spec.name.size() + 1;
+  }
+  return size;
 }
 
-struct SectionPlan {
-  std::string name;
-  uint32_t type = kShtProgbits;
-  uint64_t flags = 0;
-  uint64_t align = 8;
-  uint64_t entsize = 0;
-  uint32_t link = 0;
-  std::vector<uint8_t> data;
-  // Filled during layout:
-  uint64_t offset = 0;
-  uint64_t addr = 0;
+// Little-endian stores at a moving position in a buffer already sized to
+// the whole file (and zero-filled, so zero fields need no store). Each
+// section gets its own short-lived cursor, which the compiler keeps in a
+// register: a byte store cannot alias it there.
+class Cursor {
+ public:
+  explicit Cursor(uint8_t* at) : at_(at) {}
+
+  uint8_t* at() const { return at_; }
+
+  void U8(uint8_t v) { *at_++ = v; }
+  void U16(uint16_t v) { Put(v); }
+  void U32(uint32_t v) { Put(v); }
+  void U64(uint64_t v) { Put(v); }
+  void Bytes(const void* src, size_t count) {
+    if (count != 0) {
+      std::memcpy(at_, src, count);
+    }
+    at_ += count;
+  }
+  void Fill(uint8_t byte, size_t count) {
+    std::memset(at_, byte, count);
+    at_ += count;
+  }
+  void Sym(uint32_t name, uint8_t info, uint16_t shndx, uint64_t value,
+           uint64_t size) {
+    U32(name);
+    U8(info);
+    U8(0);  // st_other
+    U16(shndx);
+    U64(value);
+    U64(size);
+  }
+  void Phdr(uint32_t type, uint32_t flags, uint64_t offset, uint64_t vaddr,
+            uint64_t size) {
+    U32(type);
+    U32(flags);
+    U64(offset);
+    U64(vaddr);
+    U64(vaddr);  // p_paddr
+    U64(size);   // p_filesz
+    U64(size);   // p_memsz
+    U64(0x1000);
+  }
+  void Dyn(int64_t tag, uint64_t value) {
+    U64(static_cast<uint64_t>(tag));
+    U64(value);
+  }
+
+ private:
+  template <typename T>
+  void Put(T v) {
+    StoreLittleEndian(at_, v);
+    at_ += sizeof(T);
+  }
+
+  uint8_t* at_;
 };
 
 }  // namespace
 
-uint32_t ElfBuilder::AddImport(const std::string& symbol) {
-  auto it = import_index_.find(symbol);
-  if (it != import_index_.end()) {
-    return it->second;
+void ElfBuilder::StringTable::Clear() {
+  bytes_.assign(1, 0);
+  offsets_.clear();
+  // The index keeps its size: growing it again would re-place every name.
+  slots_.assign(std::max(slots_.size(), kMinSlots), 0);
+}
+
+std::string_view ElfBuilder::StringTable::Name(uint32_t id) const {
+  const uint32_t begin = offsets_[id];
+  const size_t end =
+      id + 1 < offsets_.size() ? offsets_[id + 1] : bytes_.size();
+  return {reinterpret_cast<const char*>(bytes_.data()) + begin,
+          end - 1 - begin};
+}
+
+size_t ElfBuilder::StringTable::Slot(std::string_view name) const {
+  const size_t mask = slots_.size() - 1;
+  size_t slot = std::hash<std::string_view>{}(name) & mask;
+  while (slots_[slot] != 0 && Name(slots_[slot] - 1) != name) {
+    slot = (slot + 1) & mask;
   }
-  uint32_t index = static_cast<uint32_t>(imports_.size());
-  imports_.push_back(symbol);
-  import_index_.emplace(symbol, index);
-  return index;
+  return slot;
+}
+
+uint32_t ElfBuilder::StringTable::Intern(std::string_view name) {
+  const size_t slot = Slot(name);
+  if (slots_[slot] != 0) {
+    return slots_[slot] - 1;
+  }
+  const auto id = static_cast<uint32_t>(offsets_.size());
+  offsets_.push_back(static_cast<uint32_t>(bytes_.size()));
+  bytes_.insert(bytes_.end(), name.begin(), name.end());
+  bytes_.push_back(0);
+  slots_[slot] = id + 1;
+  if (2 * offsets_.size() > slots_.size()) {
+    // Keep the load at most one half: double and re-place every name.
+    slots_.assign(2 * slots_.size(), 0);
+    for (uint32_t i = 0; i < offsets_.size(); ++i) {
+      slots_[Slot(Name(i))] = i + 1;
+    }
+  }
+  return id;
+}
+
+void ElfBuilder::Reset(BinaryType type) {
+  type_ = type;
+  soname_.clear();
+  needed_.clear();
+  imports_.Clear();
+  rodata_.clear();
+  functions_.clear();
+  entry_function_ = -1;
 }
 
 uint32_t ElfBuilder::AddRodata(std::span<const uint8_t> data) {
@@ -102,13 +209,20 @@ Status ElfBuilder::SetEntryFunction(uint32_t function_index) {
   return Status::Ok();
 }
 
-Result<std::vector<uint8_t>> ElfBuilder::Build() const {
+Result<std::vector<uint8_t>> ElfBuilder::Build() {
+  std::vector<uint8_t> out;
+  LAPIS_RETURN_IF_ERROR(BuildInto(out));
+  return out;
+}
+
+Status ElfBuilder::BuildInto(std::vector<uint8_t>& out) {
   if (type_ == BinaryType::kExecutable && entry_function_ < 0) {
     return FailedPreconditionError("executable requires an entry function");
   }
   for (const auto& fn : functions_) {
     for (const auto& reloc : fn.relocs) {
-      if (reloc.offset + 4 > fn.body.size()) {
+      // In 64 bits: an offset near UINT32_MAX must not wrap past the check.
+      if (uint64_t{reloc.offset} + 4 > fn.body.size()) {
         return InvalidArgumentError("relocation outside function body in " +
                                     fn.name);
       }
@@ -132,420 +246,234 @@ Result<std::vector<uint8_t>> ElfBuilder::Build() const {
     }
   }
 
-  const uint64_t base = type_ == BinaryType::kExecutable ? kExecBase : 0;
-
-  // ---- String tables ----
-  StringTable dynstr;
+  // ---- String tables: each distinct name once, at its first sight in
+  // this order, which fixes every name's offset ----
+  dynstr_.Clear();
+  dynstr_names_.clear();
   for (const auto& lib : needed_) {
-    dynstr.Add(lib);
+    dynstr_names_.push_back(dynstr_.Add(lib));
   }
-  if (!soname_.empty()) {
-    dynstr.Add(soname_);
+  const uint32_t soname = dynstr_.Add(soname_);
+  const size_t imports = imports_.size();
+  for (uint32_t i = 0; i < imports; ++i) {
+    dynstr_names_.push_back(dynstr_.Add(imports_.Name(i)));
   }
-  std::vector<uint32_t> import_names;
-  import_names.reserve(imports_.size());
-  for (const auto& sym : imports_) {
-    import_names.push_back(dynstr.Add(sym));
-  }
-  std::vector<uint32_t> export_names;
+  size_t exports = 0;
   for (const auto& fn : functions_) {
-    export_names.push_back(fn.exported ? dynstr.Add(fn.name) : 0);
+    if (fn.exported) {
+      dynstr_names_.push_back(dynstr_.Add(fn.name));
+      ++exports;
+    }
+  }
+  const uint32_t* needed_names = dynstr_names_.data();
+  const uint32_t* import_names = needed_names + needed_.size();
+  const uint32_t* export_names = import_names + imports;
+  strtab_.Clear();
+  strtab_names_.clear();
+  for (const auto& fn : functions_) {
+    strtab_names_.push_back(strtab_.Add(fn.name));
   }
 
-  StringTable strtab;
-  std::vector<uint32_t> symtab_names;
-  symtab_names.reserve(functions_.size());
-  for (const auto& fn : functions_) {
-    symtab_names.push_back(strtab.Add(fn.name));
-  }
-
-  // ---- .text layout: functions 16-byte aligned ----
-  std::vector<uint64_t> fn_text_offset(functions_.size());
+  // ---- Layout: ehdr, phdrs, then sections in order; vaddr = base +
+  // offset for allocated sections. Functions are 16-byte aligned. ----
+  text_offsets_.clear();
   uint64_t text_size = 0;
-  for (size_t i = 0; i < functions_.size(); ++i) {
+  for (const auto& fn : functions_) {
     text_size = (text_size + 15) & ~15ULL;
-    fn_text_offset[i] = text_size;
-    text_size += functions_[i].body.size();
+    text_offsets_.push_back(text_size);
+    text_size += fn.body.size();
   }
+  const size_t dynamic_entries =
+      needed_.size() + (soname_.empty() ? 0 : 1) +
+      /* STRTAB SYMTAB STRSZ SYMENT */ 4 +
+      (imports == 0 ? 0 : 4) /* JMPREL PLTRELSZ PLTREL PLTGOT */ +
+      1 /* NULL */;
+  uint64_t size[kSectionCount] = {};
+  size[kIdxDynsym] = (1 + imports + exports) * kSymSize;
+  size[kIdxDynstr] = dynstr_.bytes().size();
+  size[kIdxRelaPlt] = imports * kRelaSize;
+  size[kIdxPlt] = imports * kPltStubSize;
+  size[kIdxText] = text_size;
+  size[kIdxRodata] = rodata_.size();
+  size[kIdxGotPlt] = imports * kGotEntrySize;
+  size[kIdxDynamic] = dynamic_entries * kDynSize;
+  size[kIdxSymtab] = (1 + functions_.size()) * kSymSize;
+  size[kIdxStrtab] = strtab_.bytes().size();
+  size[kIdxShstrtab] = ShstrtabSize();
 
-  // ---- Section plans, in file order ----
-  // Order: .dynsym .dynstr .rela.plt .plt .text .rodata .got.plt .dynamic
-  //        .symtab .strtab .shstrtab  (+ leading null section header).
-  enum SectionIndex : uint32_t {
-    kIdxNull = 0,
-    kIdxDynsym,
-    kIdxDynstr,
-    kIdxRelaPlt,
-    kIdxPlt,
-    kIdxText,
-    kIdxRodata,
-    kIdxGotPlt,
-    kIdxDynamic,
-    kIdxSymtab,
-    kIdxStrtab,
-    kIdxShstrtab,
-    kSectionCount,
-  };
-
-  std::vector<SectionPlan> plans(kSectionCount);
-  plans[kIdxNull].name = "";
-  plans[kIdxNull].type = kShtNull;
-  plans[kIdxNull].align = 0;
-
-  // .dynsym: null + imports (UND) + exported functions.
-  {
-    SectionPlan& p = plans[kIdxDynsym];
-    p.name = ".dynsym";
-    p.type = kShtDynsym;
-    p.flags = kShfAlloc;
-    p.entsize = kSymSize;
-    p.link = kIdxDynstr;
-    ByteWriter w;
-    WriteSym(w, 0, 0, kShnUndef, 0, 0);
-    for (size_t i = 0; i < imports_.size(); ++i) {
-      WriteSym(w, import_names[i], StInfo(kStbGlobal, kSttFunc), kShnUndef, 0,
-               0);
-    }
-    // Export values patched after layout (need .text addr); remember where.
-    for (size_t i = 0; i < functions_.size(); ++i) {
-      if (functions_[i].exported) {
-        WriteSym(w, export_names[i], StInfo(kStbGlobal, kSttFunc), kIdxText, 0,
-                 functions_[i].body.size());
-      }
-    }
-    p.data = w.Take();
-  }
-
-  plans[kIdxDynstr] = SectionPlan{
-      .name = ".dynstr", .type = kShtStrtab, .flags = kShfAlloc, .align = 1,
-      .entsize = 0, .link = 0, .data = dynstr.data()};
-
-  // .rela.plt: filled after layout (needs .got.plt addr); size known now.
-  {
-    SectionPlan& p = plans[kIdxRelaPlt];
-    p.name = ".rela.plt";
-    p.type = kShtRela;
-    p.flags = kShfAlloc;
-    p.entsize = kRelaSize;
-    p.link = kIdxDynsym;
-    p.data.resize(imports_.size() * kRelaSize);
-  }
-
-  // .plt: stubs filled after layout; size known now.
-  {
-    SectionPlan& p = plans[kIdxPlt];
-    p.name = ".plt";
-    p.type = kShtProgbits;
-    p.flags = kShfAlloc | kShfExecinstr;
-    p.align = 16;
-    p.data.resize(imports_.size() * kPltStubSize);
-  }
-
-  // .text: bodies placed; relocations patched after layout.
-  {
-    SectionPlan& p = plans[kIdxText];
-    p.name = ".text";
-    p.type = kShtProgbits;
-    p.flags = kShfAlloc | kShfExecinstr;
-    p.align = 16;
-    p.data.assign(text_size, 0x90);  // nop padding between functions
-    for (size_t i = 0; i < functions_.size(); ++i) {
-      std::copy(functions_[i].body.begin(), functions_[i].body.end(),
-                p.data.begin() + static_cast<ptrdiff_t>(fn_text_offset[i]));
-    }
-  }
-
-  plans[kIdxRodata] = SectionPlan{
-      .name = ".rodata", .type = kShtProgbits, .flags = kShfAlloc, .align = 8,
-      .entsize = 0, .link = 0, .data = rodata_};
-
-  {
-    SectionPlan& p = plans[kIdxGotPlt];
-    p.name = ".got.plt";
-    p.type = kShtProgbits;
-    p.flags = kShfAlloc | kShfWrite;
-    p.data.resize(imports_.size() * kGotEntrySize);
-  }
-
-  // .dynamic: filled after layout; count entries now.
-  {
-    size_t entries = needed_.size() + (soname_.empty() ? 0 : 1) +
-                     /* STRTAB SYMTAB STRSZ SYMENT */ 4 +
-                     (imports_.empty() ? 0 : 3) /* JMPREL PLTRELSZ/PLTREL */ +
-                     (imports_.empty() ? 0 : 1) /* PLTGOT */ + 1 /* NULL */;
-    SectionPlan& p = plans[kIdxDynamic];
-    p.name = ".dynamic";
-    p.type = kShtDynamic;
-    p.flags = kShfAlloc | kShfWrite;
-    p.entsize = kDynSize;
-    p.link = kIdxDynstr;
-    p.data.resize(entries * kDynSize);
-  }
-
-  // .symtab: null + all functions; values patched after layout.
-  {
-    SectionPlan& p = plans[kIdxSymtab];
-    p.name = ".symtab";
-    p.type = kShtSymtab;
-    p.entsize = kSymSize;
-    p.link = kIdxStrtab;
-    ByteWriter w;
-    WriteSym(w, 0, 0, kShnUndef, 0, 0);
-    // Locals first (required ordering), then globals.
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t i = 0; i < functions_.size(); ++i) {
-        bool global = functions_[i].exported;
-        if ((pass == 0) == global) {
-          continue;
-        }
-        WriteSym(w, symtab_names[i],
-                 StInfo(global ? kStbGlobal : kStbLocal, kSttFunc), kIdxText, 0,
-                 functions_[i].body.size());
-      }
-    }
-    p.data = w.Take();
-  }
-
-  plans[kIdxStrtab] = SectionPlan{
-      .name = ".strtab", .type = kShtStrtab, .flags = 0, .align = 1,
-      .entsize = 0, .link = 0, .data = strtab.data()};
-
-  // .shstrtab built from plan names.
-  StringTable shstr;
-  std::vector<uint32_t> section_name_offsets(plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    if (i == kIdxShstrtab) {
-      section_name_offsets[i] = shstr.Add(".shstrtab");
-    } else {
-      section_name_offsets[i] = shstr.Add(plans[i].name);
-    }
-  }
-  plans[kIdxShstrtab] = SectionPlan{
-      .name = ".shstrtab", .type = kShtStrtab, .flags = 0, .align = 1,
-      .entsize = 0, .link = 0, .data = shstr.data()};
-
-  // ---- Layout: ehdr, phdrs, then sections in order; vaddr = base + offset.
-  const uint16_t phnum = 3;  // LOAD(RX) LOAD(RW) DYNAMIC
-  uint64_t cursor = kEhdrSize + static_cast<uint64_t>(phnum) * kPhdrSize;
-  for (size_t i = 1; i < plans.size(); ++i) {
-    SectionPlan& p = plans[i];
-    uint64_t align = std::max<uint64_t>(p.align, 1);
+  const uint64_t base = type_ == BinaryType::kExecutable ? kExecBase : 0;
+  uint64_t offset[kSectionCount] = {};
+  uint64_t addr[kSectionCount] = {};
+  uint64_t cursor = kEhdrSize + uint64_t{kPhnum} * kPhdrSize;
+  for (uint32_t i = 1; i < kSectionCount; ++i) {
+    const uint64_t align = std::max<uint64_t>(kSections[i].align, 1);
     cursor = (cursor + align - 1) & ~(align - 1);
-    p.offset = cursor;
-    if ((p.flags & kShfAlloc) != 0) {
-      p.addr = base + cursor;
+    offset[i] = cursor;
+    if ((kSections[i].flags & kShfAlloc) != 0) {
+      addr[i] = base + cursor;
     }
-    cursor += p.data.size();
+    cursor += size[i];
   }
-  uint64_t shoff = (cursor + 7) & ~7ULL;
+  const uint64_t shoff = (cursor + 7) & ~7ULL;
 
-  // ---- Patch .dynsym export values ----
-  {
-    auto& data = plans[kIdxDynsym].data;
-    size_t record = 1 + imports_.size();
+  out.clear();
+  out.resize(shoff + uint64_t{kSectionCount} * kShdrSize);
+  uint8_t* const file = out.data();
+
+  {  // ehdr, then the phdrs right after it
+    Cursor w(file);
+    for (uint8_t b : {kMag0, kMag1, kMag2, kMag3, kClass64, kData2Lsb,
+                      kEvCurrent, kOsabiSysv}) {
+      w.U8(b);
+    }
+    w = Cursor(file + kEiNident);
+    w.U16(type_ == BinaryType::kExecutable ? kEtExec : kEtDyn);
+    w.U16(kEmX8664);
+    w.U32(1);  // e_version
+    w.U64(type_ == BinaryType::kExecutable
+              ? addr[kIdxText] +
+                    text_offsets_[static_cast<size_t>(entry_function_)]
+              : 0);
+    w.U64(kEhdrSize);  // e_phoff
+    w.U64(shoff);
+    w.U32(0);  // e_flags
+    w.U16(kEhdrSize);
+    w.U16(kPhdrSize);
+    w.U16(kPhnum);
+    w.U16(kShdrSize);
+    w.U16(kSectionCount);
+    w.U16(kIdxShstrtab);
+    // RX: file start through end of .rodata.
+    w.Phdr(kPtLoad, kPfR | kPfX, 0, base,
+           offset[kIdxRodata] + size[kIdxRodata]);
+    // RW: .got.plt + .dynamic.
+    w.Phdr(kPtLoad, kPfR | kPfW, offset[kIdxGotPlt], addr[kIdxGotPlt],
+           offset[kIdxDynamic] + size[kIdxDynamic] - offset[kIdxGotPlt]);
+    w.Phdr(kPtDynamic, kPfR | kPfW, offset[kIdxDynamic], addr[kIdxDynamic],
+           size[kIdxDynamic]);
+  }
+
+  {  // .dynsym: null, imports (UND), then exported functions
+    const uint8_t global_func = StInfo(kStbGlobal, kSttFunc);
+    Cursor w(file + offset[kIdxDynsym] + kSymSize);
+    for (size_t i = 0; i < imports; ++i) {
+      w.Sym(import_names[i], global_func, kShnUndef, 0, 0);
+    }
+    for (size_t i = 0, e = 0; i < functions_.size(); ++i) {
+      if (functions_[i].exported) {
+        w.Sym(export_names[e++], global_func, kIdxText,
+              addr[kIdxText] + text_offsets_[i], functions_[i].body.size());
+      }
+    }
+  }
+
+  Cursor(file + offset[kIdxDynstr]).Bytes(dynstr_.bytes().data(),
+                                          size[kIdxDynstr]);
+
+  {  // .rela.plt and .plt: a jump slot and a `jmp *got(%rip)` stub each
+    Cursor rela(file + offset[kIdxRelaPlt]);
+    Cursor plt(file + offset[kIdxPlt]);
+    for (size_t i = 0; i < imports; ++i) {
+      const uint64_t stub_vaddr = addr[kIdxPlt] + i * kPltStubSize;
+      const uint64_t got_vaddr = addr[kIdxGotPlt] + i * kGotEntrySize;
+      rela.U64(got_vaddr);
+      rela.U64(RInfo(static_cast<uint32_t>(i + 1), kRX8664JumpSlot));
+      rela.U64(0);  // r_addend
+      plt.U8(0xff);
+      plt.U8(0x25);
+      plt.U32(static_cast<uint32_t>(got_vaddr - (stub_vaddr + 6)));
+      plt.U16(0x9090);  // ten bytes of nop padding
+      plt.U64(0x9090909090909090);
+    }
+  }
+
+  {  // .text: bodies with nop padding between them, patched as they land
+    uint8_t* const text = file + offset[kIdxText];
+    Cursor w(text);
     for (size_t i = 0; i < functions_.size(); ++i) {
-      if (!functions_[i].exported) {
-        continue;
-      }
-      uint64_t value = plans[kIdxText].addr + fn_text_offset[i];
-      size_t field = record * kSymSize + 8;  // st_value at offset 8
-      for (int b = 0; b < 8; ++b) {
-        data[field + static_cast<size_t>(b)] =
-            static_cast<uint8_t>(value >> (8 * b));
-      }
-      ++record;
-    }
-  }
-
-  // ---- Patch .symtab values (locals then globals, matching the emit order).
-  {
-    auto& data = plans[kIdxSymtab].data;
-    size_t record = 1;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t i = 0; i < functions_.size(); ++i) {
-        bool global = functions_[i].exported;
-        if ((pass == 0) == global) {
-          continue;
-        }
-        uint64_t value = plans[kIdxText].addr + fn_text_offset[i];
-        size_t field = record * kSymSize + 8;
-        for (int b = 0; b < 8; ++b) {
-          data[field + static_cast<size_t>(b)] =
-              static_cast<uint8_t>(value >> (8 * b));
-        }
-        ++record;
-      }
-    }
-  }
-
-  // ---- Fill .plt stubs and .rela.plt ----
-  {
-    auto& plt = plans[kIdxPlt].data;
-    ByteWriter rela;
-    for (size_t i = 0; i < imports_.size(); ++i) {
-      uint64_t stub_vaddr = plans[kIdxPlt].addr + i * kPltStubSize;
-      uint64_t got_vaddr = plans[kIdxGotPlt].addr + i * kGotEntrySize;
-      int64_t disp = static_cast<int64_t>(got_vaddr) -
-                     static_cast<int64_t>(stub_vaddr + 6);
-      size_t off = i * kPltStubSize;
-      plt[off] = 0xff;
-      plt[off + 1] = 0x25;
-      for (int b = 0; b < 4; ++b) {
-        plt[off + 2 + static_cast<size_t>(b)] =
-            static_cast<uint8_t>(static_cast<uint64_t>(disp) >> (8 * b));
-      }
-      // Pad remainder with nops.
-      for (size_t b = 6; b < kPltStubSize; ++b) {
-        plt[off + b] = 0x90;
-      }
-      rela.PutU64(got_vaddr);
-      rela.PutU64(RInfo(static_cast<uint32_t>(i + 1), kRX8664JumpSlot));
-      rela.PutI64(0);
-    }
-    plans[kIdxRelaPlt].data = rela.Take();
-  }
-
-  // ---- Patch .text relocations ----
-  {
-    auto& text = plans[kIdxText].data;
-    uint64_t text_addr = plans[kIdxText].addr;
-    for (size_t i = 0; i < functions_.size(); ++i) {
-      for (const auto& reloc : functions_[i].relocs) {
-        uint64_t field_vaddr = text_addr + fn_text_offset[i] + reloc.offset;
+      const FunctionDef& fn = functions_[i];
+      uint8_t* const body = text + text_offsets_[i];
+      w.Fill(0x90, static_cast<size_t>(body - w.at()));
+      w.Bytes(fn.body.data(), fn.body.size());
+      const uint64_t fn_vaddr = addr[kIdxText] + text_offsets_[i];
+      for (const auto& reloc : fn.relocs) {
         uint64_t target_vaddr = 0;
         switch (reloc.kind) {
           case TextReloc::Kind::kPltCall:
-            target_vaddr = plans[kIdxPlt].addr + reloc.target * kPltStubSize;
+            target_vaddr = addr[kIdxPlt] + reloc.target * kPltStubSize;
             break;
           case TextReloc::Kind::kLocalCall:
-            target_vaddr = text_addr + fn_text_offset[reloc.target];
+            target_vaddr = addr[kIdxText] + text_offsets_[reloc.target];
             break;
           case TextReloc::Kind::kRodataRef:
-            target_vaddr = plans[kIdxRodata].addr + reloc.target;
+            target_vaddr = addr[kIdxRodata] + reloc.target;
             break;
         }
-        int64_t rel = static_cast<int64_t>(target_vaddr) -
-                      static_cast<int64_t>(field_vaddr + 4);
-        size_t field = static_cast<size_t>(fn_text_offset[i]) + reloc.offset;
-        for (int b = 0; b < 4; ++b) {
-          text[field + static_cast<size_t>(b)] =
-              static_cast<uint8_t>(static_cast<uint64_t>(rel) >> (8 * b));
+        Cursor(body + reloc.offset)
+            .U32(static_cast<uint32_t>(target_vaddr -
+                                       (fn_vaddr + reloc.offset + 4)));
+      }
+    }
+  }
+
+  Cursor(file + offset[kIdxRodata]).Bytes(rodata_.data(), rodata_.size());
+
+  {  // .got.plt stays zero. .dynamic (its DT_NULL is already zero):
+    Cursor w(file + offset[kIdxDynamic]);
+    for (size_t i = 0; i < needed_.size(); ++i) {
+      w.Dyn(kDtNeeded, needed_names[i]);
+    }
+    if (!soname_.empty()) {
+      w.Dyn(kDtSoname, soname);
+    }
+    w.Dyn(kDtStrtab, addr[kIdxDynstr]);
+    w.Dyn(kDtSymtab, addr[kIdxDynsym]);
+    w.Dyn(kDtStrsz, size[kIdxDynstr]);
+    w.Dyn(kDtSyment, kSymSize);
+    if (imports != 0) {
+      w.Dyn(kDtJmprel, addr[kIdxRelaPlt]);
+      w.Dyn(kDtPltrelsz, size[kIdxRelaPlt]);
+      w.Dyn(kDtPltrel, kDtRela);
+      w.Dyn(kDtPltgot, addr[kIdxGotPlt]);
+    }
+  }
+
+  {  // .symtab: null, locals first (required ordering), then globals
+    Cursor w(file + offset[kIdxSymtab] + kSymSize);
+    for (bool global : {false, true}) {
+      for (size_t i = 0; i < functions_.size(); ++i) {
+        if (functions_[i].exported == global) {
+          w.Sym(strtab_names_[i],
+                StInfo(global ? kStbGlobal : kStbLocal, kSttFunc), kIdxText,
+                addr[kIdxText] + text_offsets_[i], functions_[i].body.size());
         }
       }
     }
   }
 
-  // ---- Fill .dynamic ----
-  {
-    ByteWriter w;
-    auto put = [&w](int64_t tag, uint64_t val) {
-      w.PutI64(tag);
-      w.PutU64(val);
-    };
-    StringTable dynstr_lookup;  // same insertion order as `dynstr` above
-    for (const auto& lib : needed_) {
-      put(kDtNeeded, dynstr_lookup.Add(lib));
+  Cursor(file + offset[kIdxStrtab]).Bytes(strtab_.bytes().data(),
+                                          size[kIdxStrtab]);
+
+  {  // .shstrtab and the section headers; the null header stays zero.
+    Cursor names(file + offset[kIdxShstrtab] + 1);
+    Cursor w(file + shoff + kShdrSize);
+    for (uint32_t i = 1; i < kSectionCount; ++i) {
+      const SectionSpec& spec = kSections[i];
+      w.U32(static_cast<uint32_t>(names.at() - (file + offset[kIdxShstrtab])));
+      names.Bytes(spec.name.data(), spec.name.size());
+      names.U8(0);
+      w.U32(spec.type);
+      w.U64(spec.flags);
+      w.U64(addr[i]);
+      w.U64(offset[i]);
+      w.U64(size[i]);
+      w.U32(spec.link);
+      w.U32(0);  // sh_info
+      w.U64(spec.align);
+      w.U64(spec.entsize);
     }
-    if (!soname_.empty()) {
-      put(kDtSoname, dynstr_lookup.Add(soname_));
-    }
-    put(kDtStrtab, plans[kIdxDynstr].addr);
-    put(kDtSymtab, plans[kIdxDynsym].addr);
-    put(kDtStrsz, plans[kIdxDynstr].data.size());
-    put(kDtSyment, kSymSize);
-    if (!imports_.empty()) {
-      put(kDtJmprel, plans[kIdxRelaPlt].addr);
-      put(kDtPltrelsz, plans[kIdxRelaPlt].data.size());
-      put(kDtPltrel, 7 /* DT_RELA */);
-      put(kDtPltgot, plans[kIdxGotPlt].addr);
-    }
-    put(kDtNull, 0);
-    plans[kIdxDynamic].data = w.Take();
   }
-
-  // ---- Serialize ----
-  ByteWriter out;
-  // ehdr
-  out.PutU8(kMag0);
-  out.PutU8(kMag1);
-  out.PutU8(kMag2);
-  out.PutU8(kMag3);
-  out.PutU8(kClass64);
-  out.PutU8(kData2Lsb);
-  out.PutU8(kEvCurrent);
-  out.PutU8(kOsabiSysv);
-  for (int i = 8; i < kEiNident; ++i) {
-    out.PutU8(0);
-  }
-  out.PutU16(type_ == BinaryType::kExecutable ? kEtExec : kEtDyn);
-  out.PutU16(kEmX8664);
-  out.PutU32(1);  // e_version
-  uint64_t entry = 0;
-  if (type_ == BinaryType::kExecutable) {
-    entry = plans[kIdxText].addr +
-            fn_text_offset[static_cast<size_t>(entry_function_)];
-  }
-  out.PutU64(entry);
-  out.PutU64(kEhdrSize);  // e_phoff: phdrs follow the ehdr
-  out.PutU64(shoff);
-  out.PutU32(0);          // e_flags
-  out.PutU16(kEhdrSize);
-  out.PutU16(kPhdrSize);
-  out.PutU16(phnum);
-  out.PutU16(kShdrSize);
-  out.PutU16(static_cast<uint16_t>(plans.size()));
-  out.PutU16(kIdxShstrtab);
-
-  // phdrs
-  auto put_phdr = [&out](uint32_t type, uint32_t flags, uint64_t offset,
-                         uint64_t vaddr, uint64_t size) {
-    out.PutU32(type);
-    out.PutU32(flags);
-    out.PutU64(offset);
-    out.PutU64(vaddr);
-    out.PutU64(vaddr);  // p_paddr
-    out.PutU64(size);
-    out.PutU64(size);
-    out.PutU64(0x1000);
-  };
-  // RX: file start through end of .rodata.
-  uint64_t rx_end = plans[kIdxRodata].offset + plans[kIdxRodata].data.size();
-  put_phdr(kPtLoad, kPfR | kPfX, 0, base, rx_end);
-  // RW: .got.plt + .dynamic.
-  uint64_t rw_off = plans[kIdxGotPlt].offset;
-  uint64_t rw_end = plans[kIdxDynamic].offset + plans[kIdxDynamic].data.size();
-  put_phdr(kPtLoad, kPfR | kPfW, rw_off, base + rw_off, rw_end - rw_off);
-  put_phdr(kPtDynamic, kPfR | kPfW, plans[kIdxDynamic].offset,
-           plans[kIdxDynamic].addr,
-           plans[kIdxDynamic].data.size());
-
-  // section bodies
-  for (size_t i = 1; i < plans.size(); ++i) {
-    while (out.size() < plans[i].offset) {
-      out.PutU8(0);
-    }
-    out.PutBytes(plans[i].data);
-  }
-
-  // section headers
-  while (out.size() < shoff) {
-    out.PutU8(0);
-  }
-  for (size_t i = 0; i < plans.size(); ++i) {
-    const SectionPlan& p = plans[i];
-    out.PutU32(section_name_offsets[i]);
-    out.PutU32(p.type);
-    out.PutU64(p.flags);
-    out.PutU64(p.addr);
-    out.PutU64(i == 0 ? 0 : p.offset);
-    out.PutU64(p.data.size());
-    out.PutU32(p.link);
-    out.PutU32(0);  // sh_info
-    out.PutU64(p.align);
-    out.PutU64(p.entsize);
-  }
-
-  return out.Take();
+  return Status::Ok();
 }
 
 }  // namespace lapis::elf

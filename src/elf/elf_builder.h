@@ -18,7 +18,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/util/status.h"
@@ -55,11 +54,18 @@ class ElfBuilder {
  public:
   explicit ElfBuilder(BinaryType type) : type_(type) {}
 
-  void SetSoname(std::string soname) { soname_ = std::move(soname); }
-  void AddNeeded(std::string library) { needed_.push_back(std::move(library)); }
+  // Starts a new binary of `type`, dropping everything added so far. The
+  // builder's buffers keep their capacity, so one builder per thread can
+  // emit a whole corpus without re-growing them.
+  void Reset(BinaryType type);
+
+  void SetSoname(std::string_view soname) { soname_ = soname; }
+  void AddNeeded(std::string_view library) { needed_.emplace_back(library); }
 
   // Registers an imported symbol; idempotent. Returns the PLT slot index.
-  uint32_t AddImport(const std::string& symbol);
+  uint32_t AddImport(std::string_view symbol) {
+    return imports_.Intern(symbol);
+  }
 
   // Appends raw bytes / a NUL-terminated string to .rodata; returns its
   // offset within the section.
@@ -76,19 +82,57 @@ class ElfBuilder {
   size_t import_count() const { return imports_.size(); }
   size_t function_count() const { return functions_.size(); }
 
-  // Produces the final ELF file bytes. The builder may be reused afterwards
-  // (Build is const).
-  Result<std::vector<uint8_t>> Build() const;
+  // Writes the final ELF file bytes into `out`, replacing its contents.
+  // The layout is computed first, so `out` is sized once. Building again
+  // without a Reset yields the same bytes.
+  Status BuildInto(std::vector<uint8_t>& out);
+  Result<std::vector<uint8_t>> Build();
 
  private:
+  // NUL-terminated names stored back to back in one buffer that starts
+  // with the empty name, so it is an ELF string table as it stands, plus
+  // an open-addressing index from name to id (ids count distinct names in
+  // order of first sight). Clear keeps every buffer's capacity.
+  class StringTable {
+   public:
+    StringTable() { Clear(); }
+    void Clear();
+    // Returns the id of `name`, appending it on first sight.
+    uint32_t Intern(std::string_view name);
+    // The name's offset in bytes(); 0 for the empty name, as ELF wants.
+    uint32_t Add(std::string_view name) {
+      return name.empty() ? 0 : offsets_[Intern(name)];
+    }
+    std::string_view Name(uint32_t id) const;
+    size_t size() const { return offsets_.size(); }
+    const std::vector<uint8_t>& bytes() const { return bytes_; }
+
+   private:
+    // Where `name` is indexed, or the empty slot it would take.
+    size_t Slot(std::string_view name) const;
+
+    std::vector<uint8_t> bytes_;
+    std::vector<uint32_t> offsets_;  // id -> offset of its first byte
+    std::vector<uint32_t> slots_;    // id + 1 per slot, 0 = empty
+  };
+
   BinaryType type_;
   std::string soname_;
   std::vector<std::string> needed_;
-  std::vector<std::string> imports_;
-  std::unordered_map<std::string, uint32_t> import_index_;
+  StringTable imports_;
   std::vector<uint8_t> rodata_;
   std::vector<FunctionDef> functions_;
   int64_t entry_function_ = -1;
+
+  // Build scratch, kept for its capacity: the .dynstr and .strtab tables,
+  // the names' offsets in them (.dynstr: needed libraries, imports, then
+  // exported functions; .strtab: every function) and each function's
+  // offset in .text.
+  StringTable dynstr_;
+  StringTable strtab_;
+  std::vector<uint32_t> dynstr_names_;
+  std::vector<uint32_t> strtab_names_;
+  std::vector<uint64_t> text_offsets_;
 };
 
 }  // namespace lapis::elf

@@ -2,20 +2,16 @@
 
 namespace lapis {
 
-void ByteWriter::PutU16(uint16_t v) {
-  PutU8(static_cast<uint8_t>(v));
-  PutU8(static_cast<uint8_t>(v >> 8));
+template <typename T>
+void ByteWriter::Put(T v) {
+  const size_t at = bytes_.size();
+  bytes_.resize(at + sizeof(T));
+  StoreLittleEndian(bytes_.data() + at, v);
 }
 
-void ByteWriter::PutU32(uint32_t v) {
-  PutU16(static_cast<uint16_t>(v));
-  PutU16(static_cast<uint16_t>(v >> 16));
-}
-
-void ByteWriter::PutU64(uint64_t v) {
-  PutU32(static_cast<uint32_t>(v));
-  PutU32(static_cast<uint32_t>(v >> 32));
-}
+void ByteWriter::PutU16(uint16_t v) { Put(v); }
+void ByteWriter::PutU32(uint32_t v) { Put(v); }
+void ByteWriter::PutU64(uint64_t v) { Put(v); }
 
 void ByteWriter::PutBytes(std::span<const uint8_t> data) {
   bytes_.insert(bytes_.end(), data.begin(), data.end());
@@ -45,9 +41,7 @@ void ByteWriter::AlignTo(size_t alignment) {
 }
 
 void ByteWriter::PatchU32(size_t offset, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    bytes_[offset + i] = static_cast<uint8_t>(v >> (8 * i));
-  }
+  StoreLittleEndian(bytes_.data() + offset, v);
 }
 
 Status ByteReader::Seek(size_t position) {

@@ -7,16 +7,33 @@
 #ifndef LAPIS_SRC_UTIL_BYTES_H_
 #define LAPIS_SRC_UTIL_BYTES_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/util/status.h"
 
 namespace lapis {
+
+// Stores `v` little-endian at `dst`, which needs no alignment: one store on
+// a little-endian host.
+template <typename T>
+inline void StoreLittleEndian(uint8_t* dst, T v) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &v, sizeof(T));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      dst[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+}
 
 // Append-only little-endian byte sink.
 class ByteWriter {
@@ -45,6 +62,10 @@ class ByteWriter {
   std::vector<uint8_t> Take() { return std::move(bytes_); }
 
  private:
+  // Appends `v` whole, not byte by byte.
+  template <typename T>
+  void Put(T v);
+
   std::vector<uint8_t> bytes_;
 };
 

@@ -6,10 +6,12 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "src/analysis/binary_analyzer.h"
 #include "src/analysis/library_resolver.h"
+#include "src/cache/content_hash.h"
 #include "src/corpus/api_universe.h"
 #include "src/corpus/binary_synth.h"
 #include "src/corpus/syscall_table.h"
@@ -335,16 +337,62 @@ TEST(BinarySynth, AllBinariesHaveLoaderConsistentLayout) {
   }
 }
 
+// Each thread reuses one ELF builder, so what one package leaves in it
+// must not reach the next: X, then the much larger Y, then X again on one
+// thread, and X on a fresh thread, all emit the same bytes.
 TEST(BinarySynth, DeterministicBytes) {
-  auto it = Fixture().spec.by_name.find("coreutils");
-  auto a = Fixture().synthesizer->PackageBinaries(it->second);
-  auto b = Fixture().synthesizer->PackageBinaries(it->second);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().size(), b.value().size());
-  for (size_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value()[i].bytes, b.value()[i].bytes);
+  const size_t x = Fixture().spec.by_name.at("coreutils");
+  const size_t y = Fixture().spec.by_name.at("qemu-user");
+  auto synthesize = [](size_t pkg) {
+    auto binaries = Fixture().synthesizer->PackageBinaries(pkg);
+    EXPECT_TRUE(binaries.ok());
+    return binaries.take();
+  };
+  const std::vector<SynthesizedBinary> first = synthesize(x);
+  ASSERT_FALSE(first.empty());
+  EXPECT_FALSE(synthesize(y).empty());
+  std::vector<SynthesizedBinary> again = synthesize(x);
+  std::vector<SynthesizedBinary> elsewhere;
+  std::thread([&] { elsewhere = synthesize(x); }).join();
+  for (const auto* copy : {&again, &elsewhere}) {
+    ASSERT_EQ(copy->size(), first.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ((*copy)[i].name, first[i].name);
+      EXPECT_EQ((*copy)[i].bytes, first[i].bytes) << first[i].name;
+    }
   }
+}
+
+// Pins every emitted byte: an FNV-1a chain over the name and bytes of each
+// core library, then of each package's binaries in package order. The
+// analysis cache is keyed by the hash of these bytes, so a change here
+// misses every cached entry a user holds. The constants were printed by a
+// build of the two-copy emitter the one-pass builder replaced.
+TEST(BinarySynth, BytesMatchPinnedDigest) {
+  uint64_t digest = cache::kFnvOffsetBasis;
+  size_t total_bytes = 0;
+  size_t binaries = 0;
+  auto fold = [&](const SynthesizedBinary& binary) {
+    digest = cache::HashString(binary.name, digest);
+    digest = cache::HashBytes(binary.bytes, digest);
+    total_bytes += binary.bytes.size();
+    ++binaries;
+  };
+  auto core_libs = Fixture().synthesizer->CoreLibraries();
+  ASSERT_TRUE(core_libs.ok());
+  for (const auto& binary : core_libs.value()) {
+    fold(binary);
+  }
+  for (size_t pkg = 0; pkg < Fixture().spec.packages.size(); ++pkg) {
+    auto package = Fixture().synthesizer->PackageBinaries(pkg);
+    ASSERT_TRUE(package.ok()) << Fixture().spec.packages[pkg].name;
+    for (const auto& binary : package.value()) {
+      fold(binary);
+    }
+  }
+  EXPECT_EQ(binaries, 1305u);
+  EXPECT_EQ(total_bytes, 5481392u);
+  EXPECT_EQ(digest, 0x3644fd39432a48c7u);
 }
 
 TEST(BinarySynth, OutOfRangePackageRejected) {

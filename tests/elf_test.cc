@@ -210,14 +210,97 @@ TEST(ElfBuilder, EntryRequiredForExecutable) {
 }
 
 TEST(ElfBuilder, RelocationBoundsValidated) {
-  ElfBuilder builder(BinaryType::kExecutable);
+  // 100 is plainly past the 6-byte body. The last four would pass a 32-bit
+  // `offset + 4` check by wrapping, and the patch would then write about
+  // 4 GiB past .text. The import keeps the target valid, so the offset
+  // check is the only one that can reject them.
+  for (uint32_t offset : {100u, 0xfffffffcu, 0xfffffffdu, 0xfffffffeu,
+                          0xffffffffu}) {
+    ElfBuilder builder(BinaryType::kExecutable);
+    builder.AddImport("read");
+    FunctionDef fn;
+    fn.name = "_start";
+    fn.body = TinyBody();
+    fn.relocs.push_back(TextReloc{TextReloc::Kind::kPltCall, offset, 0});
+    uint32_t idx = builder.AddFunction(std::move(fn));
+    ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
+    EXPECT_EQ(builder.Build().status().code(), StatusCode::kInvalidArgument)
+        << offset;
+  }
+}
+
+// An executable with every kind of relocation, rodata and a needed list.
+void AddExecutable(ElfBuilder& builder) {
+  builder.AddNeeded("libc.so.6");
+  builder.AddNeeded("libfoo.so.1");
+  const uint32_t read = builder.AddImport("read");
+  const uint32_t path = builder.AddRodataString("/proc/self/maps");
+  FunctionDef start;
+  start.name = "_start";
+  // call <plt read>; lea rdi, [rip + path]; call main; ret
+  start.body = {0xe8, 0, 0, 0, 0, 0x48, 0x8d, 0x3d, 0, 0, 0, 0,
+                0xe8, 0, 0, 0, 0, 0xc3};
+  start.relocs = {{TextReloc::Kind::kPltCall, 1, read},
+                  {TextReloc::Kind::kRodataRef, 8, path},
+                  {TextReloc::Kind::kLocalCall, 13, 1}};
+  const uint32_t entry = builder.AddFunction(std::move(start));
+  FunctionDef main_fn;
+  main_fn.name = "main";
+  main_fn.body = TinyBody();
+  builder.AddFunction(std::move(main_fn));
+  ASSERT_TRUE(builder.SetEntryFunction(entry).ok());
+}
+
+// A library with enough imports to grow the import index several times,
+// a repeated import, and an import that shares its name with an export.
+void AddLibrary(ElfBuilder& builder) {
+  builder.SetSoname("libbig.so.2");
+  builder.AddNeeded("libc.so.6");
   FunctionDef fn;
-  fn.name = "_start";
-  fn.body = TinyBody();
-  fn.relocs.push_back(TextReloc{TextReloc::Kind::kPltCall, 100, 0});
-  uint32_t idx = builder.AddFunction(std::move(fn));
-  ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
-  EXPECT_EQ(builder.Build().status().code(), StatusCode::kInvalidArgument);
+  fn.name = "shared_name";
+  fn.exported = true;
+  for (int i = 0; i < 300; ++i) {
+    const uint32_t slot = builder.AddImport("import_" + std::to_string(i));
+    fn.body.insert(fn.body.end(), {0xe8, 0, 0, 0, 0});
+    fn.relocs.push_back({TextReloc::Kind::kPltCall,
+                         static_cast<uint32_t>(fn.body.size() - 4), slot});
+  }
+  EXPECT_EQ(builder.AddImport("import_7"), 7u);
+  builder.AddImport("shared_name");
+  fn.body.push_back(0xc3);
+  builder.AddFunction(std::move(fn));
+}
+
+TEST(ElfBuilder, ResetKeepsBytesIdentical) {
+  auto fresh = [](BinaryType type, void (*add)(ElfBuilder&)) {
+    ElfBuilder builder(type);
+    add(builder);
+    return builder.Build().take();
+  };
+  const std::vector<uint8_t> exe = fresh(BinaryType::kExecutable,
+                                         AddExecutable);
+  const std::vector<uint8_t> lib = fresh(BinaryType::kSharedLibrary,
+                                         AddLibrary);
+  ASSERT_TRUE(ElfReader::Parse(exe).ok());
+  auto lib_image = ElfReader::Parse(lib);
+  ASSERT_TRUE(lib_image.ok());
+  EXPECT_EQ(lib_image.value().ImportedSymbolNames().size(), 301u);
+
+  ElfBuilder reused(BinaryType::kExecutable);
+  std::vector<uint8_t> out;
+  AddExecutable(reused);
+  ASSERT_TRUE(reused.BuildInto(out).ok());
+  EXPECT_EQ(out, exe);
+  reused.Reset(BinaryType::kSharedLibrary);
+  AddLibrary(reused);
+  ASSERT_TRUE(reused.BuildInto(out).ok());
+  EXPECT_EQ(out, lib);
+  ASSERT_TRUE(reused.BuildInto(out).ok());  // again, without a Reset
+  EXPECT_EQ(out, lib);
+  reused.Reset(BinaryType::kExecutable);
+  AddExecutable(reused);
+  ASSERT_TRUE(reused.BuildInto(out).ok());
+  EXPECT_EQ(out, exe);
 }
 
 // ---------------- Reader robustness ----------------
