@@ -33,7 +33,8 @@ int main() {
     }
     size_t syscalls = 0;
     std::vector<std::string> sample;
-    for (const auto& api : study.dataset->Footprint(pkg)) {
+    for (uint32_t dense : study.dataset->Footprint(pkg)) {
+      const core::ApiId& api = study.dataset->UsedApis()[dense];
       if (api.kind != core::ApiKind::kSyscall) {
         continue;
       }

@@ -14,16 +14,13 @@ using analysis::BinaryAnalysis;
 using analysis::Footprint;
 using analysis::FunctionInfo;
 
-// Decoded collection sizes are sanity-capped so a corrupt length prefix
-// fails fast instead of attempting a multi-gigabyte allocation.
-constexpr uint32_t kMaxCount = 1u << 24;
-
-Status CheckCount(uint32_t count) {
-  if (count > kMaxCount) {
-    return CorruptDataError("cache payload count out of range");
-  }
-  return Status::Ok();
-}
+// The fewest bytes one encoded item of each count takes. A footprint is six
+// counts and four i32 site counters; a function adds its name length,
+// vaddr, size, call and callee counts, block count and completeness byte.
+constexpr size_t kWordBytes = 4;  // an i32, a u32 or a string's length
+constexpr size_t kCalleeBytes = 8;
+constexpr size_t kFootprintBytes = 6 * 4 + 4 * 4;
+constexpr size_t kFunctionBytes = 4 + 8 + 8 + kFootprintBytes + 4 + 4 + 8 + 1;
 
 template <typename Set, typename Put>
 void EncodeSet(const Set& values, ByteWriter& writer, Put put) {
@@ -35,8 +32,7 @@ void EncodeSet(const Set& values, ByteWriter& writer, Put put) {
 
 // Decodes a count-prefixed run of strings.
 Result<SortedSet<std::string>> DecodeStringSet(ByteReader& reader) {
-  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
-  LAPIS_RETURN_IF_ERROR(CheckCount(count));
+  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(kWordBytes));
   SortedSet<std::string> out;
   for (uint32_t i = 0; i < count; ++i) {
     LAPIS_ASSIGN_OR_RETURN(std::string s, reader.ReadLengthPrefixedString());
@@ -67,23 +63,20 @@ void EncodeFootprint(const Footprint& footprint, ByteWriter& writer) {
 
 Result<Footprint> DecodeFootprint(ByteReader& reader) {
   Footprint fp;
-  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
-  LAPIS_RETURN_IF_ERROR(CheckCount(count));
+  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(kWordBytes));
   for (uint32_t i = 0; i < count; ++i) {
     LAPIS_ASSIGN_OR_RETURN(int32_t nr, reader.ReadI32());
     fp.syscalls.insert(fp.syscalls.end(), nr);
   }
   for (auto* ops : {&fp.ioctl_ops, &fp.fcntl_ops, &fp.prctl_ops}) {
-    LAPIS_ASSIGN_OR_RETURN(count, reader.ReadU32());
-    LAPIS_RETURN_IF_ERROR(CheckCount(count));
+    LAPIS_ASSIGN_OR_RETURN(count, reader.ReadCount(kWordBytes));
     for (uint32_t i = 0; i < count; ++i) {
       LAPIS_ASSIGN_OR_RETURN(uint32_t op, reader.ReadU32());
       ops->insert(ops->end(), op);
     }
   }
   LAPIS_ASSIGN_OR_RETURN(fp.pseudo_paths, DecodeStringSet(reader));
-  LAPIS_ASSIGN_OR_RETURN(count, reader.ReadU32());
-  LAPIS_RETURN_IF_ERROR(CheckCount(count));
+  LAPIS_ASSIGN_OR_RETURN(count, reader.ReadCount(kWordBytes));
   for (uint32_t i = 0; i < count; ++i) {
     LAPIS_ASSIGN_OR_RETURN(int32_t nr, reader.ReadI32());
     fp.int80_syscalls.insert(fp.int80_syscalls.end(), nr);
@@ -141,23 +134,20 @@ Result<BinaryAnalysis> AnalysisCodec::Decode(ByteReader& reader) {
   LAPIS_ASSIGN_OR_RETURN(analysis.total_syscall_sites, reader.ReadI32());
   LAPIS_ASSIGN_OR_RETURN(analysis.unknown_syscall_sites, reader.ReadI32());
 
-  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
-  LAPIS_RETURN_IF_ERROR(CheckCount(count));
+  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(kWordBytes));
   analysis.needed_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     LAPIS_ASSIGN_OR_RETURN(std::string s, reader.ReadLengthPrefixedString());
     analysis.needed_.push_back(std::move(s));
   }
-  LAPIS_ASSIGN_OR_RETURN(count, reader.ReadU32());
-  LAPIS_RETURN_IF_ERROR(CheckCount(count));
+  LAPIS_ASSIGN_OR_RETURN(count, reader.ReadCount(kWordBytes));
   analysis.exports_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     LAPIS_ASSIGN_OR_RETURN(std::string s, reader.ReadLengthPrefixedString());
     analysis.exports_.push_back(std::move(s));
   }
 
-  LAPIS_ASSIGN_OR_RETURN(count, reader.ReadU32());
-  LAPIS_RETURN_IF_ERROR(CheckCount(count));
+  LAPIS_ASSIGN_OR_RETURN(count, reader.ReadCount(kFunctionBytes));
   analysis.functions_.reserve(count);
   // Every function's called names in turn (function i's end at
   // call_ends[i]), viewed in the payload until the import table exists.
@@ -172,16 +162,14 @@ Result<BinaryAnalysis> AnalysisCodec::Decode(ByteReader& reader) {
     }
     LAPIS_ASSIGN_OR_RETURN(fn.size, reader.ReadU64());
     LAPIS_ASSIGN_OR_RETURN(fn.local, DecodeFootprint(reader));
-    LAPIS_ASSIGN_OR_RETURN(uint32_t call_count, reader.ReadU32());
-    LAPIS_RETURN_IF_ERROR(CheckCount(call_count));
+    LAPIS_ASSIGN_OR_RETURN(uint32_t call_count, reader.ReadCount(kWordBytes));
     for (uint32_t c = 0; c < call_count; ++c) {
       LAPIS_ASSIGN_OR_RETURN(std::string_view name,
                              reader.ReadLengthPrefixedView());
       calls.push_back(name);
     }
     call_ends.push_back(calls.size());
-    LAPIS_ASSIGN_OR_RETURN(uint32_t callees, reader.ReadU32());
-    LAPIS_RETURN_IF_ERROR(CheckCount(callees));
+    LAPIS_ASSIGN_OR_RETURN(uint32_t callees, reader.ReadCount(kCalleeBytes));
     for (uint32_t c = 0; c < callees; ++c) {
       LAPIS_ASSIGN_OR_RETURN(uint64_t callee, reader.ReadU64());
       fn.local_callees.insert(fn.local_callees.end(), callee);

@@ -9,10 +9,6 @@ namespace lapis::cache {
 
 namespace {
 
-// Matches the corrupt-length guard in analysis_codec.cc: no legitimate
-// payload has a collection anywhere near this large.
-constexpr uint32_t kMaxCount = 1u << 24;
-
 uint64_t DoubleBits(double v) {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));
@@ -42,25 +38,18 @@ void SurveyCodec::Encode(const package::PopconSurvey& survey,
 Result<package::PopconSurvey> SurveyCodec::Decode(ByteReader& reader) {
   package::PopconSurvey survey;
   LAPIS_ASSIGN_OR_RETURN(survey.total_reporting, reader.ReadU64());
-  LAPIS_ASSIGN_OR_RETURN(uint32_t count_size, reader.ReadU32());
-  if (count_size > kMaxCount) {
-    return CorruptDataError("survey install_counts length implausible");
-  }
+  // Install counts and sample words are u64s; a sample holds at least its
+  // word count.
+  LAPIS_ASSIGN_OR_RETURN(uint32_t count_size, reader.ReadCount(8));
   survey.install_counts.reserve(count_size);
   for (uint32_t i = 0; i < count_size; ++i) {
     LAPIS_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
     survey.install_counts.push_back(count);
   }
-  LAPIS_ASSIGN_OR_RETURN(uint32_t sample_count, reader.ReadU32());
-  if (sample_count > kMaxCount) {
-    return CorruptDataError("survey sample count implausible");
-  }
+  LAPIS_ASSIGN_OR_RETURN(uint32_t sample_count, reader.ReadCount(4));
   survey.samples.reserve(sample_count);
   for (uint32_t i = 0; i < sample_count; ++i) {
-    LAPIS_ASSIGN_OR_RETURN(uint32_t word_count, reader.ReadU32());
-    if (word_count > kMaxCount) {
-      return CorruptDataError("survey sample word count implausible");
-    }
+    LAPIS_ASSIGN_OR_RETURN(uint32_t word_count, reader.ReadCount(8));
     std::vector<uint64_t> words;
     words.reserve(word_count);
     for (uint32_t w = 0; w < word_count; ++w) {

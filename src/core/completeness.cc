@@ -16,8 +16,9 @@ bool KindEvaluated(const CompletenessOptions& options, ApiKind kind) {
 // dependency closure is self-supported. Returns the weighted completeness,
 // summed in package-id order so it is bit-reproducible. A non-null
 // `supported_packages` (sized to the package count) receives each flag.
+// Bytes, not bits: kernels touch a flag per dependent and closure member.
 double PoisonAndWeigh(const StudyDataset& dataset,
-                      const std::vector<bool>& self_ok,
+                      const std::vector<uint8_t>& self_ok,
                       std::vector<bool>* supported_packages) {
   double supported_weight = 0.0;
   double total_weight = 0.0;
@@ -49,15 +50,28 @@ double PoisonAndWeigh(const StudyDataset& dataset,
 SupportEvaluation EvaluateSupport(const StudyDataset& dataset,
                                   const std::set<ApiId>& supported,
                                   const CompletenessOptions& options) {
-  std::vector<bool> self_ok(dataset.package_count(), true);
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (const ApiId& api : dataset.Footprint(id)) {
-      if (!KindEvaluated(options, api.kind)) {
+  // A package is self-supported unless it uses an unsupported API of an
+  // evaluated kind. Each evaluated kind's used APIs are merge-walked against
+  // `supported`, and only the dependents of the unsupported ones are
+  // touched.
+  const std::vector<ApiId>& used = dataset.UsedApis();
+  std::vector<uint8_t> self_ok(dataset.package_count(), 1);
+  for (int k = 0; k < kApiKindCount; ++k) {
+    const auto kind = static_cast<ApiKind>(k);
+    if (!KindEvaluated(options, kind)) {
+      continue;
+    }
+    const auto [begin, end] = dataset.KindRange(kind);
+    auto it = supported.lower_bound(ApiId{kind, 0});
+    for (uint32_t dense = begin; dense < end; ++dense) {
+      while (it != supported.end() && *it < used[dense]) {
+        ++it;
+      }
+      if (it != supported.end() && *it == used[dense]) {
         continue;
       }
-      if (supported.find(api) == supported.end()) {
-        self_ok[id] = false;
-        break;
+      for (PackageId id : dataset.DependentsAt(dense)) {
+        self_ok[id] = 0;
       }
     }
   }
@@ -89,57 +103,28 @@ std::vector<PathPoint> GreedyCompletenessPath(
 std::vector<PathPoint> GreedyCompletenessPathMultiKind(
     const StudyDataset& dataset, const std::set<ApiKind>& kinds,
     const std::vector<ApiId>& universe) {
-  // Merge the per-kind rankings into one importance-ordered list. Each
-  // ranking is already in this order, so a single kind stays as ranked.
-  // Scores are computed once per API, not once per comparison.
-  struct Ranked {
-    double importance;
-    double unweighted;
-    ApiId api;
-  };
-  std::vector<Ranked> order;
-  for (ApiKind kind : kinds) {
-    for (const ApiId& api : dataset.RankByImportance(kind, universe)) {
-      order.push_back(Ranked{dataset.ApiImportance(api),
-                             dataset.UnweightedImportance(api), api});
-    }
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const Ranked& a, const Ranked& b) {
-                     if (a.importance != b.importance) {
-                       return a.importance > b.importance;
-                     }
-                     if (a.unweighted != b.unweighted) {
-                       return a.unweighted > b.unweighted;
-                     }
-                     return a.api < b.api;
-                   });
-
   // missing[pkg] = number of footprint APIs of `kinds` not yet supported.
   std::vector<uint32_t> missing(dataset.package_count(), 0);
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (const ApiId& api : dataset.Footprint(id)) {
-      if (kinds.contains(api.kind)) {
-        ++missing[id];
+  for (ApiKind kind : kinds) {
+    const auto [begin, end] = dataset.KindRange(kind);
+    for (uint32_t dense = begin; dense < end; ++dense) {
+      for (PackageId pkg : dataset.DependentsAt(dense)) {
+        ++missing[pkg];
       }
     }
   }
 
   std::vector<PathPoint> path;
-  path.reserve(order.size());
-  std::vector<bool> self_ok(dataset.package_count());
-  for (const Ranked& ranked : order) {
-    for (PackageId pkg : dataset.Dependents(ranked.api)) {
+  std::vector<uint8_t> self_ok(dataset.package_count());
+  for (const ApiId& api : dataset.RankByImportance(kinds, universe)) {
+    for (PackageId pkg : dataset.Dependents(api)) {
       --missing[pkg];
     }
     for (PackageId id = 0; id < dataset.package_count(); ++id) {
       self_ok[id] = missing[id] == 0;
     }
-    PathPoint point;
-    point.api = ranked.api;
-    point.importance = ranked.importance;
-    point.weighted_completeness = PoisonAndWeigh(dataset, self_ok, nullptr);
-    path.push_back(point);
+    path.push_back(PathPoint{api, dataset.ApiImportance(api),
+                             PoisonAndWeigh(dataset, self_ok, nullptr)});
   }
   return path;
 }

@@ -12,7 +12,8 @@ StudyDataset::StudyDataset(size_t package_count, uint64_t total_installations)
       install_counts_(package_count, 0),
       footprints_(package_count),
       depends_(package_count),
-      closures_(package_count) {}
+      closures_(package_count),
+      footprint_begin_(package_count + 1, 0) {}
 
 Status StudyDataset::CheckConstruction(PackageId id) {
   if (finalized_) {
@@ -66,22 +67,29 @@ Status StudyDataset::Finalize() {
   if (finalized_) {
     return FailedPreconditionError("dataset already finalized");
   }
-  // Dependents index (CSR). A hash index numbers each footprint entry's API
-  // by first sight, the few distinct APIs are sorted once, and the numbered
-  // entries are walked twice: once to count, once to fill.
+  // Dense ids. A hash index numbers each footprint entry's API by first
+  // sight, the few distinct APIs are sorted once, and each entry's number
+  // is replaced by its API's rank: the dense id. A footprint ascends in
+  // ApiId order, so its dense ids ascend too.
   std::unordered_map<int64_t, uint32_t> number_of;
   std::vector<ApiId> seen;
-  std::vector<uint32_t> slot;  // per entry, in (package, footprint) order
+  size_t entries = 0;
   for (const auto& footprint : footprints_) {
-    for (const ApiId& api : footprint) {
+    entries += footprint.size();
+  }
+  footprint_ids_.reserve(entries);
+  for (PackageId id = 0; id < footprints_.size(); ++id) {
+    for (const ApiId& api : footprints_[id]) {
       auto [it, inserted] = number_of.try_emplace(
           api.Encode(), static_cast<uint32_t>(seen.size()));
       if (inserted) {
         seen.push_back(api);
       }
-      slot.push_back(it->second);
+      footprint_ids_.push_back(it->second);
     }
+    footprint_begin_[id + 1] = static_cast<uint32_t>(footprint_ids_.size());
   }
+  std::vector<std::vector<ApiId>>().swap(footprints_);
   used_apis_ = seen;
   std::sort(used_apis_.begin(), used_apis_.end());
   std::vector<uint32_t> rank(seen.size());
@@ -90,21 +98,29 @@ Status StudyDataset::Finalize() {
         std::lower_bound(used_apis_.begin(), used_apis_.end(), seen[number]) -
         used_apis_.begin());
   }
+  // A search, not a count: an API of a kind past the last (which only a
+  // caller's bug can set) then lies outside every kind's range.
+  for (int k = 0; k <= kApiKindCount; ++k) {
+    kind_begin_[static_cast<size_t>(k)] = static_cast<uint32_t>(
+        std::lower_bound(used_apis_.begin(), used_apis_.end(),
+                         ApiId{static_cast<ApiKind>(k), 0}) -
+        used_apis_.begin());
+  }
+  // Dependents index: the footprints transposed, counted then filled.
   dependents_begin_.assign(used_apis_.size() + 1, 0);
-  for (uint32_t& s : slot) {
-    s = rank[s];
-    ++dependents_begin_[s + 1];
+  for (uint32_t& dense : footprint_ids_) {
+    dense = rank[dense];
+    ++dependents_begin_[dense + 1];
   }
   for (size_t i = 1; i < dependents_begin_.size(); ++i) {
     dependents_begin_[i] += dependents_begin_[i - 1];
   }
-  dependents_.resize(slot.size());
+  dependents_.resize(footprint_ids_.size());
   std::vector<uint32_t> next(dependents_begin_.begin(),
                              dependents_begin_.end() - 1);
-  size_t entry = 0;
-  for (PackageId id = 0; id < footprints_.size(); ++id) {
-    for (size_t i = 0; i < footprints_[id].size(); ++i) {
-      dependents_[next[slot[entry++]]++] = id;
+  for (PackageId id = 0; id < names_.size(); ++id) {
+    for (uint32_t dense : Footprint(id)) {
+      dependents_[next[dense]++] = id;
     }
   }
   // Dependency closures (BFS, cycle-safe).
@@ -150,10 +166,6 @@ double StudyDataset::InstallProbability(PackageId id) const {
          static_cast<double>(total_installations_);
 }
 
-const std::vector<ApiId>& StudyDataset::Footprint(PackageId id) const {
-  return footprints_[id];
-}
-
 const std::vector<PackageId>& StudyDataset::DependencyClosure(
     PackageId id) const {
   return closures_[id];
@@ -164,10 +176,7 @@ std::span<const PackageId> StudyDataset::Dependents(ApiId api) const {
   if (it == used_apis_.end() || *it != api) {
     return {};
   }
-  const size_t i = static_cast<size_t>(it - used_apis_.begin());
-  return std::span<const PackageId>(dependents_)
-      .subspan(dependents_begin_[i],
-               dependents_begin_[i + 1] - dependents_begin_[i]);
+  return DependentsAt(static_cast<uint32_t>(it - used_apis_.begin()));
 }
 
 double StudyDataset::ApiImportance(ApiId api) const {
@@ -186,24 +195,20 @@ double StudyDataset::UnweightedImportance(ApiId api) const {
          static_cast<double>(names_.size());
 }
 
-std::vector<ApiId> StudyDataset::ApisOfKind(ApiKind kind) const {
-  std::vector<ApiId> out;
-  for (auto it = std::lower_bound(used_apis_.begin(), used_apis_.end(),
-                                  ApiId{kind, 0});
-       it != used_apis_.end() && it->kind == kind; ++it) {
-    out.push_back(*it);
-  }
-  return out;
-}
-
 namespace {
 
-std::vector<ApiId> RankHelper(const StudyDataset& dataset, ApiKind kind,
+std::vector<ApiId> RankHelper(const StudyDataset& dataset,
+                              const std::set<ApiKind>& kinds,
                               const std::vector<ApiId>& universe,
                               bool weighted) {
-  std::vector<ApiId> all = dataset.ApisOfKind(kind);
+  std::vector<ApiId> all;
+  for (ApiKind kind : kinds) {
+    const auto [begin, end] = dataset.KindRange(kind);
+    all.insert(all.end(), dataset.UsedApis().begin() + begin,
+               dataset.UsedApis().begin() + end);
+  }
   for (const ApiId& api : universe) {
-    if (api.kind == kind) {
+    if (kinds.contains(api.kind)) {
       all.push_back(api);
     }
   }
@@ -251,24 +256,32 @@ std::vector<ApiId> RankHelper(const StudyDataset& dataset, ApiKind kind,
 
 std::vector<ApiId> StudyDataset::RankByImportance(
     ApiKind kind, const std::vector<ApiId>& universe) const {
-  return RankHelper(*this, kind, universe, /*weighted=*/true);
+  return RankHelper(*this, {kind}, universe, /*weighted=*/true);
+}
+
+std::vector<ApiId> StudyDataset::RankByImportance(
+    const std::set<ApiKind>& kinds, const std::vector<ApiId>& universe) const {
+  return RankHelper(*this, kinds, universe, /*weighted=*/true);
 }
 
 std::vector<ApiId> StudyDataset::RankByUnweightedImportance(
     ApiKind kind, const std::vector<ApiId>& universe) const {
-  return RankHelper(*this, kind, universe, /*weighted=*/false);
+  return RankHelper(*this, {kind}, universe, /*weighted=*/false);
 }
 
 StudyDataset::FootprintUniqueness StudyDataset::ComputeFootprintUniqueness()
     const {
   FootprintUniqueness result;
-  std::map<std::vector<ApiId>, size_t> counts;
-  for (const auto& fp : footprints_) {
-    if (fp.empty()) {
+  auto less = [](std::span<const uint32_t> a, std::span<const uint32_t> b) {
+    return std::ranges::lexicographical_compare(a, b);
+  };
+  std::map<std::span<const uint32_t>, size_t, decltype(less)> counts(less);
+  for (PackageId id = 0; id < names_.size(); ++id) {
+    if (Footprint(id).empty()) {
       continue;
     }
     ++result.packages_with_footprint;
-    ++counts[fp];
+    ++counts[Footprint(id)];
   }
   result.distinct = counts.size();
   for (const auto& [fp, count] : counts) {

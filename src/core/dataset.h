@@ -8,10 +8,13 @@
 #ifndef LAPIS_SRC_CORE_DATASET_H_
 #define LAPIS_SRC_CORE_DATASET_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/api_id.h"
@@ -31,8 +34,9 @@ class StudyDataset {
   Status SetFootprint(PackageId id, std::vector<ApiId> footprint);
   // Direct dependency edges (closure is computed in Finalize).
   Status SetDependencies(PackageId id, std::vector<PackageId> depends);
-  // Builds dependents indexes and dependency closures. Must be called before
-  // any query; construction calls afterwards are rejected.
+  // Numbers the used APIs, stores the footprints as dense ids, and builds
+  // the dependents index and dependency closures. Must be called before any
+  // query; construction calls afterwards are rejected.
   Status Finalize();
 
   // ---- Basic accessors ----
@@ -42,7 +46,13 @@ class StudyDataset {
   PackageId FindPackage(std::string_view name) const;  // UINT32_MAX if absent
   double InstallProbability(PackageId id) const;
   uint64_t InstallCount(PackageId id) const { return install_counts_[id]; }
-  const std::vector<ApiId>& Footprint(PackageId id) const;
+  // The package's footprint as dense API ids (see UsedApis), ascending,
+  // which is ApiId order. Empty before Finalize.
+  std::span<const uint32_t> Footprint(PackageId id) const {
+    return std::span<const uint32_t>(footprint_ids_)
+        .subspan(footprint_begin_[id],
+                 footprint_begin_[id + 1] - footprint_begin_[id]);
+  }
   const std::vector<PackageId>& DependencyClosure(PackageId id) const;
   // The direct dependency edges as set (closure is derived in Finalize).
   const std::vector<PackageId>& DirectDependencies(PackageId id) const {
@@ -51,12 +61,26 @@ class StudyDataset {
   bool finalized() const { return finalized_; }
 
   // ---- Metrics ----
-  // Packages whose footprint contains `api` (paper: Dependents(api)), in
-  // package order.
-  std::span<const PackageId> Dependents(ApiId api) const;
-
-  // Every API appearing in at least one footprint, sorted.
+  // Every API appearing in at least one footprint, sorted. An API's
+  // position here is its dense id.
   const std::vector<ApiId>& UsedApis() const { return used_apis_; }
+
+  // The dense ids [begin, end) of `kind`'s used APIs: UsedApis() sorts by
+  // kind first, so each kind fills one range.
+  std::pair<uint32_t, uint32_t> KindRange(ApiKind kind) const {
+    const auto k = static_cast<size_t>(kind);
+    return {kind_begin_[k], kind_begin_[k + 1]};
+  }
+
+  // Packages whose footprint contains UsedApis()[dense] (paper:
+  // Dependents(api)), in package order.
+  std::span<const PackageId> DependentsAt(uint32_t dense) const {
+    return std::span<const PackageId>(dependents_)
+        .subspan(dependents_begin_[dense],
+                 dependents_begin_[dense + 1] - dependents_begin_[dense]);
+  }
+  // The same by ApiId; empty for an API no footprint uses.
+  std::span<const PackageId> Dependents(ApiId api) const;
 
   // API importance (§A.1): probability a random installation contains at
   // least one package requiring `api`, assuming independent installs:
@@ -66,13 +90,13 @@ class StudyDataset {
   // Unweighted API importance (§5): fraction of packages using `api`.
   double UnweightedImportance(ApiId api) const;
 
-  // Every API of `kind` appearing in at least one footprint.
-  std::vector<ApiId> ApisOfKind(ApiKind kind) const;
-
   // APIs of `kind` ranked by descending importance (stable tie-break on
   // code). `universe` may add zero-importance APIs absent from footprints.
   std::vector<ApiId> RankByImportance(
       ApiKind kind, const std::vector<ApiId>& universe = {}) const;
+  // The same over several kinds, merged into one order.
+  std::vector<ApiId> RankByImportance(
+      const std::set<ApiKind>& kinds, const std::vector<ApiId>& universe) const;
   std::vector<ApiId> RankByUnweightedImportance(
       ApiKind kind, const std::vector<ApiId>& universe = {}) const;
 
@@ -93,12 +117,20 @@ class StudyDataset {
   std::vector<std::string> names_;
   std::map<std::string, PackageId, std::less<>> by_name_;
   std::vector<uint64_t> install_counts_;
+  // Footprints as set, until Finalize numbers them and releases these.
   std::vector<std::vector<ApiId>> footprints_;
   std::vector<std::vector<PackageId>> depends_;
   std::vector<std::vector<PackageId>> closures_;
-  // Dependents index (CSR): the dependents of used_apis_[i] are
-  // dependents_[dependents_begin_[i], dependents_begin_[i + 1]).
+  // The dense numbering: used_apis_[d] is dense id d, and kind k's ids are
+  // [kind_begin_[k], kind_begin_[k + 1]).
   std::vector<ApiId> used_apis_;
+  std::array<uint32_t, kApiKindCount + 1> kind_begin_{};
+  // Footprints (CSR): package p's dense ids are
+  // footprint_ids_[footprint_begin_[p], footprint_begin_[p + 1]).
+  std::vector<uint32_t> footprint_begin_;
+  std::vector<uint32_t> footprint_ids_;
+  // Dependents index (CSR), the footprints' transpose: the dependents of
+  // dense id d are dependents_[dependents_begin_[d], dependents_begin_[d + 1]).
   std::vector<uint32_t> dependents_begin_;
   std::vector<PackageId> dependents_;
 };

@@ -12,11 +12,10 @@ DatasetDiff CompareDatasets(const StudyDataset& before,
   DatasetDiff diff;
   for (ApiKind kind : options.kinds) {
     std::set<ApiId> universe;
-    for (const ApiId& api : before.ApisOfKind(kind)) {
-      universe.insert(api);
-    }
-    for (const ApiId& api : after.ApisOfKind(kind)) {
-      universe.insert(api);
+    for (const StudyDataset* dataset : {&before, &after}) {
+      const auto [begin, end] = dataset->KindRange(kind);
+      universe.insert(dataset->UsedApis().begin() + begin,
+                      dataset->UsedApis().begin() + end);
     }
     for (const ApiId& api : universe) {
       ++diff.apis_compared;

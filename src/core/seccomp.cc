@@ -23,7 +23,8 @@ Result<SeccompPolicy> GeneratePolicy(const StudyDataset& dataset,
   SeccompPolicy policy;
   policy.subject = dataset.PackageName(package);
   policy.default_action = options.default_action;
-  for (const ApiId& api : dataset.Footprint(package)) {
+  for (uint32_t dense : dataset.Footprint(package)) {
+    const ApiId& api = dataset.UsedApis()[dense];
     if (api.kind == ApiKind::kSyscall) {
       policy.allowed.insert(api.code);
     }

@@ -12,6 +12,13 @@ namespace {
 constexpr uint32_t kMagic = 0x4c505354;  // "LPST"
 constexpr uint32_t kVersion = kStudyArtifactVersion;
 
+// The fewest bytes one item of each count takes on disk. A package holds a
+// name length, an install count, a dependency count and a footprint size.
+constexpr size_t kPackageBytes = 4 + 8 + 4 + 4;
+constexpr size_t kDepBytes = 4;
+constexpr size_t kApiIdBytes = 8;
+constexpr size_t kStringBytes = 4;
+
 void SerializeInterner(const core::StringInterner& interner,
                        ByteWriter& writer) {
   writer.PutU32(static_cast<uint32_t>(interner.size()));
@@ -21,7 +28,7 @@ void SerializeInterner(const core::StringInterner& interner,
 }
 
 Result<core::StringInterner> DeserializeInterner(ByteReader& reader) {
-  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(kStringBytes));
   core::StringInterner interner;
   for (uint32_t id = 0; id < count; ++id) {
     LAPIS_ASSIGN_OR_RETURN(std::string name,
@@ -75,10 +82,10 @@ Status SerializeStudy(const StudyResult& study, ByteWriter& writer) {
     for (core::PackageId dep : deps) {
       writer.PutU32(dep);
     }
-    const auto& footprint = dataset.Footprint(pkg);
+    const std::span<const uint32_t> footprint = dataset.Footprint(pkg);
     writer.PutU32(static_cast<uint32_t>(footprint.size()));
-    for (const core::ApiId& api : footprint) {
-      writer.PutI64(api.Encode());
+    for (uint32_t dense : footprint) {
+      writer.PutI64(dataset.UsedApis()[dense].Encode());
     }
   }
   SerializeInterner(study.path_interner, writer);
@@ -103,7 +110,8 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
                               std::to_string(version));
   }
   LAPIS_ASSIGN_OR_RETURN(uint64_t installations, reader.ReadU64());
-  LAPIS_ASSIGN_OR_RETURN(uint32_t package_count, reader.ReadU32());
+  LAPIS_ASSIGN_OR_RETURN(uint32_t package_count,
+                         reader.ReadCount(kPackageBytes));
 
   StudyArtifact artifact;
   CodeBounds bounds;
@@ -115,7 +123,7 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
     LAPIS_RETURN_IF_ERROR(artifact.dataset->SetPackageName(pkg, name));
     LAPIS_ASSIGN_OR_RETURN(uint64_t installs, reader.ReadU64());
     LAPIS_RETURN_IF_ERROR(artifact.dataset->SetInstallCount(pkg, installs));
-    LAPIS_ASSIGN_OR_RETURN(uint32_t dep_count, reader.ReadU32());
+    LAPIS_ASSIGN_OR_RETURN(uint32_t dep_count, reader.ReadCount(kDepBytes));
     std::vector<core::PackageId> deps;
     deps.reserve(dep_count);
     for (uint32_t i = 0; i < dep_count; ++i) {
@@ -124,7 +132,7 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
     }
     LAPIS_RETURN_IF_ERROR(
         artifact.dataset->SetDependencies(pkg, std::move(deps)));
-    LAPIS_ASSIGN_OR_RETURN(uint32_t api_count, reader.ReadU32());
+    LAPIS_ASSIGN_OR_RETURN(uint32_t api_count, reader.ReadCount(kApiIdBytes));
     std::vector<core::ApiId> footprint;
     footprint.reserve(api_count);
     for (uint32_t i = 0; i < api_count; ++i) {
@@ -140,7 +148,8 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
                          DeserializeInterner(reader));
   if (version >= 2) {
     LAPIS_ASSIGN_OR_RETURN(artifact.evidence_kinds_mask, reader.ReadU8());
-    LAPIS_ASSIGN_OR_RETURN(uint32_t observed_count, reader.ReadU32());
+    LAPIS_ASSIGN_OR_RETURN(uint32_t observed_count,
+                           reader.ReadCount(kApiIdBytes));
     for (uint32_t i = 0; i < observed_count; ++i) {
       LAPIS_ASSIGN_OR_RETURN(core::ApiId api, ReadApiId(reader, bounds));
       artifact.evidence_observed.insert(api);

@@ -17,33 +17,15 @@ std::vector<CurvePoint> PartialSupportCurve(
 
   core::CompletenessOptions options;
   options.evaluated_kinds = {kind};
-
-  // Evaluate each distinct prefix size once; checkpoints then look up their
-  // clamped prefix. (Completeness evaluation dominates, so computing only
-  // the needed prefixes matters at 600+ opcode universes.)
-  std::set<size_t> prefix_sizes;
-  for (size_t k : checkpoints) {
-    prefix_sizes.insert(std::min(k, ranked.size()));
-  }
-
-  std::map<size_t, double> completeness_at;
-  std::set<core::ApiId> supported;
-  size_t cursor = 0;
-  for (size_t prefix : prefix_sizes) {
-    while (cursor < prefix) {
-      supported.insert(ranked[cursor++]);
-    }
-    completeness_at[prefix] =
-        core::WeightedCompleteness(dataset, supported, options);
-  }
-
+  // One kernel call per checkpoint: it walks only the kind's used APIs.
   std::vector<CurvePoint> curve;
   curve.reserve(checkpoints.size());
   for (size_t k : checkpoints) {
-    CurvePoint point;
-    point.supported_count = std::min(k, ranked.size());
-    point.weighted_completeness = completeness_at[point.supported_count];
-    curve.push_back(point);
+    const size_t count = std::min(k, ranked.size());
+    const std::set<core::ApiId> supported(
+        ranked.begin(), ranked.begin() + static_cast<ptrdiff_t>(count));
+    curve.push_back(CurvePoint{
+        count, core::WeightedCompleteness(dataset, supported, options)});
   }
   return curve;
 }

@@ -24,8 +24,6 @@ bool KindEvaluated(const std::set<core::ApiKind>& kinds, core::ApiKind kind) {
 // tracks which packages can never be covered (they need an API outside the
 // whitelist) yet still weigh down the completeness denominator.
 struct Instance {
-  const core::StudyDataset* dataset = nullptr;
-
   std::vector<core::ApiId> apis;  // candidate index -> ApiId (sorted)
   std::vector<double> api_cost;
   std::vector<SupportAction> api_action;
@@ -51,85 +49,85 @@ struct Instance {
 
 Instance BuildInstance(const PlannerInput& input) {
   Instance inst;
-  inst.dataset = input.dataset;
   const core::StudyDataset& ds = *input.dataset;
   const size_t n_pkgs = ds.package_count();
+  const std::vector<core::ApiId>& used = ds.UsedApis();
 
-  // Pass 1: per-package needed API set (over the closure, evaluated kinds,
-  // minus already-supported) and coverability under the whitelist.
-  std::vector<std::set<core::ApiId>> needed(n_pkgs);
-  std::vector<bool> coverable(n_pkgs, true);
-  for (core::PackageId p = 0; p < n_pkgs; ++p) {
-    for (core::PackageId member : ds.DependencyClosure(p)) {
-      for (const core::ApiId& api : ds.Footprint(member)) {
-        if (!KindEvaluated(input.evaluated_kinds, api.kind)) {
-          continue;
-        }
-        if (input.already_supported.contains(api)) {
-          continue;
-        }
-        if (!input.candidate_whitelist.empty() &&
-            !input.candidate_whitelist.contains(api)) {
-          coverable[p] = false;
-          continue;
-        }
-        needed[p].insert(api);
-      }
+  // What each used API is to the instance, by dense id: ignored (a kind not
+  // evaluated, or already supported), plannable, or blocking (outside the
+  // whitelist: a package needing it can never be covered).
+  enum class Role : uint8_t { kIgnored, kPlannable, kBlocking };
+  std::vector<Role> role(used.size(), Role::kIgnored);
+  for (uint32_t dense = 0; dense < used.size(); ++dense) {
+    const core::ApiId api = used[dense];
+    if (KindEvaluated(input.evaluated_kinds, api.kind) &&
+        !input.already_supported.contains(api)) {
+      role[dense] = input.candidate_whitelist.empty() ||
+                            input.candidate_whitelist.contains(api)
+                        ? Role::kPlannable
+                        : Role::kBlocking;
     }
   }
 
-  // Pass 2: candidate universe = union of coverable packages' needs.
-  std::set<core::ApiId> candidate_set;
-  for (core::PackageId p = 0; p < n_pkgs; ++p) {
-    if (coverable[p]) {
-      candidate_set.insert(needed[p].begin(), needed[p].end());
-    }
-  }
-  inst.apis.assign(candidate_set.begin(), candidate_set.end());
-  std::map<int64_t, uint32_t> index;
-  for (uint32_t i = 0; i < inst.apis.size(); ++i) {
-    index[inst.apis[i].Encode()] = i;
-  }
-
-  // Vectored-family breadth comes from the full dataset (every used sub-op
-  // of the kind), not the whitelist — so restricting an instance for the
-  // exact solver never changes per-API costs.
-  std::array<size_t, core::kApiKindCount> breadth{};
-  for (int k = 0; k < core::kApiKindCount; ++k) {
-    breadth[static_cast<size_t>(k)] =
-        ds.ApisOfKind(static_cast<core::ApiKind>(k)).size();
-  }
-
-  inst.api_cost.resize(inst.apis.size());
-  inst.api_action.resize(inst.apis.size());
-  inst.api_class.resize(inst.apis.size());
-  inst.api_importance.resize(inst.apis.size());
-  inst.needers.resize(inst.apis.size());
-  for (uint32_t i = 0; i < inst.apis.size(); ++i) {
-    const core::ApiId api = inst.apis[i];
-    EvidenceClass cls = ClassifyApi(input.evidence, api);
-    SupportAction action = MinimalSufficientAction(cls, api.kind);
-    inst.api_class[i] = cls;
-    inst.api_action[i] = action;
-    inst.api_cost[i] = input.costs->ActionCost(
-        api, action, breadth[static_cast<size_t>(api.kind)]);
-    inst.api_importance[i] = ds.ApiImportance(api);
-  }
-
+  // A coverable package needs the plannable dense ids over its closure,
+  // each once (stamped with the package), ascending. The candidates are
+  // the union of those needs.
+  constexpr uint32_t kNotCandidate = UINT32_MAX;
+  std::vector<uint32_t> candidate_of(used.size(), kNotCandidate);
+  std::vector<uint32_t> stamp(used.size(), UINT32_MAX);
   inst.need.resize(n_pkgs);
   inst.missing.assign(n_pkgs, 0);
+  for (core::PackageId p = 0; p < n_pkgs; ++p) {
+    std::vector<uint32_t>& need = inst.need[p];
+    for (core::PackageId member : ds.DependencyClosure(p)) {
+      for (uint32_t dense : ds.Footprint(member)) {
+        if (role[dense] == Role::kBlocking) {
+          inst.missing[p] = kUncoverable;
+        } else if (role[dense] == Role::kPlannable && stamp[dense] != p) {
+          stamp[dense] = p;
+          need.push_back(dense);
+        }
+      }
+    }
+    if (inst.missing[p] == kUncoverable) {
+      need.clear();
+      continue;
+    }
+    std::sort(need.begin(), need.end());
+    for (uint32_t dense : need) {
+      candidate_of[dense] = 0;
+    }
+  }
+
+  for (uint32_t dense = 0; dense < used.size(); ++dense) {
+    if (candidate_of[dense] == kNotCandidate) {
+      continue;
+    }
+    candidate_of[dense] = static_cast<uint32_t>(inst.apis.size());
+    const core::ApiId api = used[dense];
+    const EvidenceClass cls = ClassifyApi(input.evidence, api);
+    const SupportAction action = MinimalSufficientAction(cls, api.kind);
+    // Vectored-family breadth comes from the full dataset (every used
+    // sub-op of the kind), not the whitelist — so restricting an instance
+    // for the exact solver never changes per-API costs.
+    const auto [begin, end] = ds.KindRange(api.kind);
+    inst.apis.push_back(api);
+    inst.api_class.push_back(cls);
+    inst.api_action.push_back(action);
+    inst.api_cost.push_back(input.costs->ActionCost(api, action, end - begin));
+    inst.api_importance.push_back(ds.ApiImportance(api));
+  }
+
+  inst.needers.resize(inst.apis.size());
   inst.weight.resize(n_pkgs);
   for (core::PackageId p = 0; p < n_pkgs; ++p) {
     inst.weight[p] = ds.InstallProbability(p);
     inst.total_weight += inst.weight[p];
-    if (!coverable[p]) {
-      inst.missing[p] = kUncoverable;
+    if (inst.missing[p] == kUncoverable) {
       continue;
     }
-    inst.need[p].reserve(needed[p].size());
-    for (const core::ApiId& api : needed[p]) {
-      uint32_t i = index.at(api.Encode());
-      inst.need[p].push_back(i);
+    for (uint32_t& i : inst.need[p]) {
+      i = candidate_of[i];
       inst.needers[i].push_back(p);
     }
     inst.missing[p] = static_cast<uint32_t>(inst.need[p].size());
@@ -189,8 +187,9 @@ struct Move {
   double gain = 0.0;  // weight of every package this move completes
 };
 
-Move EvaluateMove(const Instance& inst, const std::vector<bool>& acquired,
-                  uint32_t pkg, GainScratch* scratch) {
+Move EvaluateMove(const Instance& inst, const std::vector<uint32_t>& missing,
+                  const std::vector<bool>& acquired, uint32_t pkg,
+                  GainScratch* scratch) {
   Move move;
   for (uint32_t i : inst.need[pkg]) {
     if (!acquired[i]) {
@@ -201,14 +200,14 @@ Move EvaluateMove(const Instance& inst, const std::vector<bool>& acquired,
   ++scratch->epoch;
   for (uint32_t i : move.need) {
     for (uint32_t q : inst.needers[i]) {
-      if (inst.missing[q] == 0 || inst.missing[q] == kUncoverable) {
+      if (missing[q] == 0 || missing[q] == kUncoverable) {
         continue;
       }
       if (scratch->stamp[q] != scratch->epoch) {
         scratch->stamp[q] = scratch->epoch;
         scratch->count[q] = 0;
       }
-      if (++scratch->count[q] == inst.missing[q]) {
+      if (++scratch->count[q] == missing[q]) {
         move.gain += inst.weight[q];
       }
     }
@@ -224,10 +223,12 @@ double MoveRatio(const Move& move) {
 // raw gain instead of gain/cost: on tight budgets the ratio order can
 // strand budget on small high-ratio moves while a single large move was
 // the optimum, and vice versa — GreedyPlan runs both and keeps the better
-// (the classic fix for budgeted max-coverage greedy's worst cases).
-SupportPlan GreedyPass(const PlannerInput& input, bool gain_priority) {
-  Instance inst = BuildInstance(input);
+// (the classic fix for budgeted max-coverage greedy's worst cases). Each
+// pass acquires on its own copy of the instance's `missing` counts.
+SupportPlan GreedyPass(const Instance& inst, const PlannerInput& input,
+                       bool gain_priority) {
   const size_t n_pkgs = inst.weight.size();
+  std::vector<uint32_t> missing = inst.missing;
 
   SupportPlan plan;
   plan.initial_completeness = inst.Completeness(0.0);
@@ -240,17 +241,16 @@ SupportPlan GreedyPass(const PlannerInput& input, bool gain_priority) {
   scratch.count.assign(n_pkgs, 0);
 
   std::priority_queue<PqEntry, std::vector<PqEntry>, PqWorse> pq;
-  std::set<uint32_t> parked;  // affordable again only if a move dirties them
 
   auto priority = [gain_priority](const Move& move) {
     return gain_priority ? move.gain : MoveRatio(move);
   };
 
   for (uint32_t p = 0; p < n_pkgs; ++p) {
-    if (inst.missing[p] == 0 || inst.missing[p] == kUncoverable) {
+    if (missing[p] == 0 || missing[p] == kUncoverable) {
       continue;
     }
-    Move move = EvaluateMove(inst, acquired, p, &scratch);
+    Move move = EvaluateMove(inst, missing, acquired, p, &scratch);
     if (move.gain > 0.0) {
       pq.push(PqEntry{priority(move), move.gain, p, 0});
     }
@@ -273,28 +273,26 @@ SupportPlan GreedyPass(const PlannerInput& input, bool gain_priority) {
   while (!pq.empty() && !capped()) {
     PqEntry top = pq.top();
     pq.pop();
-    if (inst.missing[top.pkg] == 0 ||
-        inst.missing[top.pkg] == kUncoverable) {
+    if (missing[top.pkg] == 0 || missing[top.pkg] == kUncoverable) {
       continue;
     }
     if (top.version != version[top.pkg]) {
       // Stale: a previous move changed this package's remaining need.
       // Re-evaluate and requeue at the fresh priority.
-      Move move = EvaluateMove(inst, acquired, top.pkg, &scratch);
+      Move move = EvaluateMove(inst, missing, acquired, top.pkg, &scratch);
       if (move.gain > 0.0) {
         pq.push(
             PqEntry{priority(move), move.gain, top.pkg, version[top.pkg]});
       }
       continue;
     }
-    Move move = EvaluateMove(inst, acquired, top.pkg, &scratch);
+    Move move = EvaluateMove(inst, missing, acquired, top.pkg, &scratch);
     if (move.gain <= 0.0) {
       continue;
     }
     if (!fits(move)) {
       // Unaffordable now; its cost only shrinks when a move overlaps it,
-      // which re-queues it below — park until then.
-      parked.insert(top.pkg);
+      // which re-queues it below.
       continue;
     }
 
@@ -315,10 +313,10 @@ SupportPlan GreedyPass(const PlannerInput& input, bool gain_priority) {
       acquired[i] = true;
       cumulative_cost += inst.api_cost[i];
       for (uint32_t q : inst.needers[i]) {
-        if (inst.missing[q] == 0 || inst.missing[q] == kUncoverable) {
+        if (missing[q] == 0 || missing[q] == kUncoverable) {
           continue;
         }
-        if (--inst.missing[q] == 0) {
+        if (--missing[q] == 0) {
           covered_weight += inst.weight[q];
         } else {
           dirty.insert(q);
@@ -329,8 +327,7 @@ SupportPlan GreedyPass(const PlannerInput& input, bool gain_priority) {
     }
     for (uint32_t q : dirty) {
       ++version[q];
-      parked.erase(q);
-      Move fresh = EvaluateMove(inst, acquired, q, &scratch);
+      Move fresh = EvaluateMove(inst, missing, acquired, q, &scratch);
       if (fresh.gain > 0.0) {
         pq.push(PqEntry{priority(fresh), fresh.gain, q, version[q]});
       }
@@ -345,8 +342,9 @@ SupportPlan GreedyPass(const PlannerInput& input, bool gain_priority) {
 }  // namespace
 
 SupportPlan GreedyPlan(const PlannerInput& input) {
-  SupportPlan by_ratio = GreedyPass(input, /*gain_priority=*/false);
-  SupportPlan by_gain = GreedyPass(input, /*gain_priority=*/true);
+  const Instance inst = BuildInstance(input);
+  SupportPlan by_ratio = GreedyPass(inst, input, /*gain_priority=*/false);
+  SupportPlan by_gain = GreedyPass(inst, input, /*gain_priority=*/true);
   if (by_gain.final_completeness > by_ratio.final_completeness + kEps) {
     return by_gain;
   }
@@ -369,26 +367,19 @@ SupportPlan ImportanceOrderPlan(const PlannerInput& input) {
   SupportPlan plan;
   plan.initial_completeness = inst.Completeness(0.0);
 
-  std::vector<uint32_t> order(inst.apis.size());
-  for (uint32_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
+  // The candidates in the dataset's importance order (§3.2).
+  std::set<core::ApiKind> kinds;
+  for (const core::ApiId& api : inst.apis) {
+    kinds.insert(api.kind);
   }
-  const core::StudyDataset& ds = *input.dataset;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (inst.api_importance[a] != inst.api_importance[b]) {
-      return inst.api_importance[a] > inst.api_importance[b];
-    }
-    double ua = ds.UnweightedImportance(inst.apis[a]);
-    double ub = ds.UnweightedImportance(inst.apis[b]);
-    if (ua != ub) {
-      return ua > ub;
-    }
-    return inst.apis[a] < inst.apis[b];
-  });
-
   double covered_weight = 0.0;
   double cumulative_cost = 0.0;
-  for (uint32_t i : order) {
+  for (const core::ApiId& api : input.dataset->RankByImportance(kinds, {})) {
+    const auto it = std::lower_bound(inst.apis.begin(), inst.apis.end(), api);
+    if (it == inst.apis.end() || *it != api) {
+      continue;
+    }
+    const auto i = static_cast<uint32_t>(it - inst.apis.begin());
     if (cumulative_cost + inst.api_cost[i] > input.budget + kEps) {
       continue;  // cost-blind ranking: skip what no longer fits, keep going
     }

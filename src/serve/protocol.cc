@@ -6,6 +6,13 @@ namespace lapis::serve {
 
 namespace {
 
+// The fewest bytes one encoded item of each list takes: an ApiRef is a kind
+// byte, a code and a name length; a top-K entry adds an importance; a plan
+// action adds action and evidence bytes and four doubles.
+constexpr size_t kApiRefBytes = 1 + 4 + 4;
+constexpr size_t kTopKEntryBytes = kApiRefBytes + 8;
+constexpr size_t kPlanActionBytes = kApiRefBytes + 1 + 1 + 4 * 8;
+
 void PutDouble(ByteWriter& writer, double v) {
   writer.PutU64(std::bit_cast<uint64_t>(v));
 }
@@ -38,7 +45,7 @@ Result<ApiRef> ReadApiRef(ByteReader& reader) {
 }
 
 Result<std::vector<ApiRef>> ReadApiRefList(ByteReader& reader) {
-  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(kApiRefBytes));
   if (count > kMaxProfileApis) {
     return InvalidArgumentError("profile too large: " + std::to_string(count) +
                                 " APIs");
@@ -269,7 +276,7 @@ Result<QueryResponse> DecodeResponse(ByteReader& reader) {
       break;
     }
     case Opcode::kTopK: {
-      LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+      LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(kTopKEntryBytes));
       if (count > kMaxProfileApis) {
         return InvalidArgumentError("top-K result too large: " +
                                     std::to_string(count));
@@ -292,7 +299,8 @@ Result<QueryResponse> DecodeResponse(ByteReader& reader) {
       LAPIS_ASSIGN_OR_RETURN(result.final_completeness, ReadDouble(reader));
       LAPIS_ASSIGN_OR_RETURN(result.total_cost, ReadDouble(reader));
       LAPIS_ASSIGN_OR_RETURN(result.audit_blind, reader.ReadU8());
-      LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+      LAPIS_ASSIGN_OR_RETURN(uint32_t count,
+                             reader.ReadCount(kPlanActionBytes));
       if (count > kMaxProfileApis) {
         return InvalidArgumentError("plan result too large: " +
                                     std::to_string(count));
@@ -390,7 +398,8 @@ template <typename T, typename DecodeFn>
 static Result<std::vector<T>> DecodePayload(std::span<const uint8_t> payload,
                                             DecodeFn decode_one) {
   ByteReader reader(payload);
-  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  // Each request or response starts with at least its opcode byte.
+  LAPIS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(1));
   if (count > kMaxBatchRequests) {
     return InvalidArgumentError("batch too large: " + std::to_string(count) +
                                 " entries (max " +

@@ -111,6 +111,14 @@ Result<int64_t> ByteReader::ReadI64() {
   return static_cast<int64_t>(v);
 }
 
+Result<uint32_t> ByteReader::ReadCount(size_t min_item_bytes) {
+  LAPIS_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  if (uint64_t{count} * min_item_bytes > remaining()) {
+    return CorruptDataError("count exceeds buffer");
+  }
+  return count;
+}
+
 Result<std::vector<uint8_t>> ByteReader::ReadBytes(size_t count) {
   if (count > remaining()) {
     return OutOfRangeError("read past end of buffer");
@@ -127,10 +135,7 @@ Result<std::string> ByteReader::ReadLengthPrefixedString() {
 }
 
 Result<std::string_view> ByteReader::ReadLengthPrefixedView() {
-  LAPIS_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
-  if (len > remaining()) {
-    return CorruptDataError("string length exceeds buffer");
-  }
+  LAPIS_ASSIGN_OR_RETURN(uint32_t len, ReadCount(1));
   std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_), len);
   pos_ += len;
   return s;

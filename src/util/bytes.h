@@ -87,6 +87,10 @@ class ByteReader {
   Result<uint64_t> ReadU64();
   Result<int32_t> ReadI32();
   Result<int64_t> ReadI64();
+  // Reads a u32 count of items that each take at least `min_item_bytes` of
+  // the input: a count the remaining bytes cannot hold is corrupt, so a
+  // decoder may size its containers by the count it gets back.
+  Result<uint32_t> ReadCount(size_t min_item_bytes);
   Result<std::vector<uint8_t>> ReadBytes(size_t count);
   Result<std::string> ReadLengthPrefixedString();
   // The same string as a view into the buffer, valid while the buffer is.

@@ -27,6 +27,7 @@
 #include "src/corpus/study_runner.h"
 #include "src/elf/elf_reader.h"
 #include "src/package/popcon.h"
+#include "src/util/prng.h"
 #include "src/util/string_interner.h"
 
 namespace lapis {
@@ -266,6 +267,46 @@ TEST(AnalysisCodec, BytesMatchPinnedDigests) {
   EXPECT_EQ(cache::HashBytes(analyses.bytes()), 0x43afb957c6b1e561u);
 }
 
+// Every 4-byte-aligned word of `payload`, set to a huge count and then to
+// a seeded random word, handed to `decode`: each decode must return a
+// status or a value. Returns how many decodes were rejected.
+template <typename Decode>
+size_t DecodeMutatedWords(const std::vector<uint8_t>& payload,
+                          Decode decode) {
+  Prng prng(20160418);
+  size_t rejected = 0;
+  for (size_t at = 0; at + 4 <= payload.size(); at += 4) {
+    for (uint32_t word : {0xFFFFFFF0u, static_cast<uint32_t>(prng.Next())}) {
+      auto mutated = payload;
+      StoreLittleEndian(mutated.data() + at, word);
+      ByteReader reader(mutated);
+      rejected += decode(reader).ok() ? 0 : 1;
+    }
+  }
+  return rejected;
+}
+
+TEST(AnalysisCodec, MutatedWordsNeverAbortTheDecoder) {
+  // The smallest analysis among the first ELF packages' binaries.
+  corpus::DistroSynthesizer synthesizer(Spec());
+  std::vector<uint8_t> payload;
+  for (size_t pkg = 0; pkg < 10; ++pkg) {
+    const auto& plan = Spec().packages[pkg];
+    if (plan.data_only || !plan.interpreter_package.empty()) {
+      continue;
+    }
+    for (const auto& binary : synthesizer.PackageBinaries(pkg).take()) {
+      ByteWriter writer;
+      AnalysisCodec::Encode(AnalyzeBytes(binary.bytes), writer);
+      if (payload.empty() || writer.size() < payload.size()) {
+        payload = writer.Take();
+      }
+    }
+  }
+  ASSERT_FALSE(payload.empty());
+  EXPECT_GT(DecodeMutatedWords(payload, AnalysisCodec::Decode), 0u);
+}
+
 // The cache holds no resolutions: a warm run registers libraries and
 // resolves executables from decoded analyses. The resolver must not tell
 // decoded analyses from computed ones.
@@ -347,6 +388,18 @@ TEST(SurveyCodec, SurveyRoundtripWithSamples) {
     EXPECT_EQ(decoded.value().samples[i].words(),
               original.value().samples[i].words());
   }
+}
+
+TEST(SurveyCodec, MutatedWordsNeverAbortTheDecoder) {
+  package::PopconSurvey survey;
+  survey.total_reporting = 40;
+  survey.install_counts = {40, 12, 0, 7, 3};
+  survey.samples.push_back(package::InstallationSet::FromWords({0b11011}));
+  survey.samples.push_back(package::InstallationSet::FromWords({0b00001}));
+  ByteWriter writer;
+  cache::SurveyCodec::Encode(survey, writer);
+  EXPECT_GT(DecodeMutatedWords(writer.bytes(), cache::SurveyCodec::Decode),
+            0u);
 }
 
 TEST(SurveyCodec, InputHashTracksEveryInput) {

@@ -11,6 +11,7 @@
 #include "src/core/diff.h"
 #include "src/core/libc_analysis.h"
 #include "src/core/systems.h"
+#include "src/util/prng.h"
 
 namespace lapis::core {
 namespace {
@@ -361,6 +362,98 @@ TEST(Completeness, KindFilterIgnoresOtherKinds) {
       WeightedCompleteness(*ds, {SyscallApi(0)}, syscalls_only), 1.0, 1e-12);
   // Without the filter it does.
   EXPECT_NEAR(WeightedCompleteness(*ds, {SyscallApi(0)}), 0.0, 1e-12);
+}
+
+// The kernel against the definition (§2.2, §A.2), applied entry by entry:
+// a package is self-supported iff every footprint entry of an evaluated
+// kind is in `supported`, and supported iff every member of its closure is
+// self-supported; the weight sums in package-id order. Seeded random
+// datasets cover all six kinds and a dependency cycle; the supported sets
+// include APIs no footprint uses, and the kind sets include the empty set
+// (every kind evaluated).
+TEST(Completeness, KernelMatchesDefinition) {
+  Prng prng(20160418);
+  constexpr uint32_t kUsedCodes = 12;  // codes 12 and 13 are never used
+  constexpr double kDensities[] = {0.3, 0.7, 0.95, 1.0};
+  for (int trial = 0; trial < 12; ++trial) {
+    const PackageId count = 50 + static_cast<PackageId>(prng.NextBelow(40));
+    std::vector<std::pair<PackageId, PackageId>> edges = {
+        {0, 1}, {1, 2}, {2, 0}};
+    std::vector<uint64_t> installs(count);
+    for (PackageId id = 0; id < count; ++id) {
+      for (uint64_t e = prng.NextBelow(3); e > 0; --e) {
+        edges.emplace_back(id,
+                           static_cast<PackageId>(prng.NextBelow(count)));
+      }
+      installs[id] = prng.NextBelow(101);
+    }
+    auto ds = MakeGraph(count, edges, installs);
+    std::vector<std::vector<ApiId>> footprints(count);
+    for (PackageId id = 0; id < count; ++id) {
+      for (uint64_t i = prng.NextBelow(9); i > 0; --i) {
+        footprints[id].push_back(
+            ApiId{static_cast<ApiKind>(prng.NextBelow(kApiKindCount)),
+                  static_cast<uint32_t>(prng.NextBelow(kUsedCodes))});
+      }
+      ASSERT_TRUE(ds->SetFootprint(id, footprints[id]).ok());
+    }
+    ASSERT_TRUE(ds->Finalize().ok());
+
+    for (int draw = 0; draw < 16; ++draw) {
+      const double density = kDensities[draw % 4];
+      std::set<ApiId> supported;
+      for (int k = 0; k < kApiKindCount; ++k) {
+        for (uint32_t code = 0; code < kUsedCodes + 2; ++code) {
+          if (prng.NextBool(density)) {
+            supported.insert(ApiId{static_cast<ApiKind>(k), code});
+          }
+        }
+      }
+      CompletenessOptions options;
+      for (int k = 0; k < kApiKindCount && draw >= 4; ++k) {
+        if (prng.NextBool(0.4)) {
+          options.evaluated_kinds.insert(static_cast<ApiKind>(k));
+        }
+      }
+
+      std::vector<bool> self_ok(count, true);
+      for (PackageId id = 0; id < count; ++id) {
+        for (const ApiId& api : footprints[id]) {
+          if (!options.evaluated_kinds.empty() &&
+              !options.evaluated_kinds.contains(api.kind)) {
+            continue;
+          }
+          if (!supported.contains(api)) {
+            self_ok[id] = false;
+            break;
+          }
+        }
+      }
+      std::vector<bool> flags(count);
+      double supported_weight = 0.0;
+      double total_weight = 0.0;
+      for (PackageId id = 0; id < count; ++id) {
+        const double p = ds->InstallProbability(id);
+        total_weight += p;
+        bool ok = true;
+        for (PackageId member : ds->DependencyClosure(id)) {
+          ok = ok && self_ok[member];
+        }
+        flags[id] = ok;
+        if (ok) {
+          supported_weight += p;
+        }
+      }
+      const double expected =
+          total_weight == 0.0 ? 0.0 : supported_weight / total_weight;
+
+      SupportEvaluation eval = EvaluateSupport(*ds, supported, options);
+      EXPECT_EQ(eval.supported_packages, flags)
+          << "trial " << trial << " draw " << draw;
+      EXPECT_EQ(eval.weighted_completeness, expected)
+          << "trial " << trial << " draw " << draw;
+    }
+  }
 }
 
 TEST(Completeness, GreedyPathMonotoneAndExact) {

@@ -10,6 +10,7 @@
 #include "src/corpus/study_runner.h"
 #include "src/corpus/syscall_table.h"
 #include "src/corpus/system_profiles.h"
+#include "src/util/prng.h"
 
 namespace lapis::corpus {
 namespace {
@@ -40,10 +41,18 @@ TEST(DatasetIo, RoundTripPreservesEverything) {
   const auto& restored = *artifact.value().dataset;
   ASSERT_EQ(restored.package_count(), original.package_count());
   EXPECT_EQ(restored.total_installations(), original.total_installations());
+  // Footprints compare by the APIs their dense ids name.
+  auto apis = [](const core::StudyDataset& dataset, uint32_t pkg) {
+    std::vector<core::ApiId> named;
+    for (uint32_t dense : dataset.Footprint(pkg)) {
+      named.push_back(dataset.UsedApis()[dense]);
+    }
+    return named;
+  };
   for (uint32_t pkg = 0; pkg < original.package_count(); ++pkg) {
     EXPECT_EQ(restored.PackageName(pkg), original.PackageName(pkg));
     EXPECT_EQ(restored.InstallCount(pkg), original.InstallCount(pkg));
-    EXPECT_EQ(restored.Footprint(pkg), original.Footprint(pkg));
+    EXPECT_EQ(apis(restored, pkg), apis(original, pkg));
     EXPECT_EQ(restored.DependencyClosure(pkg),
               original.DependencyClosure(pkg));
   }
@@ -195,6 +204,62 @@ TEST(DatasetIo, RejectsUnknownApiKind) {
   StudyResult study =
       TinyStudy({core::ApiId{static_cast<core::ApiKind>(42), 1}});
   EXPECT_EQ(ReloadCode(study), StatusCode::kCorruptData);
+}
+
+// The u32 at `offset` of `bytes`.
+uint32_t WordAt(const std::vector<uint8_t>& bytes, size_t offset) {
+  ByteReader reader(bytes);
+  EXPECT_TRUE(reader.Seek(offset).ok());
+  return reader.ReadU32().value();
+}
+
+// A count the bytes left cannot hold is corrupt, and is rejected before
+// anything is sized by it: the package count (before the dataset is
+// built), and the first package's dependency count and footprint size.
+TEST(DatasetIo, RejectsOversizedCounts) {
+  const auto bytes = SerializedStudy();
+  const auto& dataset = *Study().dataset;
+  constexpr size_t kPackageCountAt = 16;  // magic, version, installations
+  ASSERT_EQ(WordAt(bytes, kPackageCountAt), dataset.package_count());
+  const size_t deps_at = kPackageCountAt + 4 + 4 +
+                         WordAt(bytes, kPackageCountAt + 4) + 8;
+  ASSERT_EQ(WordAt(bytes, deps_at), dataset.DirectDependencies(0).size());
+  const size_t footprint_at = deps_at + 4 + 4 * WordAt(bytes, deps_at);
+  ASSERT_EQ(WordAt(bytes, footprint_at), dataset.Footprint(0).size());
+  for (size_t at : {kPackageCountAt, deps_at, footprint_at}) {
+    auto mutated = bytes;
+    StoreLittleEndian<uint32_t>(mutated.data() + at, 0xFFFFFFF0u);
+    ByteReader reader(mutated);
+    EXPECT_EQ(DeserializeStudy(reader).status().code(),
+              StatusCode::kCorruptData)
+        << "count at byte " << at;
+  }
+}
+
+// Every 4-byte-aligned word of a tiny artifact, set to a huge count and
+// then to a seeded random word: each decode returns a status or a value.
+TEST(DatasetIo, MutatedWordsNeverAbortTheDecoder) {
+  StudyResult study =
+      TinyStudy({core::SyscallApi(0), core::ApiId{core::ApiKind::kLibcFn, 0},
+                 core::ApiId{core::ApiKind::kPseudoFile, 0}});
+  study.path_interner.Intern("/dev/null");
+  study.libc_interner.Intern("malloc");
+  study.evidence_kinds_mask = 1;
+  study.evidence_observed = {core::SyscallApi(0)};
+  ByteWriter writer;
+  ASSERT_TRUE(SerializeStudy(study, writer).ok());
+  const std::vector<uint8_t> bytes = writer.Take();
+  Prng prng(20160418);
+  size_t rejected = 0;
+  for (size_t at = 0; at + 4 <= bytes.size(); at += 4) {
+    for (uint32_t word : {0xFFFFFFF0u, static_cast<uint32_t>(prng.Next())}) {
+      auto mutated = bytes;
+      StoreLittleEndian(mutated.data() + at, word);
+      ByteReader reader(mutated);
+      rejected += DeserializeStudy(reader).ok() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(DatasetIo, LoadMissingFileFails) {

@@ -13,9 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "src/cache/content_hash.h"
 #include "src/core/api_id.h"
 #include "src/core/dataset.h"
 #include "src/corpus/study_runner.h"
+#include "src/corpus/system_profiles.h"
 #include "src/plan/cost_model.h"
 #include "src/plan/curve.h"
 #include "src/plan/evidence.h"
@@ -539,31 +541,78 @@ TEST(Profiles, ResolveByNameSubstringAndErrors) {
 
 // ---- End-to-end determinism across --jobs ----
 
+// The 300-app audited study the end-to-end plan tests run on.
+corpus::StudyResult AuditedStudy(size_t jobs) {
+  corpus::StudyOptions options;
+  options.distro.app_package_count = 300;
+  options.distro.installation_count = 20000;
+  options.jobs = jobs;
+  options.audit = true;
+  auto study = corpus::RunStudy(options);
+  EXPECT_TRUE(study.ok());
+  return study.take();
+}
+
 TEST(PlanDeterminism, ByteIdenticalTsvAcrossJobCounts) {
   auto run = [](size_t jobs) {
-    corpus::StudyOptions options;
-    options.distro.app_package_count = 300;
-    options.distro.installation_count = 20000;
-    options.jobs = jobs;
-    options.audit = true;
-    auto study = corpus::RunStudy(options);
-    EXPECT_TRUE(study.ok());
+    corpus::StudyResult study = AuditedStudy(jobs);
     CostModel costs = CostModel::Defaults();
     PlannerInput input;
-    input.dataset = study.value().dataset.get();
+    input.dataset = study.dataset.get();
     input.costs = &costs;
-    input.evidence.kinds_mask = study.value().evidence_kinds_mask;
-    input.evidence.observed = study.value().evidence_observed;
+    input.evidence.kinds_mask = study.evidence_kinds_mask;
+    input.evidence.observed = study.evidence_observed;
     input.max_actions = 64;
     std::ostringstream os;
-    WritePlanTsv(GreedyPlan(input), study.value().path_interner,
-                 study.value().libc_interner, os);
+    WritePlanTsv(GreedyPlan(input), study.path_interner, study.libc_interner,
+                 os);
     return os.str();
   };
   std::string sequential = run(1);
   std::string parallel = run(4);
   EXPECT_FALSE(sequential.empty());
   EXPECT_EQ(sequential, parallel);
+}
+
+// Every plan TSV the planner writes for the study: the five Table 6
+// systems and greenfield `all`, audit-informed and audit-blind, in greedy
+// and importance order, hashed in that order. The digest moves with any
+// change to a candidate set, a cost, a tie order or the TSV format.
+TEST(PlanTsv, MatchesPinnedDigest) {
+  corpus::StudyResult study = AuditedStudy(2);
+  std::vector<std::string> profiles;
+  for (const auto& row : corpus::LinuxSystemPlans()) {
+    profiles.push_back(row.name);
+  }
+  profiles.push_back("all");
+  ASSERT_EQ(profiles.size(), 6u);
+  CostModel costs = CostModel::Defaults();
+  uint64_t digest = cache::kFnvOffsetBasis;
+  size_t actions = 0;
+  for (const std::string& name : profiles) {
+    auto profile = ResolveSystemProfile(*study.dataset, name);
+    ASSERT_TRUE(profile.ok()) << name;
+    for (bool audit_blind : {false, true}) {
+      PlannerInput input;
+      input.dataset = study.dataset.get();
+      input.costs = &costs;
+      input.already_supported = profile.value().supported;
+      input.evaluated_kinds = profile.value().evaluated_kinds;
+      if (!audit_blind) {
+        input.evidence.kinds_mask = study.evidence_kinds_mask;
+        input.evidence.observed = study.evidence_observed;
+      }
+      for (const SupportPlan& plan :
+           {GreedyPlan(input), ImportanceOrderPlan(input)}) {
+        std::ostringstream os;
+        WritePlanTsv(plan, study.path_interner, study.libc_interner, os);
+        digest = cache::HashString(os.str(), digest);
+        actions += plan.actions.size();
+      }
+    }
+  }
+  EXPECT_EQ(actions, 8340u);
+  EXPECT_EQ(digest, 0x1e6093b5008d6f7cu);
 }
 
 }  // namespace

@@ -252,9 +252,16 @@ TEST(StudyDeterminism, SameOptionsSameDataset) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a.value().dataset->package_count(),
             b.value().dataset->package_count());
+  // Footprints compare by the APIs their dense ids name.
+  auto apis = [](const core::StudyDataset& dataset, uint32_t pkg) {
+    std::vector<core::ApiId> named;
+    for (uint32_t dense : dataset.Footprint(pkg)) {
+      named.push_back(dataset.UsedApis()[dense]);
+    }
+    return named;
+  };
   for (uint32_t pkg = 0; pkg < a.value().dataset->package_count(); ++pkg) {
-    EXPECT_EQ(a.value().dataset->Footprint(pkg),
-              b.value().dataset->Footprint(pkg));
+    EXPECT_EQ(apis(*a.value().dataset, pkg), apis(*b.value().dataset, pkg));
     EXPECT_EQ(a.value().survey.install_counts[pkg],
               b.value().survey.install_counts[pkg]);
   }

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "src/core/completeness.h"
@@ -892,7 +893,24 @@ TEST(ServeGeneration, ReloadFailuresKeepOldGenerationServing) {
             StatusCode::kCorruptData);
   EXPECT_EQ(store.reload_failures(), 4u);
 
-  // Through all four failures the original generation never moved and
+  // A real artifact whose package count claims more packages than its bytes
+  // hold: rejected before the dataset is sized by it.
+  std::string count_path = testing::TempDir() + "/lapis_serve_count.bin";
+  {
+    std::ifstream in(SavedArtifactPath(), std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    ASSERT_GT(bytes.size(), 20u);
+    StoreLittleEndian(reinterpret_cast<uint8_t*>(bytes.data()) + 16,
+                      uint32_t{0xFFFFFFF0});
+    std::ofstream out(count_path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_EQ(store.PublishFromFile(count_path).status().code(),
+            StatusCode::kCorruptData);
+  EXPECT_EQ(store.reload_failures(), 5u);
+
+  // Through all five failures the original generation never moved and
   // still answers queries.
   EXPECT_EQ(store.latest(), 1u);
   auto current = store.Current();
@@ -910,11 +928,12 @@ TEST(ServeGeneration, ReloadFailuresKeepOldGenerationServing) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded.value(), 2u);
   EXPECT_EQ(store.latest(), 2u);
-  EXPECT_EQ(store.reload_failures(), 4u);
+  EXPECT_EQ(store.reload_failures(), 5u);
 
   std::filesystem::remove(corrupt_path);
   std::filesystem::remove(truncated_path);
   std::filesystem::remove(bad_id_path);
+  std::filesystem::remove(count_path);
 }
 
 TEST(ServeServer, InfoReportsReloadFailuresOverTheWire) {

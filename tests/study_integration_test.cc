@@ -358,7 +358,8 @@ TEST(StudyIntegration, DeadCodeDoesNotLeakIntoFootprints) {
   auto pkg = dataset.FindPackage("libc6");
   ASSERT_NE(pkg, UINT32_MAX);
   auto ptrace_nr = corpus::SyscallNumber("ptrace");
-  for (const auto& api : dataset.Footprint(pkg)) {
+  for (uint32_t dense : dataset.Footprint(pkg)) {
+    const core::ApiId& api = dataset.UsedApis()[dense];
     if (api.kind == core::ApiKind::kSyscall) {
       EXPECT_NE(api.code, static_cast<uint32_t>(*ptrace_nr));
     }
