@@ -98,6 +98,60 @@ Status StudyDataset::Finalize() {
         std::lower_bound(used_apis_.begin(), used_apis_.end(), seen[number]) -
         used_apis_.begin());
   }
+  dependents_begin_.assign(used_apis_.size() + 1, 0);
+  for (uint32_t& dense : footprint_ids_) {
+    dense = rank[dense];
+    ++dependents_begin_[dense + 1];
+  }
+  BuildIndexes();
+  return Status::Ok();
+}
+
+Status StudyDataset::FinalizeDense(std::vector<ApiId> used_apis,
+                                   std::vector<uint32_t> footprint_begin,
+                                   std::vector<uint32_t> footprint_ids) {
+  if (finalized_) {
+    return FailedPreconditionError("dataset already finalized");
+  }
+  if (footprint_begin.size() != names_.size() + 1 ||
+      footprint_begin.front() != 0 ||
+      footprint_begin.back() != footprint_ids.size() ||
+      !std::ranges::is_sorted(footprint_begin)) {
+    return InvalidArgumentError("footprint offsets do not cover the ids");
+  }
+  if (std::adjacent_find(used_apis.begin(), used_apis.end(),
+                         [](const ApiId& a, const ApiId& b) {
+                           return !(a < b);
+                         }) != used_apis.end()) {
+    return InvalidArgumentError("used APIs not strictly ascending");
+  }
+  // One pass checks each package's ids and counts them for the transpose.
+  dependents_begin_.assign(used_apis.size() + 1, 0);
+  for (size_t p = 0; p < names_.size(); ++p) {
+    for (uint32_t i = footprint_begin[p]; i < footprint_begin[p + 1]; ++i) {
+      const uint32_t dense = footprint_ids[i];
+      if (dense >= used_apis.size()) {
+        return InvalidArgumentError("footprint id out of range");
+      }
+      if (i > footprint_begin[p] && dense <= footprint_ids[i - 1]) {
+        return InvalidArgumentError("footprint ids not strictly ascending");
+      }
+      ++dependents_begin_[dense + 1];
+    }
+  }
+  if (std::find(dependents_begin_.begin() + 1, dependents_begin_.end(), 0u) !=
+      dependents_begin_.end()) {
+    return InvalidArgumentError("a used API no footprint names");
+  }
+  std::vector<std::vector<ApiId>>().swap(footprints_);
+  used_apis_ = std::move(used_apis);
+  footprint_begin_ = std::move(footprint_begin);
+  footprint_ids_ = std::move(footprint_ids);
+  BuildIndexes();
+  return Status::Ok();
+}
+
+void StudyDataset::BuildIndexes() {
   // A search, not a count: an API of a kind past the last (which only a
   // caller's bug can set) then lies outside every kind's range.
   for (int k = 0; k <= kApiKindCount; ++k) {
@@ -106,12 +160,7 @@ Status StudyDataset::Finalize() {
                          ApiId{static_cast<ApiKind>(k), 0}) -
         used_apis_.begin());
   }
-  // Dependents index: the footprints transposed, counted then filled.
-  dependents_begin_.assign(used_apis_.size() + 1, 0);
-  for (uint32_t& dense : footprint_ids_) {
-    dense = rank[dense];
-    ++dependents_begin_[dense + 1];
-  }
+  // Dependents index: the footprints transposed, from their counts.
   for (size_t i = 1; i < dependents_begin_.size(); ++i) {
     dependents_begin_[i] += dependents_begin_[i - 1];
   }
@@ -150,7 +199,6 @@ Status StudyDataset::Finalize() {
     }
   }
   finalized_ = true;
-  return Status::Ok();
 }
 
 PackageId StudyDataset::FindPackage(std::string_view name) const {

@@ -35,9 +35,19 @@ class StudyDataset {
   // Direct dependency edges (closure is computed in Finalize).
   Status SetDependencies(PackageId id, std::vector<PackageId> depends);
   // Numbers the used APIs, stores the footprints as dense ids, and builds
-  // the dependents index and dependency closures. Must be called before any
-  // query; construction calls afterwards are rejected.
+  // the dependents index and dependency closures. It or FinalizeDense must
+  // be called before any query; construction calls afterwards are rejected.
   Status Finalize();
+  // Finalize for footprints that are already dense (a saved dataset), in
+  // place of SetFootprint + Finalize: `used_apis` strictly ascending, and
+  // package p's ids footprint_ids[footprint_begin[p], footprint_begin[p + 1])
+  // strictly ascending below used_apis.size(). Skips the numbering and
+  // builds the same indexes. Offsets that do not cover the ids, an id out
+  // of range or out of order, an unsorted table, or a used API no footprint
+  // names is InvalidArgument.
+  Status FinalizeDense(std::vector<ApiId> used_apis,
+                       std::vector<uint32_t> footprint_begin,
+                       std::vector<uint32_t> footprint_ids);
 
   // ---- Basic accessors ----
   size_t package_count() const { return names_.size(); }
@@ -47,7 +57,7 @@ class StudyDataset {
   double InstallProbability(PackageId id) const;
   uint64_t InstallCount(PackageId id) const { return install_counts_[id]; }
   // The package's footprint as dense API ids (see UsedApis), ascending,
-  // which is ApiId order. Empty before Finalize.
+  // which is ApiId order. Empty until finalized.
   std::span<const uint32_t> Footprint(PackageId id) const {
     return std::span<const uint32_t>(footprint_ids_)
         .subspan(footprint_begin_[id],
@@ -111,6 +121,10 @@ class StudyDataset {
 
  private:
   Status CheckConstruction(PackageId id);
+  // The part of finalizing that both entries share: kind ranges, the
+  // dependents index from its counts (dependents_begin_[d + 1] holds dense
+  // id d's), closures and the name index.
+  void BuildIndexes();
 
   uint64_t total_installations_;
   bool finalized_ = false;

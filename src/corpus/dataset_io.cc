@@ -17,7 +17,14 @@ constexpr uint32_t kVersion = kStudyArtifactVersion;
 constexpr size_t kPackageBytes = 4 + 8 + 4 + 4;
 constexpr size_t kDepBytes = 4;
 constexpr size_t kApiIdBytes = 8;
+constexpr size_t kDenseIdBytes = 4;
 constexpr size_t kStringBytes = 4;
+
+// The dataset rejects what it cannot hold as InvalidArgument; read from an
+// artifact, that is corrupt data.
+Status AsCorrupt(const Status& status) {
+  return status.ok() ? status : CorruptDataError(status.message());
+}
 
 void SerializeInterner(const core::StringInterner& interner,
                        ByteWriter& writer) {
@@ -74,6 +81,15 @@ Status SerializeStudy(const StudyResult& study, ByteWriter& writer) {
   writer.PutU32(kVersion);
   writer.PutU64(dataset.total_installations());
   writer.PutU32(static_cast<uint32_t>(dataset.package_count()));
+  writer.PutU32(static_cast<uint32_t>(dataset.UsedApis().size()));
+  for (const core::ApiId& api : dataset.UsedApis()) {
+    writer.PutI64(api.Encode());
+  }
+  size_t entry_count = 0;
+  for (uint32_t pkg = 0; pkg < dataset.package_count(); ++pkg) {
+    entry_count += dataset.Footprint(pkg).size();
+  }
+  writer.PutU32(static_cast<uint32_t>(entry_count));
   for (uint32_t pkg = 0; pkg < dataset.package_count(); ++pkg) {
     writer.PutLengthPrefixedString(dataset.PackageName(pkg));
     writer.PutU64(dataset.InstallCount(pkg));
@@ -85,12 +101,11 @@ Status SerializeStudy(const StudyResult& study, ByteWriter& writer) {
     const std::span<const uint32_t> footprint = dataset.Footprint(pkg);
     writer.PutU32(static_cast<uint32_t>(footprint.size()));
     for (uint32_t dense : footprint) {
-      writer.PutI64(dataset.UsedApis()[dense].Encode());
+      writer.PutU32(dense);
     }
   }
   SerializeInterner(study.path_interner, writer);
   SerializeInterner(study.libc_interner, writer);
-  // v2: audit-evidence section.
   writer.PutU8(study.evidence_kinds_mask);
   writer.PutU32(static_cast<uint32_t>(study.evidence_observed.size()));
   for (const core::ApiId& api : study.evidence_observed) {
@@ -105,7 +120,7 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
     return CorruptDataError("bad study artifact magic");
   }
   LAPIS_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
-  if (version != 1 && version != kVersion) {
+  if (version < 1 || version > kVersion) {
     return UnimplementedError("unsupported artifact version " +
                               std::to_string(version));
   }
@@ -117,21 +132,48 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
   CodeBounds bounds;
   artifact.dataset =
       std::make_unique<core::StudyDataset>(package_count, installations);
+  core::StudyDataset& dataset = *artifact.dataset;
+  // v3 stores the footprints dense: the used-API table and the entry total
+  // come first, and the ids go straight into one CSR pair.
+  const bool dense = version >= 3;
+  std::vector<core::ApiId> used_apis;
+  std::vector<uint32_t> footprint_begin;
+  std::vector<uint32_t> footprint_ids;
+  uint32_t entry_count = 0;
+  if (dense) {
+    LAPIS_ASSIGN_OR_RETURN(uint32_t used_count,
+                           reader.ReadCount(kApiIdBytes));
+    used_apis.reserve(used_count);
+    for (uint32_t i = 0; i < used_count; ++i) {
+      LAPIS_ASSIGN_OR_RETURN(core::ApiId api, ReadApiId(reader, bounds));
+      used_apis.push_back(api);
+    }
+    LAPIS_ASSIGN_OR_RETURN(entry_count, reader.ReadCount(kDenseIdBytes));
+    footprint_begin.reserve(size_t{package_count} + 1);
+    footprint_begin.push_back(0);
+    footprint_ids.reserve(entry_count);
+  }
   for (uint32_t pkg = 0; pkg < package_count; ++pkg) {
     LAPIS_ASSIGN_OR_RETURN(std::string name,
                            reader.ReadLengthPrefixedString());
-    LAPIS_RETURN_IF_ERROR(artifact.dataset->SetPackageName(pkg, name));
+    LAPIS_RETURN_IF_ERROR(
+        AsCorrupt(dataset.SetPackageName(pkg, std::move(name))));
     LAPIS_ASSIGN_OR_RETURN(uint64_t installs, reader.ReadU64());
-    LAPIS_RETURN_IF_ERROR(artifact.dataset->SetInstallCount(pkg, installs));
+    LAPIS_RETURN_IF_ERROR(AsCorrupt(dataset.SetInstallCount(pkg, installs)));
     LAPIS_ASSIGN_OR_RETURN(uint32_t dep_count, reader.ReadCount(kDepBytes));
     std::vector<core::PackageId> deps;
-    deps.reserve(dep_count);
-    for (uint32_t i = 0; i < dep_count; ++i) {
-      LAPIS_ASSIGN_OR_RETURN(uint32_t dep, reader.ReadU32());
-      deps.push_back(dep);
-    }
+    LAPIS_RETURN_IF_ERROR(reader.ReadU32s(dep_count, deps));
     LAPIS_RETURN_IF_ERROR(
-        artifact.dataset->SetDependencies(pkg, std::move(deps)));
+        AsCorrupt(dataset.SetDependencies(pkg, std::move(deps))));
+    if (dense) {
+      LAPIS_ASSIGN_OR_RETURN(uint32_t size, reader.ReadCount(kDenseIdBytes));
+      if (size > entry_count - footprint_ids.size()) {
+        return CorruptDataError("footprint sizes exceed the entry count");
+      }
+      LAPIS_RETURN_IF_ERROR(reader.ReadU32s(size, footprint_ids));
+      footprint_begin.push_back(static_cast<uint32_t>(footprint_ids.size()));
+      continue;
+    }
     LAPIS_ASSIGN_OR_RETURN(uint32_t api_count, reader.ReadCount(kApiIdBytes));
     std::vector<core::ApiId> footprint;
     footprint.reserve(api_count);
@@ -140,7 +182,10 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
       footprint.push_back(api);
     }
     LAPIS_RETURN_IF_ERROR(
-        artifact.dataset->SetFootprint(pkg, std::move(footprint)));
+        AsCorrupt(dataset.SetFootprint(pkg, std::move(footprint))));
+  }
+  if (footprint_ids.size() != entry_count) {
+    return CorruptDataError("footprint sizes fall short of the entry count");
   }
   LAPIS_ASSIGN_OR_RETURN(artifact.path_interner,
                          DeserializeInterner(reader));
@@ -159,7 +204,11 @@ Result<StudyArtifact> DeserializeStudy(ByteReader& reader) {
       bounds.libc > artifact.libc_interner.size()) {
     return CorruptDataError("artifact names an API its interners lack");
   }
-  LAPIS_RETURN_IF_ERROR(artifact.dataset->Finalize());
+  LAPIS_RETURN_IF_ERROR(AsCorrupt(
+      dense ? dataset.FinalizeDense(std::move(used_apis),
+                                    std::move(footprint_begin),
+                                    std::move(footprint_ids))
+            : dataset.Finalize()));
   return artifact;
 }
 

@@ -129,6 +129,25 @@ Result<std::vector<uint8_t>> ByteReader::ReadBytes(size_t count) {
   return out;
 }
 
+Status ByteReader::ReadU32s(size_t count, std::vector<uint32_t>& out) {
+  if (count > remaining() / 4) {
+    return OutOfRangeError("read past end of buffer");
+  }
+  const size_t at = out.size();
+  out.resize(at + count);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count != 0) {
+      std::memcpy(out.data() + at, data_.data() + pos_, 4 * count);
+    }
+    pos_ += 4 * count;
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      out[at + i] = ReadU32().value();
+    }
+  }
+  return Status::Ok();
+}
+
 Result<std::string> ByteReader::ReadLengthPrefixedString() {
   LAPIS_ASSIGN_OR_RETURN(std::string_view s, ReadLengthPrefixedView());
   return std::string(s);

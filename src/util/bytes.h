@@ -92,6 +92,8 @@ class ByteReader {
   // decoder may size its containers by the count it gets back.
   Result<uint32_t> ReadCount(size_t min_item_bytes);
   Result<std::vector<uint8_t>> ReadBytes(size_t count);
+  // Appends `count` little-endian u32s to `out`, bounds-checked once.
+  Status ReadU32s(size_t count, std::vector<uint32_t>& out);
   Result<std::string> ReadLengthPrefixedString();
   // The same string as a view into the buffer, valid while the buffer is.
   Result<std::string_view> ReadLengthPrefixedView();

@@ -147,6 +147,14 @@ TEST(StudyDataset, ConstructionGuards) {
   ASSERT_TRUE(ds.Finalize().ok());
   EXPECT_FALSE(ds.Finalize().ok());
   EXPECT_FALSE(ds.SetInstallCount(0, 1).ok());
+  // The dense entry takes only offsets that cover its ids in order.
+  StudyDataset dense(2, 100);
+  const std::vector<ApiId> used = {SyscallApi(0)};
+  EXPECT_FALSE(dense.FinalizeDense(used, {0, 1}, {0}).ok());
+  EXPECT_FALSE(dense.FinalizeDense(used, {0, 2, 1}, {0}).ok());
+  ASSERT_TRUE(dense.FinalizeDense(used, {0, 1, 1}, {0}).ok());
+  EXPECT_EQ(dense.Dependents(SyscallApi(0)).size(), 1u);
+  EXPECT_FALSE(dense.FinalizeDense(used, {0, 1, 1}, {0}).ok());
 }
 
 TEST(StudyDataset, FindPackage) {

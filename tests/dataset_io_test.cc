@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <sstream>
 
 #include "src/core/completeness.h"
+#include "src/core/report.h"
 #include "src/corpus/dataset_io.h"
 #include "src/corpus/study_runner.h"
 #include "src/corpus/syscall_table.h"
@@ -15,9 +18,11 @@
 namespace lapis::corpus {
 namespace {
 
+// Audited, so that its artifacts carry evidence.
 const StudyResult& Study() {
   static const StudyResult* study = [] {
     auto options = SmallStudyOptions();
+    options.audit = true;
     auto result = RunStudy(options);
     EXPECT_TRUE(result.ok());
     return new StudyResult(result.take());
@@ -128,23 +133,114 @@ TEST(DatasetIo, EvidenceSurvivesRoundTrip) {
   EXPECT_EQ(artifact.value().evidence_observed, study.evidence_observed);
 }
 
-TEST(DatasetIo, V1ArtifactLoadsWithEmptyEvidence) {
-  // A v1 artifact is a v2 one minus the trailing evidence section (1-byte
-  // mask + u32 count) with the version field rewritten; loading it must
-  // succeed with no evidence rather than be rejected.
-  StudyResult study = TinyStudy();
+// The layout before v3, kept as the reference for artifacts written then:
+// each footprint entry is its 8-byte ApiId, and v2 appends the evidence.
+std::vector<uint8_t> LegacyArtifact(const StudyResult& study,
+                                    uint32_t version) {
+  const core::StudyDataset& dataset = *study.dataset;
   ByteWriter writer;
-  ASSERT_TRUE(SerializeStudy(study, writer).ok());
-  auto bytes = writer.Take();
-  ASSERT_GE(bytes.size(), 5u + 4u);
-  bytes.resize(bytes.size() - 5);  // empty evidence: u8 mask + u32 count
-  bytes[4] = 1;                    // version field follows the magic
+  writer.PutU32(0x4c505354);  // "LPST"
+  writer.PutU32(version);
+  writer.PutU64(dataset.total_installations());
+  writer.PutU32(static_cast<uint32_t>(dataset.package_count()));
+  for (uint32_t pkg = 0; pkg < dataset.package_count(); ++pkg) {
+    writer.PutLengthPrefixedString(dataset.PackageName(pkg));
+    writer.PutU64(dataset.InstallCount(pkg));
+    writer.PutU32(
+        static_cast<uint32_t>(dataset.DirectDependencies(pkg).size()));
+    for (core::PackageId dep : dataset.DirectDependencies(pkg)) {
+      writer.PutU32(dep);
+    }
+    writer.PutU32(static_cast<uint32_t>(dataset.Footprint(pkg).size()));
+    for (uint32_t dense : dataset.Footprint(pkg)) {
+      writer.PutI64(dataset.UsedApis()[dense].Encode());
+    }
+  }
+  for (const auto* interner : {&study.path_interner, &study.libc_interner}) {
+    writer.PutU32(static_cast<uint32_t>(interner->size()));
+    for (uint32_t id = 0; id < interner->size(); ++id) {
+      writer.PutLengthPrefixedString(interner->NameOf(id));
+    }
+  }
+  if (version >= 2) {
+    writer.PutU8(study.evidence_kinds_mask);
+    writer.PutU32(static_cast<uint32_t>(study.evidence_observed.size()));
+    for (const core::ApiId& api : study.evidence_observed) {
+      writer.PutI64(api.Encode());
+    }
+  }
+  return writer.Take();
+}
+
+Result<StudyArtifact> Load(const std::vector<uint8_t>& bytes) {
   ByteReader reader(bytes);
-  auto artifact = DeserializeStudy(reader);
+  return DeserializeStudy(reader);
+}
+
+TEST(DatasetIo, V1ArtifactLoadsWithEmptyEvidence) {
+  StudyResult study = TinyStudy();
+  study.evidence_kinds_mask = 1;
+  study.evidence_observed = {core::SyscallApi(0)};
+  auto artifact = Load(LegacyArtifact(study, 1));
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   EXPECT_EQ(artifact.value().evidence_kinds_mask, 0u);
   EXPECT_TRUE(artifact.value().evidence_observed.empty());
   EXPECT_EQ(artifact.value().dataset->package_count(), 1u);
+}
+
+// The three TSV exports of a loaded artifact, concatenated.
+std::string Exports(const StudyArtifact& artifact) {
+  std::ostringstream os;
+  EXPECT_TRUE(core::ExportImportanceTsv(
+                  *artifact.dataset,
+                  {core::ApiKind::kSyscall, core::ApiKind::kIoctlOp,
+                   core::ApiKind::kFcntlOp, core::ApiKind::kPrctlOp,
+                   core::ApiKind::kPseudoFile, core::ApiKind::kLibcFn},
+                  artifact.path_interner, artifact.libc_interner, os)
+                  .ok());
+  EXPECT_TRUE(core::ExportPackagesTsv(*artifact.dataset, os).ok());
+  EXPECT_TRUE(core::ExportFootprintsTsv(*artifact.dataset,
+                                        artifact.path_interner,
+                                        artifact.libc_interner, os)
+                  .ok());
+  return os.str();
+}
+
+// v1 and v2 artifacts go through SetFootprint + Finalize, v3 through the
+// dense entry; all three must load to the same dataset.
+TEST(DatasetIo, LegacyArtifactsLoadLikeTheCurrentFormat) {
+  ASSERT_NE(Study().evidence_kinds_mask, 0u);
+  auto current = Load(SerializedStudy());
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  const core::StudyDataset& expected = *current.value().dataset;
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE(version);
+    auto legacy = Load(LegacyArtifact(Study(), version));
+    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+    const core::StudyDataset& loaded = *legacy.value().dataset;
+    ASSERT_EQ(loaded.UsedApis(), expected.UsedApis());
+    for (uint32_t pkg = 0; pkg < expected.package_count(); ++pkg) {
+      EXPECT_TRUE(std::ranges::equal(loaded.Footprint(pkg),
+                                     expected.Footprint(pkg)));
+      EXPECT_EQ(loaded.DependencyClosure(pkg),
+                expected.DependencyClosure(pkg));
+    }
+    for (uint32_t dense = 0; dense < expected.UsedApis().size(); ++dense) {
+      EXPECT_TRUE(std::ranges::equal(loaded.DependentsAt(dense),
+                                     expected.DependentsAt(dense)));
+    }
+    for (int k = 0; k < core::kApiKindCount; ++k) {
+      const auto kind = static_cast<core::ApiKind>(k);
+      EXPECT_EQ(loaded.KindRange(kind), expected.KindRange(kind));
+    }
+    EXPECT_EQ(legacy.value().evidence_kinds_mask,
+              version == 1 ? 0u : Study().evidence_kinds_mask);
+    EXPECT_EQ(legacy.value().evidence_observed,
+              version == 1 ? std::set<core::ApiId>{}
+                           : current.value().evidence_observed);
+    EXPECT_EQ(Exports(legacy.value()), Exports(current.value()));
+  }
+  EXPECT_EQ(current.value().evidence_observed, Study().evidence_observed);
 }
 
 TEST(DatasetIo, RejectsBadMagicAndTruncation) {
@@ -213,27 +309,138 @@ uint32_t WordAt(const std::vector<uint8_t>& bytes, size_t offset) {
   return reader.ReadU32().value();
 }
 
+constexpr size_t kPackageCountAt = 16;  // magic, version, installations
+constexpr size_t kUsedCountAt = 20;     // v3: the used-API table's count
+
+// v3: the offset of the footprint-entry total, after the used-API table.
+size_t EntryCountAt(const std::vector<uint8_t>& bytes) {
+  return kUsedCountAt + 4 + 8 * WordAt(bytes, kUsedCountAt);
+}
+
+// Offsets of package `pkg`'s install count, dependency count and footprint
+// size in an artifact of `version`.
+struct PackageOffsets {
+  size_t installs_at;
+  size_t deps_at;
+  size_t footprint_at;
+};
+PackageOffsets PackageAt(const std::vector<uint8_t>& bytes, uint32_t pkg,
+                         uint32_t version = kStudyArtifactVersion) {
+  const size_t entry_bytes = version >= 3 ? 4 : 8;
+  size_t at = version >= 3 ? EntryCountAt(bytes) + 4 : kPackageCountAt + 4;
+  for (uint32_t p = 0;; ++p) {
+    PackageOffsets offsets;
+    offsets.installs_at = at + 4 + WordAt(bytes, at);
+    offsets.deps_at = offsets.installs_at + 8;
+    offsets.footprint_at =
+        offsets.deps_at + 4 + 4 * WordAt(bytes, offsets.deps_at);
+    if (p == pkg) {
+      return offsets;
+    }
+    at = offsets.footprint_at + 4 +
+         entry_bytes * WordAt(bytes, offsets.footprint_at);
+  }
+}
+
+StatusCode LoadCode(const std::vector<uint8_t>& bytes) {
+  return Load(bytes).status().code();
+}
+
 // A count the bytes left cannot hold is corrupt, and is rejected before
 // anything is sized by it: the package count (before the dataset is
-// built), and the first package's dependency count and footprint size.
+// built), the used-API count, the footprint-entry total, and the first
+// package's dependency count and footprint size.
 TEST(DatasetIo, RejectsOversizedCounts) {
   const auto bytes = SerializedStudy();
   const auto& dataset = *Study().dataset;
-  constexpr size_t kPackageCountAt = 16;  // magic, version, installations
   ASSERT_EQ(WordAt(bytes, kPackageCountAt), dataset.package_count());
-  const size_t deps_at = kPackageCountAt + 4 + 4 +
-                         WordAt(bytes, kPackageCountAt + 4) + 8;
-  ASSERT_EQ(WordAt(bytes, deps_at), dataset.DirectDependencies(0).size());
-  const size_t footprint_at = deps_at + 4 + 4 * WordAt(bytes, deps_at);
-  ASSERT_EQ(WordAt(bytes, footprint_at), dataset.Footprint(0).size());
-  for (size_t at : {kPackageCountAt, deps_at, footprint_at}) {
+  ASSERT_EQ(WordAt(bytes, kUsedCountAt), dataset.UsedApis().size());
+  const PackageOffsets first = PackageAt(bytes, 0);
+  ASSERT_EQ(WordAt(bytes, first.deps_at), dataset.DirectDependencies(0).size());
+  ASSERT_EQ(WordAt(bytes, first.footprint_at), dataset.Footprint(0).size());
+  for (size_t at : {kPackageCountAt, kUsedCountAt, EntryCountAt(bytes),
+                    first.deps_at, first.footprint_at}) {
     auto mutated = bytes;
     StoreLittleEndian<uint32_t>(mutated.data() + at, 0xFFFFFFF0u);
-    ByteReader reader(mutated);
-    EXPECT_EQ(DeserializeStudy(reader).status().code(),
-              StatusCode::kCorruptData)
+    EXPECT_EQ(LoadCode(mutated), StatusCode::kCorruptData)
         << "count at byte " << at;
   }
+}
+
+// A dependency on a package the artifact lacks, or more installations of
+// a package than the survey holds, is corrupt data in every version.
+TEST(DatasetIo, RejectsOutOfRangeDependencyAndInstallCount) {
+  StudyResult study;
+  study.dataset = std::make_unique<core::StudyDataset>(2, 100);
+  ASSERT_TRUE(study.dataset->SetPackageName(0, "a").ok());
+  ASSERT_TRUE(study.dataset->SetPackageName(1, "b").ok());
+  ASSERT_TRUE(study.dataset->SetInstallCount(0, 100).ok());
+  ASSERT_TRUE(study.dataset->SetDependencies(0, {1}).ok());
+  ASSERT_TRUE(study.dataset->SetFootprint(0, {core::SyscallApi(0)}).ok());
+  ASSERT_TRUE(study.dataset->Finalize().ok());
+  ByteWriter writer;
+  ASSERT_TRUE(SerializeStudy(study, writer).ok());
+  for (uint32_t version : {1u, 2u, kStudyArtifactVersion}) {
+    const auto bytes = version == kStudyArtifactVersion
+                           ? writer.bytes()
+                           : LegacyArtifact(study, version);
+    ASSERT_EQ(LoadCode(bytes), StatusCode::kOk) << version;
+    const PackageOffsets first = PackageAt(bytes, 0, version);
+    auto mutated = bytes;
+    StoreLittleEndian<uint32_t>(mutated.data() + first.deps_at + 4, 2);
+    EXPECT_EQ(LoadCode(mutated), StatusCode::kCorruptData) << version;
+    mutated = bytes;
+    StoreLittleEndian<uint64_t>(mutated.data() + first.installs_at, 101);
+    EXPECT_EQ(LoadCode(mutated), StatusCode::kCorruptData) << version;
+  }
+}
+
+// v3 footprints are dense ids into the used-API table; each way they can
+// disagree with it, or with the entry total, is corrupt data.
+TEST(DatasetIo, RejectsMalformedDenseFootprints) {
+  // Used APIs [read, write, open]; a's ids [0, 1], b's ids [1, 2].
+  StudyResult study;
+  study.dataset = std::make_unique<core::StudyDataset>(2, 100);
+  ASSERT_TRUE(study.dataset->SetPackageName(0, "a").ok());
+  ASSERT_TRUE(study.dataset->SetPackageName(1, "b").ok());
+  ASSERT_TRUE(study.dataset
+                  ->SetFootprint(0, {core::SyscallApi(0), core::SyscallApi(1)})
+                  .ok());
+  ASSERT_TRUE(study.dataset
+                  ->SetFootprint(1, {core::SyscallApi(1), core::SyscallApi(2)})
+                  .ok());
+  ASSERT_TRUE(study.dataset->Finalize().ok());
+  ByteWriter writer;
+  ASSERT_TRUE(SerializeStudy(study, writer).ok());
+  const std::vector<uint8_t> bytes = writer.Take();
+  ASSERT_EQ(LoadCode(bytes), StatusCode::kOk);
+  const size_t a_ids = PackageAt(bytes, 0).footprint_at + 4;
+  const size_t b_ids = PackageAt(bytes, 1).footprint_at + 4;
+  ASSERT_EQ(WordAt(bytes, a_ids + 4), 1u);
+  ASSERT_EQ(WordAt(bytes, b_ids + 4), 2u);
+  auto with = [&](std::initializer_list<std::pair<size_t, uint32_t>> words) {
+    auto mutated = bytes;
+    for (auto [at, word] : words) {
+      StoreLittleEndian(mutated.data() + at, word);
+    }
+    return LoadCode(mutated);
+  };
+  const size_t entries_at = EntryCountAt(bytes);
+  ASSERT_EQ(WordAt(bytes, entries_at), 4u);
+  // An id past the used-API table.
+  EXPECT_EQ(with({{b_ids + 4, 3}}), StatusCode::kCorruptData);
+  // Ids out of order, and repeated, in one package.
+  EXPECT_EQ(with({{b_ids, 2}, {b_ids + 4, 1}}), StatusCode::kCorruptData);
+  EXPECT_EQ(with({{b_ids, 1}, {b_ids + 4, 1}}), StatusCode::kCorruptData);
+  // A used table out of order (write before read), and with a repeat.
+  const size_t used_at = kUsedCountAt + 4;
+  EXPECT_EQ(with({{used_at, 1}, {used_at + 8, 0}}), StatusCode::kCorruptData);
+  EXPECT_EQ(with({{used_at + 8, 0}}), StatusCode::kCorruptData);
+  // A used API no package names: a's ids [1, 2] leave read unreferenced.
+  EXPECT_EQ(with({{a_ids, 1}, {a_ids + 4, 2}}), StatusCode::kCorruptData);
+  // Package footprints that sum to more, or less, than the entry total.
+  EXPECT_EQ(with({{entries_at, 3}}), StatusCode::kCorruptData);
+  EXPECT_EQ(with({{entries_at, 5}}), StatusCode::kCorruptData);
 }
 
 // Every 4-byte-aligned word of a tiny artifact, set to a huge count and
