@@ -103,21 +103,15 @@ int main() {
             BinaryAnalyzer::Analyze(image, variant.options);
         auto shared =
             std::make_shared<BinaryAnalysis>(analysis_result.take());
+        std::vector<uint64_t> roots = {shared->entry()};
         if (variant.whole_binary) {
           // Over-approximation: every function is a root, reachable or not.
-          std::vector<uint64_t> roots;
+          roots.clear();
           for (const auto& fn : shared->functions()) {
             roots.push_back(fn.vaddr);
           }
-          auto reach = shared->Reachable(roots);
-          footprint.MergeFrom(reach.footprint);
-          footprint.MergeFrom(
-              local.ResolveFromSymbols(
-                       {reach.plt_calls.begin(), reach.plt_calls.end()})
-                  .footprint);
-        } else {
-          footprint.MergeFrom(local.ResolveExecutable(*shared).footprint);
         }
+        footprint.MergeFrom(local.ResolveExecutable(*shared, roots).footprint);
       }
       totals.syscalls += footprint.syscalls.size();
       totals.ioctl_ops += footprint.ioctl_ops.size();

@@ -9,8 +9,8 @@
 #include <iostream>
 
 #include "bench/study_fixture.h"
-#include "src/core/completeness.h"
 #include "src/corpus/api_universe.h"
+#include "src/plan/curve.h"
 
 using namespace lapis;
 
@@ -23,27 +23,13 @@ int main() {
   for (const auto& op : corpus::IoctlOps()) {
     universe.push_back(core::IoctlApi(op.code));
   }
-  auto ranked = dataset.RankByImportance(core::ApiKind::kIoctlOp, universe);
-
-  core::CompletenessOptions options;
-  options.evaluated_kinds = {core::ApiKind::kIoctlOp};
 
   TableWriter table({"ioctl ops supported", "Weighted completeness"});
-  std::set<core::ApiId> supported;
-  size_t next_checkpoint = 0;
-  const size_t checkpoints[] = {0,  1,   2,   5,   10,  20,  40,  47,
-                                51, 52,  60,  100, 188, 280, 635};
-  for (size_t k = 0; k <= ranked.size(); ++k) {
-    if (next_checkpoint < sizeof(checkpoints) / sizeof(checkpoints[0]) &&
-        k == checkpoints[next_checkpoint]) {
-      table.AddRow({std::to_string(k),
-                    bench::Pct(core::WeightedCompleteness(dataset, supported,
-                                                          options))});
-      ++next_checkpoint;
-    }
-    if (k < ranked.size()) {
-      supported.insert(ranked[k]);
-    }
+  for (const plan::CurvePoint& point : plan::PartialSupportCurve(
+           dataset, core::ApiKind::kIoctlOp, plan::IoctlCurveCheckpoints(),
+           universe)) {
+    table.AddRow({std::to_string(point.supported_count),
+                  bench::Pct(point.weighted_completeness)});
   }
   table.Print(std::cout);
   std::printf(

@@ -76,8 +76,6 @@ int main() {
                 FormatWithCommas(study.jobs_used)});
   table.AddRow({"Executor tasks", "-",
                 FormatWithCommas(study.executor_stats.tasks_executed)});
-  table.AddRow({"Executor max queue depth", "-",
-                FormatWithCommas(study.executor_stats.max_queue_depth)});
   for (const auto& [stage, record] : study.pipeline_stats.stages()) {
     table.AddRow({"Stage: " + stage, "-",
                   FormatDouble(record.wall_seconds, 2) + "s wall / " +

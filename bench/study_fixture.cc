@@ -66,9 +66,8 @@ void PrintStudyBanner(const std::string& title) {
   }
   std::printf(
       "pipeline: %zu worker thread(s), %zu tasks executed, "
-      "max queue depth %zu, %.1fs wall / %.1fs cpu across stages\n",
+      "%.1fs wall / %.1fs cpu across stages\n",
       study.jobs_used, study.executor_stats.tasks_executed,
-      study.executor_stats.max_queue_depth,
       study.pipeline_stats.TotalWallSeconds(),
       study.pipeline_stats.TotalCpuSeconds());
   if (study.cache_enabled) {

@@ -6,7 +6,6 @@
 #include "src/analysis/dataflow.h"
 #include "src/analysis/ipa.h"
 #include "src/disasm/decoder.h"
-#include "src/runtime/parallel.h"
 #include "src/util/strings.h"
 
 namespace lapis::analysis {
@@ -79,64 +78,6 @@ void BinaryAnalysis::ForEachReachable(
     queue.insert(queue.end(), fn->local_callees.begin(),
                  fn->local_callees.end());
   }
-}
-
-BinaryAnalysis::ReachableResult BinaryAnalysis::Reachable(
-    const std::vector<uint64_t>& roots) const {
-  ReachableResult result;
-  std::vector<bool> called(imports_.size(), false);
-  ForEachReachable(roots, [&](const FunctionInfo& fn) {
-    ++result.function_count;
-    result.footprint.MergeFrom(fn.local);
-    for (uint32_t id : fn.plt_calls) {
-      called[id] = true;
-    }
-  });
-  // Ids ascend in name order, so the names arrive sorted.
-  for (uint32_t id = 0; id < called.size(); ++id) {
-    if (called[id]) {
-      result.plt_calls.insert(result.plt_calls.end(),
-                              std::string(imports_[id]));
-    }
-  }
-  return result;
-}
-
-BinaryAnalysis::ReachableResult BinaryAnalysis::FromEntry() const {
-  return Reachable({entry_});
-}
-
-std::map<std::string, BinaryAnalysis::ReachableResult>
-BinaryAnalysis::PerExportReachable() const {
-  return PerExportReachable(nullptr);
-}
-
-std::map<std::string, BinaryAnalysis::ReachableResult>
-BinaryAnalysis::PerExportReachable(runtime::Executor* executor) const {
-  // Shard per export, then merge in canonical (export-list) order so the
-  // result is independent of scheduling; duplicate export names keep
-  // first-shard-wins semantics just like the sequential emplace loop.
-  struct Shard {
-    bool valid = false;
-    ReachableResult reach;
-  };
-  std::vector<Shard> shards = runtime::ParallelMap(
-      executor, exports_.size(), [this](size_t i) {
-        Shard shard;
-        const FunctionInfo* fn = FunctionNamed(exports_[i]);
-        if (fn != nullptr) {
-          shard.valid = true;
-          shard.reach = Reachable({fn->vaddr});
-        }
-        return shard;
-      });
-  std::map<std::string, ReachableResult> out;
-  runtime::FoldInOrder(shards, [&](size_t i, Shard& shard) {
-    if (shard.valid) {
-      out.emplace(exports_[i], std::move(shard.reach));
-    }
-  });
-  return out;
 }
 
 namespace {

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -36,10 +35,6 @@
 #include "src/util/packed_strings.h"
 #include "src/util/sorted_set.h"
 #include "src/util/status.h"
-
-namespace lapis::runtime {
-class Executor;
-}  // namespace lapis::runtime
 
 namespace lapis::cache {
 class AnalysisCodec;
@@ -78,31 +73,13 @@ class BinaryAnalysis {
   const FunctionInfo* FunctionAt(uint64_t vaddr) const;
   const FunctionInfo* FunctionNamed(std::string_view name) const;
 
-  // Union of local footprints + plt_calls (by name) over everything
-  // reachable from `roots` (function start vaddrs) through the
-  // intra-binary call graph.
-  struct ReachableResult {
-    Footprint footprint;
-    SortedSet<std::string> plt_calls;
-    size_t function_count = 0;
-  };
-  ReachableResult Reachable(const std::vector<uint64_t>& roots) const;
-
-  // Calls `visit` once per function Reachable(roots) walks, breadth first.
+  // Calls `visit` once per function reachable from `roots` (function start
+  // vaddrs) through the intra-binary call graph, breadth first. The
+  // resolver walks an executable from its entry (paper: "reachable from
+  // e_entry") and a library export from its definition.
   void ForEachReachable(
       const std::vector<uint64_t>& roots,
       const std::function<void(const FunctionInfo&)>& visit) const;
-
-  // Executable entry-point reachability (paper: "reachable from e_entry").
-  ReachableResult FromEntry() const;
-
-  // For a shared library: per exported function, its within-library
-  // reachable result. Exported names map to dynsym definitions. With an
-  // executor, per-export reachability fans out across worker shards; the
-  // result map is identical at any thread count (merged in export order).
-  std::map<std::string, ReachableResult> PerExportReachable() const;
-  std::map<std::string, ReachableResult> PerExportReachable(
-      runtime::Executor* executor) const;
 
   // Names exported via .dynsym (defined global functions).
   const std::vector<std::string>& exports() const { return exports_; }

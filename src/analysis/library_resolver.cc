@@ -27,72 +27,58 @@ Status LibraryResolver::AddLibrary(
     return FailedPreconditionError("library already registered: " + soname);
   }
   const uint32_t library_index = libraries_.Intern(soname);
-  for (const auto& [symbol, reach] : library->PerExportReachable(executor_)) {
+  std::vector<uint32_t> symbol_of_import(library->imports().size());
+  for (uint32_t id = 0; id < symbol_of_import.size(); ++id) {
+    symbol_of_import[id] = symbols_.Intern(library->imports()[id]);
+  }
+  for (const std::string& name : library->exports()) {
+    const FunctionInfo* fn = library->FunctionNamed(name);
+    if (fn == nullptr) {
+      continue;
+    }
+    const uint32_t symbol = symbols_.Intern(name);
+    ref_of_symbol_.resize(symbols_.size(), kNone);
+    if (ref_of_symbol_[symbol] != kNone) {  // first registration wins
+      continue;
+    }
+    ResolvedIds reach;
+    const std::vector<bool> called = Walk(*library, {fn->vaddr}, reach);
+    for (const std::string& path : reach.other_paths) {
+      reach.paths.push_back(paths_.Intern(path));
+    }
+    std::vector<uint32_t> callees;
+    for (uint32_t id = 0; id < called.size(); ++id) {
+      if (called[id]) {
+        callees.push_back(symbol_of_import[id]);
+      }
+    }
     ExportRef ref;
-    ref.symbol = symbols_.Intern(symbol);
+    ref.symbol = symbol;
     ref.library = library_index;
-    const Footprint& fp = reach.footprint;
-    auto close_span = [&](Span span) {
+    ref.bounds[0] = static_cast<uint32_t>(values_.size());
+    auto add_span = [&](Span span, auto& values) {
+      SortUnique(values);
+      values_.insert(values_.end(), values.begin(), values.end());
       ref.bounds[span + 1] = static_cast<uint32_t>(values_.size());
     };
-    ref.bounds[0] = static_cast<uint32_t>(values_.size());
-    values_.insert(values_.end(), fp.syscalls.begin(), fp.syscalls.end());
-    close_span(kSyscalls);
-    values_.insert(values_.end(), fp.ioctl_ops.begin(), fp.ioctl_ops.end());
-    close_span(kIoctlOps);
-    values_.insert(values_.end(), fp.fcntl_ops.begin(), fp.fcntl_ops.end());
-    close_span(kFcntlOps);
-    values_.insert(values_.end(), fp.prctl_ops.begin(), fp.prctl_ops.end());
-    close_span(kPrctlOps);
-    values_.insert(values_.end(), fp.int80_syscalls.begin(),
-                   fp.int80_syscalls.end());
-    close_span(kInt80Syscalls);
-    for (const std::string& path : fp.pseudo_paths) {
-      values_.push_back(paths_.Intern(path));
-    }
-    close_span(kPaths);
-    for (const std::string& callee : reach.plt_calls) {
-      values_.push_back(symbols_.Intern(callee));
-    }
-    close_span(kCallees);
-    ref.unknown_syscall_sites = fp.unknown_syscall_sites;
-    ref.unknown_opcode_sites = fp.unknown_opcode_sites;
-    ref.indirect_call_sites = fp.indirect_call_sites;
-    ref.int80_sites = fp.int80_sites;
-    ref.function_count = reach.function_count;
-    // Interning callees may have grown the symbol table.
-    ref_of_symbol_.resize(symbols_.size(), kNone);
-    if (ref_of_symbol_[ref.symbol] == kNone) {  // first registration wins
-      ref_of_symbol_[ref.symbol] = static_cast<uint32_t>(exports_.size());
-    }
+    add_span(kSyscalls, reach.syscalls);
+    add_span(kIoctlOps, reach.ioctl_ops);
+    add_span(kFcntlOps, reach.fcntl_ops);
+    add_span(kPrctlOps, reach.prctl_ops);
+    add_span(kInt80Syscalls, reach.int80_syscalls);
+    add_span(kPaths, reach.paths);
+    add_span(kCallees, callees);
+    ref.unknown_syscall_sites = reach.unknown_syscall_sites;
+    ref.unknown_opcode_sites = reach.unknown_opcode_sites;
+    ref.indirect_call_sites = reach.indirect_call_sites;
+    ref.int80_sites = reach.int80_sites;
+    ref.function_count = reach.reachable_function_count;
+    ref_of_symbol_[symbol] = static_cast<uint32_t>(exports_.size());
     exports_.push_back(ref);
   }
-  library_bounds_.push_back(static_cast<uint32_t>(exports_.size()));
+  // The imports grew the symbol table even if no export registered.
+  ref_of_symbol_.resize(symbols_.size(), kNone);
   return Status::Ok();
-}
-
-std::optional<LibraryResolver::ExportReach> LibraryResolver::ExportReachOf(
-    const std::string& soname) const {
-  const uint32_t library = libraries_.Find(soname);
-  if (library == kNone) {
-    return std::nullopt;
-  }
-  ExportReach out;
-  for (uint32_t i = library_bounds_[library]; i < library_bounds_[library + 1];
-       ++i) {
-    const ExportRef& ref = exports_[i];
-    ResolvedIds ids;
-    AppendReach(ref, ids);
-    Resolution rendered = Render(ids);
-    BinaryAnalysis::ReachableResult& reach = out[symbols_.NameOf(ref.symbol)];
-    reach.footprint = std::move(rendered.footprint);
-    reach.function_count = rendered.reachable_function_count;
-    for (uint32_t k = ref.bounds[kCallees]; k < ref.bounds[kCallees + 1];
-         ++k) {
-      reach.plt_calls.insert(symbols_.NameOf(values_[k]));
-    }
-  }
-  return out;
 }
 
 const std::string& LibraryResolver::SymbolExporter(uint32_t symbol) const {
@@ -203,27 +189,34 @@ void LibraryResolver::AddRoot(std::string_view symbol,
   }
 }
 
-LibraryResolver::ResolvedIds LibraryResolver::ResolveIds(
-    const BinaryAnalysis& exe) const {
-  // The entry-reachable code's footprint goes straight into the id
-  // vectors; Expand sorts and dedups them with the imports' spans. Each
-  // distinct import called is looked up once, after the walk.
-  ResolvedIds out;
-  std::vector<bool> called(exe.imports().size(), false);
-  exe.ForEachReachable({exe.entry()}, [&](const FunctionInfo& fn) {
+std::vector<bool> LibraryResolver::Walk(const BinaryAnalysis& binary,
+                                        const std::vector<uint64_t>& roots,
+                                        ResolvedIds& out) const {
+  std::vector<bool> called(binary.imports().size(), false);
+  binary.ForEachReachable(roots, [&](const FunctionInfo& fn) {
     ++out.reachable_function_count;
     AddFootprint(fn.local, out);
     for (uint32_t id : fn.plt_calls) {
       called[id] = true;
     }
   });
-  std::vector<uint32_t> roots;
+  return called;
+}
+
+LibraryResolver::ResolvedIds LibraryResolver::ResolveIds(
+    const BinaryAnalysis& exe, const std::vector<uint64_t>& roots) const {
+  // The reached code's footprint goes straight into the id vectors; Expand
+  // sorts and dedups them with the imports' spans. Each distinct import
+  // called is looked up once, after the walk.
+  ResolvedIds out;
+  const std::vector<bool> called = Walk(exe, roots, out);
+  std::vector<uint32_t> symbols;
   for (uint32_t id = 0; id < called.size(); ++id) {
     if (called[id]) {
-      AddRoot(exe.imports()[id], roots, out);
+      AddRoot(exe.imports()[id], symbols, out);
     }
   }
-  Expand(std::move(roots), out);
+  Expand(std::move(symbols), out);
   return out;
 }
 
@@ -234,22 +227,6 @@ LibraryResolver::Resolution LibraryResolver::ResolveFromSymbols(
   for (const std::string& symbol : symbols) {
     AddRoot(symbol, roots, out);
   }
-  Expand(std::move(roots), out);
-  return Render(out);
-}
-
-Result<LibraryResolver::Resolution> LibraryResolver::ResolveWholeLibrary(
-    const std::string& soname) const {
-  const uint32_t library = libraries_.Find(soname);
-  if (library == kNone) {
-    return NotFoundError("library not registered: " + soname);
-  }
-  std::vector<uint32_t> roots;
-  for (uint32_t i = library_bounds_[library]; i < library_bounds_[library + 1];
-       ++i) {
-    roots.push_back(exports_[i].symbol);
-  }
-  ResolvedIds out;
   Expand(std::move(roots), out);
   return Render(out);
 }

@@ -11,11 +11,12 @@
 // libc slice of that drives the libc-importance study (§3.5) and the libc
 // variant evaluation (Table 7).
 //
-// Registration flattens each export's reach into sorted id spans (syscall
-// numbers, opcodes, pseudo-path ids, callee-symbol ids), interning names
-// into StringInterners that only registration writes. Resolution walks
-// those spans into a ResolvedIds; the named Resolution is rendered from it
-// on demand.
+// Registration walks each export's reachable code once, with the walk that
+// resolution runs from an executable's entry, and stores the reach as
+// sorted id spans (syscall numbers, opcodes, pseudo-path ids, callee-symbol
+// ids), interning names into StringInterners that only registration
+// writes. Resolution walks those spans into a ResolvedIds; the named
+// Resolution is rendered from it on demand.
 // Neither is cached: a warm study registers and resolves again from its
 // cache-restored analyses, which costs less than decoding either would.
 
@@ -25,7 +26,6 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -37,27 +37,17 @@
 
 namespace lapis::analysis {
 
+// Registration is single-threaded; the const methods read the tables
+// without a lock and are safe to call concurrently once every library is
+// registered.
 class LibraryResolver {
  public:
-  // With an executor, AddLibrary fans per-export reachability out across
-  // worker shards (libc registers 1,274 exports); resolution results are
-  // identical either way. Registration itself stays single-threaded; the
-  // const methods read the tables without a lock and are safe to call
-  // concurrently once every library is registered.
-  explicit LibraryResolver(runtime::Executor* executor = nullptr)
-      : executor_(executor) {}
-
-  using ExportReach = std::map<std::string, BinaryAnalysis::ReachableResult>;
-
   // Registers an analyzed shared library under its soname; precomputes and
   // memoizes per-export reachability. First registration of a symbol wins
-  // (mirrors linker search order). Only the reachability is kept; the
+  // (mirrors linker search order), and a name the library exports twice
+  // registers its first definition. Only the reachability is kept; the
   // caller may drop the analysis afterwards.
   Status AddLibrary(std::shared_ptr<const BinaryAnalysis> library);
-
-  // A registered library's per-export reachability, rendered back from its
-  // spans. nullopt if the soname is not registered.
-  std::optional<ExportReach> ExportReachOf(const std::string& soname) const;
 
   // A resolved footprint over the resolver's ids. Every vector is sorted
   // and unique.
@@ -91,21 +81,26 @@ class LibraryResolver {
     size_t reachable_function_count = 0;
   };
 
-  // Full footprint of an executable: entry-reachable code plus the closure
-  // of everything it (transitively) imports.
-  ResolvedIds ResolveIds(const BinaryAnalysis& exe) const;
+  // Full footprint of an executable: the code reachable from `roots`
+  // (function start vaddrs; by default the entry point) plus the closure of
+  // everything it (transitively) imports.
+  ResolvedIds ResolveIds(const BinaryAnalysis& exe) const {
+    return ResolveIds(exe, {exe.entry()});
+  }
+  ResolvedIds ResolveIds(const BinaryAnalysis& exe,
+                         const std::vector<uint64_t>& roots) const;
   Resolution ResolveExecutable(const BinaryAnalysis& exe) const {
     return Render(ResolveIds(exe));
+  }
+  Resolution ResolveExecutable(const BinaryAnalysis& exe,
+                               const std::vector<uint64_t>& roots) const {
+    return Render(ResolveIds(exe, roots));
   }
 
   // Closure starting from a set of symbol names (used for interpreter
   // packages, where the interpreter's public entry points over-approximate
   // the scripts' footprints — paper §2.3).
   Resolution ResolveFromSymbols(const std::vector<std::string>& symbols) const;
-
-  // Closure over every export of one registered library (the library's own
-  // total footprint; used for site attribution, not package footprints).
-  Result<Resolution> ResolveWholeLibrary(const std::string& soname) const;
 
   // Names the ids: the sets list names in lexicographic order whatever
   // order they were interned in.
@@ -154,6 +149,12 @@ class LibraryResolver {
     size_t function_count = 0;
   };
 
+  // Adds the footprint of `binary`'s code reachable from `roots` and the
+  // reached function count to `out`, unsorted; returns, per import of
+  // `binary`, whether a reached function calls it.
+  std::vector<bool> Walk(const BinaryAnalysis& binary,
+                         const std::vector<uint64_t>& roots,
+                         ResolvedIds& out) const;
   // Adds one export's spans and counters to `out`, unsorted.
   void AppendReach(const ExportRef& ref, ResolvedIds& out) const;
   // Adds a named footprint's values and counters to `out`, unsorted; paths
@@ -166,14 +167,11 @@ class LibraryResolver {
   // Walks the import closure of `worklist` into `out`, then sorts it.
   void Expand(std::vector<uint32_t> worklist, ResolvedIds& out) const;
 
-  runtime::Executor* executor_ = nullptr;
   StringInterner libraries_;  // sonames, in registration order
   StringInterner symbols_;
   StringInterner paths_;
-  std::vector<ExportRef> exports_;  // every library's, registration order
-  // Library l's exports are [library_bounds_[l], library_bounds_[l + 1]).
-  std::vector<uint32_t> library_bounds_{0};
-  std::vector<uint32_t> values_;  // span storage
+  std::vector<ExportRef> exports_;  // registered exports, in order
+  std::vector<uint32_t> values_;    // span storage
   // Symbol id -> index into exports_ of the first registered exporter.
   std::vector<uint32_t> ref_of_symbol_;
 };

@@ -595,20 +595,6 @@ Result<package::Repository> DistroSynthesizer::BuildRepository() const {
     package::Package pkg;
     pkg.name = plan.name;
     pkg.kind = plan.kind;
-    if (!plan.data_only && plan.interpreter_package.empty()) {
-      if (plan.static_binary) {
-        pkg.executables.push_back(plan.name);
-      } else {
-        for (int exe = 0; exe < plan.exe_count; ++exe) {
-          pkg.executables.push_back(
-              exe == 0 ? plan.name : plan.name + "-alt" + std::to_string(exe));
-        }
-        for (int lib = 0; lib < plan.lib_count; ++lib) {
-          pkg.shared_libraries.push_back("lib" + plan.name +
-                                         std::to_string(lib) + ".so.1");
-        }
-      }
-    }
     pkg.script_count = plan.script_count;
     for (const auto& dep : plan.depends) {
       auto it = spec_.by_name.find(dep);

@@ -229,7 +229,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     result.path_interner.Intern(file.path);
   }
 
-  LibraryResolver resolver(executor);
+  LibraryResolver resolver;
   analysis::FootprintAuditor auditor;
   // Called in canonical order only. The resolver keeps just the per-export
   // reachability, so the library's analysis is freed here.

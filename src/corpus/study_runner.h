@@ -124,7 +124,7 @@ struct StudyResult {
   std::map<std::string, size_t> pseudo_path_binary_counts;
 
   // Parallel-pipeline accounting: wall/CPU per stage, plus the executor's
-  // task and queue-depth counters for the run.
+  // task counter for the run.
   runtime::PipelineStats pipeline_stats;
   runtime::ExecutorStats executor_stats;
   size_t jobs_used = 1;

@@ -91,12 +91,4 @@ std::vector<PackageId> Repository::ReverseDependencyClosure(
   return out;
 }
 
-size_t Repository::CountBinaries() const {
-  size_t count = 0;
-  for (const auto& pkg : packages_) {
-    count += pkg.executables.size() + pkg.shared_libraries.size();
-  }
-  return count;
-}
-
 }  // namespace lapis::package

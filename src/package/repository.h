@@ -38,10 +38,6 @@ const char* ProgramKindName(ProgramKind kind);
 struct Package {
   std::string name;
   ProgramKind kind = ProgramKind::kElf;
-  // Names of binaries shipped in this package (keys into the corpus's
-  // binary store). Empty for pure-script packages.
-  std::vector<std::string> executables;
-  std::vector<std::string> shared_libraries;
   // Interpreted programs shipped (scripts are not ELF; they count toward
   // the Fig 1 executable breakdown only).
   size_t script_count = 0;
@@ -70,9 +66,6 @@ class Repository {
 
   // Packages whose closure includes `id` (including `id` itself).
   std::vector<PackageId> ReverseDependencyClosure(PackageId id) const;
-
-  // Total number of ELF binaries across all packages.
-  size_t CountBinaries() const;
 
  private:
   std::vector<Package> packages_;

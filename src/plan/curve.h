@@ -1,8 +1,7 @@
 // Partial-support curves: weighted completeness as a function of how many
 // of a vectored family's sub-ops (or any kind's APIs) are supported, in
-// importance order. Extracted from bench_ioctl_partial_support so the §2
-// "ioctl cannot be half-implemented" sweep, the planner's frontier bench,
-// and the serve daemon all share one implementation.
+// importance order; bench_ioctl_partial_support prints the §2 "ioctl
+// cannot be half-implemented" sweep from it.
 
 #ifndef LAPIS_SRC_PLAN_CURVE_H_
 #define LAPIS_SRC_PLAN_CURVE_H_

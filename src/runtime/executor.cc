@@ -32,11 +32,6 @@ Executor::~Executor() {
   }
 }
 
-void Executor::EnqueuedLocked(size_t count) {
-  unfinished_ += count;
-  max_queue_depth_ = std::max<uint64_t>(max_queue_depth_, queue_.size());
-}
-
 void Executor::RunFront(std::unique_lock<std::mutex>& lock) {
   std::function<void()> task = std::move(queue_.front());
   queue_.pop_front();
@@ -83,7 +78,7 @@ void Executor::Submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(fn));
-    EnqueuedLocked(1);
+    ++unfinished_;
   }
   cv_.notify_all();
 }
@@ -137,7 +132,7 @@ void Executor::ParallelFor(size_t begin, size_t end,
           --remaining;
         });
   }
-  EnqueuedLocked(chunks);
+  unfinished_ += chunks;
   cv_.notify_all();
   HelpUntil(lock, [&remaining] { return remaining == 0; });
   if (error) {
@@ -151,7 +146,6 @@ ExecutorStats Executor::stats() const {
   ExecutorStats s;
   s.thread_count = thread_count_;
   s.tasks_executed = tasks_executed_;
-  s.max_queue_depth = max_queue_depth_;
   return s;
 }
 

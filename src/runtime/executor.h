@@ -38,7 +38,6 @@ struct ExecutorStats {
   uint64_t tasks_executed = 0;   // queued tasks run (Submit + ParallelFor)
   uint64_t steals = 0;           // always 0 (one shared queue); perfbench
                                  // still reports it as runtime.steals
-  uint64_t max_queue_depth = 0;  // high-water mark of the queue
 };
 
 class Executor {
@@ -69,8 +68,6 @@ class Executor {
   ExecutorStats stats() const;
 
  private:
-  // Books `count` tasks just appended to queue_; mutex_ must be held.
-  void EnqueuedLocked(size_t count);
   // Runs queued tasks on the calling thread until done() holds, sleeping
   // while the queue is empty. `lock` holds mutex_; done() is read under it.
   template <typename Done>
@@ -88,7 +85,6 @@ class Executor {
   std::exception_ptr first_error_;
   bool stop_ = false;
   uint64_t tasks_executed_ = 0;
-  uint64_t max_queue_depth_ = 0;
 
   // Last, so the workers start after, and are joined before, what they use.
   std::vector<std::thread> threads_;

@@ -1,7 +1,7 @@
 // Per-stage pipeline accounting: wall time, process CPU time, and item
 // counts for each named stage, plus an RAII timer. The study runner fills
 // one PipelineStats per run; bench_tab12_framework and the bench fixture
-// print it next to the executor's task and queue-depth counters.
+// print it next to the executor's task counter.
 
 #ifndef LAPIS_SRC_RUNTIME_STAGE_STATS_H_
 #define LAPIS_SRC_RUNTIME_STAGE_STATS_H_

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "src/analysis/binary_analyzer.h"
@@ -12,7 +13,6 @@
 #include "src/codegen/function_builder.h"
 #include "src/elf/elf_builder.h"
 #include "src/elf/elf_reader.h"
-#include "src/runtime/executor.h"
 
 namespace lapis::analysis {
 namespace {
@@ -35,6 +35,12 @@ BinaryAnalysis Analyze(const ElfImage& image) {
   return analysis.take();
 }
 
+// Entry-point reachability alone (paper: "reachable from e_entry"): with no
+// library registered, every import the reached code calls is unresolved.
+LibraryResolver::Resolution EntryReach(const BinaryAnalysis& analysis) {
+  return LibraryResolver().ResolveExecutable(analysis);
+}
+
 TEST(BinaryAnalyzer, RecoversDirectSyscallNumbers) {
   ElfBuilder builder(BinaryType::kExecutable);
   FunctionBuilder fn("_start");
@@ -50,7 +56,7 @@ TEST(BinaryAnalyzer, RecoversDirectSyscallNumbers) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
 
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  auto reach = analysis.FromEntry();
+  auto reach = EntryReach(analysis);
   EXPECT_EQ(reach.footprint.syscalls, (SortedSet<int>{0, 60}));
   EXPECT_EQ(analysis.unknown_syscall_sites, 0);
   EXPECT_EQ(analysis.total_syscall_sites, 3);
@@ -66,7 +72,7 @@ TEST(BinaryAnalyzer, MovRegRegPropagatesSyscallNumber) {
   uint32_t idx = builder.AddFunction(fn.Finish(false));
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  EXPECT_EQ(analysis.FromEntry().footprint.syscalls, (SortedSet<int>{39}));
+  EXPECT_EQ(EntryReach(analysis).footprint.syscalls, (SortedSet<int>{39}));
 }
 
 TEST(BinaryAnalyzer, ObfuscatedSiteCountsAsUnknown) {
@@ -78,7 +84,7 @@ TEST(BinaryAnalyzer, ObfuscatedSiteCountsAsUnknown) {
   uint32_t idx = builder.AddFunction(fn.Finish(false));
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  EXPECT_TRUE(analysis.FromEntry().footprint.syscalls.empty());
+  EXPECT_TRUE(EntryReach(analysis).footprint.syscalls.empty());
   EXPECT_EQ(analysis.unknown_syscall_sites, 1);
 }
 
@@ -101,7 +107,7 @@ TEST(BinaryAnalyzer, VectoredOpcodesDirectSyscall) {
   uint32_t idx = builder.AddFunction(fn.Finish(false));
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  auto fp = analysis.FromEntry().footprint;
+  auto fp = EntryReach(analysis).footprint;
   EXPECT_EQ(fp.ioctl_ops, (SortedSet<uint32_t>{0x5401}));
   EXPECT_EQ(fp.fcntl_ops, (SortedSet<uint32_t>{3}));
   EXPECT_EQ(fp.prctl_ops, (SortedSet<uint32_t>{15}));
@@ -122,11 +128,11 @@ TEST(BinaryAnalyzer, VectoredOpcodeViaPltWrapper) {
   uint32_t idx = builder.AddFunction(fn.Finish(false));
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  auto reach = analysis.FromEntry();
+  auto reach = EntryReach(analysis);
   EXPECT_EQ(reach.footprint.ioctl_ops, (SortedSet<uint32_t>{0x5413}));
   EXPECT_EQ(reach.footprint.syscalls, (SortedSet<int>{318}));
-  EXPECT_EQ(reach.plt_calls,
-            (SortedSet<std::string>{"ioctl", "syscall"}));
+  EXPECT_EQ(reach.unresolved_imports,
+            (std::set<std::string>{"ioctl", "syscall"}));
 }
 
 TEST(BinaryAnalyzer, UnknownOpcodeAfterClobber) {
@@ -142,7 +148,7 @@ TEST(BinaryAnalyzer, UnknownOpcodeAfterClobber) {
   uint32_t idx = builder.AddFunction(fn.Finish(false));
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  auto fp = analysis.FromEntry().footprint;
+  auto fp = EntryReach(analysis).footprint;
   EXPECT_TRUE(fp.ioctl_ops.empty());
   EXPECT_EQ(fp.unknown_opcode_sites, 1);
 }
@@ -166,7 +172,7 @@ TEST(BinaryAnalyzer, PseudoPathExtraction) {
   uint32_t idx = builder.AddFunction(fn.Finish(false));
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  EXPECT_EQ(analysis.FromEntry().footprint.pseudo_paths,
+  EXPECT_EQ(EntryReach(analysis).footprint.pseudo_paths,
             (SortedSet<std::string>{"/dev/null", "/proc/%/cmdline"}));
 }
 
@@ -190,15 +196,15 @@ TEST(BinaryAnalyzer, CallGraphReachability) {
   ASSERT_TRUE(builder.SetEntryFunction(start_idx).ok());
 
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  auto reach = analysis.FromEntry();
+  auto reach = EntryReach(analysis);
   EXPECT_EQ(reach.footprint.syscalls, (SortedSet<int>{1}));
-  EXPECT_EQ(reach.function_count, 2u);
+  EXPECT_EQ(reach.reachable_function_count, 2u);
 
   // Whole-binary roots find the dead helper too.
   const FunctionInfo* dead_fn = analysis.FunctionNamed("helper_dead");
   ASSERT_NE(dead_fn, nullptr);
-  auto all = analysis.Reachable(
-      {analysis.entry(), dead_fn->vaddr});
+  auto all = LibraryResolver().ResolveExecutable(
+      analysis, {analysis.entry(), dead_fn->vaddr});
   EXPECT_EQ(all.footprint.syscalls, (SortedSet<int>{1, 2}));
 }
 
@@ -221,7 +227,7 @@ TEST(BinaryAnalyzer, RecursionTerminates) {
   uint32_t start_idx = builder.AddFunction(start.Finish(false));
   ASSERT_TRUE(builder.SetEntryFunction(start_idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  EXPECT_EQ(analysis.FromEntry().footprint.syscalls, (SortedSet<int>{3}));
+  EXPECT_EQ(EntryReach(analysis).footprint.syscalls, (SortedSet<int>{3}));
 }
 
 TEST(BinaryAnalyzer, Int80Counted) {
@@ -233,7 +239,7 @@ TEST(BinaryAnalyzer, Int80Counted) {
   uint32_t idx = builder.AddFunction(fn.Finish(false));
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  auto fp = analysis.FromEntry().footprint;
+  auto fp = EntryReach(analysis).footprint;
   EXPECT_EQ(fp.int80_sites, 1);
   EXPECT_TRUE(fp.syscalls.empty());  // i386 numbers are not merged
   // ...but recorded separately with i386 numbering (4 = write).
@@ -252,7 +258,7 @@ TEST(BinaryAnalyzer, IndirectCallsCounted) {
   uint32_t idx = builder.AddFunction(std::move(def));
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   BinaryAnalysis analysis = Analyze(Parse(builder.Build()));
-  EXPECT_EQ(analysis.FromEntry().footprint.indirect_call_sites, 1);
+  EXPECT_EQ(EntryReach(analysis).footprint.indirect_call_sites, 1);
 }
 
 TEST(BinaryAnalyzer, OptionsDisableOpcodeRecovery) {
@@ -271,7 +277,7 @@ TEST(BinaryAnalyzer, OptionsDisableOpcodeRecovery) {
   options.resolve_wrapper_opcodes = false;
   auto analysis = BinaryAnalyzer::Analyze(image, options);
   ASSERT_TRUE(analysis.ok());
-  auto fp = analysis.value().FromEntry().footprint;
+  auto fp = EntryReach(analysis.value()).footprint;
   EXPECT_TRUE(fp.ioctl_ops.empty());
   EXPECT_EQ(fp.unknown_opcode_sites, 0);  // not even counted
 }
@@ -293,7 +299,7 @@ TEST(BinaryAnalyzer, OptionsDisablePathCollection) {
   options.collect_pseudo_paths = false;
   auto analysis = BinaryAnalyzer::Analyze(image, options);
   ASSERT_TRUE(analysis.ok());
-  EXPECT_TRUE(analysis.value().FromEntry().footprint.pseudo_paths.empty());
+  EXPECT_TRUE(EntryReach(analysis.value()).footprint.pseudo_paths.empty());
 }
 
 TEST(BinaryAnalyzer, TailCallThroughPltIsAnImport) {
@@ -310,8 +316,8 @@ TEST(BinaryAnalyzer, TailCallThroughPltIsAnImport) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   auto image = Parse(builder.Build());
   BinaryAnalysis analysis = Analyze(image);
-  EXPECT_EQ(analysis.FromEntry().plt_calls,
-            (SortedSet<std::string>{"getpid"}));
+  EXPECT_EQ(EntryReach(analysis).unresolved_imports,
+            (std::set<std::string>{"getpid"}));
 }
 
 TEST(BinaryAnalyzer, C7FormMovFeedsSyscallNumber) {
@@ -326,7 +332,7 @@ TEST(BinaryAnalyzer, C7FormMovFeedsSyscallNumber) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
   auto image = Parse(builder.Build());
   BinaryAnalysis analysis = Analyze(image);
-  EXPECT_EQ(analysis.FromEntry().footprint.syscalls, (SortedSet<int>{39}));
+  EXPECT_EQ(EntryReach(analysis).footprint.syscalls, (SortedSet<int>{39}));
 }
 
 TEST(BinaryAnalyzer, UndecodableFunctionMarkedIncomplete) {
@@ -374,12 +380,12 @@ TEST(BinaryAnalyzer, StateResetAfterUnconditionalJump) {
   linear.use_dataflow = false;
   auto linear_analysis = BinaryAnalyzer::Analyze(image, linear);
   ASSERT_TRUE(linear_analysis.ok());
-  auto linear_fp = linear_analysis.value().FromEntry().footprint;
+  auto linear_fp = EntryReach(linear_analysis.value()).footprint;
   EXPECT_TRUE(linear_fp.ioctl_ops.empty());
   EXPECT_EQ(linear_fp.unknown_opcode_sites, 1);
 
   BinaryAnalysis dataflow_analysis = Analyze(image);
-  auto dataflow_fp = dataflow_analysis.FromEntry().footprint;
+  auto dataflow_fp = EntryReach(dataflow_analysis).footprint;
   EXPECT_EQ(dataflow_fp.ioctl_ops, (SortedSet<uint32_t>{0x5401}));
   EXPECT_EQ(dataflow_fp.unknown_opcode_sites, 0);
 }
@@ -406,7 +412,7 @@ TEST(BinaryAnalyzer, ConditionalBranchNeverLeaksOnePathsConstant) {
     options.use_dataflow = use_dataflow;
     auto analysis = BinaryAnalyzer::Analyze(image, options);
     ASSERT_TRUE(analysis.ok());
-    auto fp = analysis.value().FromEntry().footprint;
+    auto fp = EntryReach(analysis.value()).footprint;
     EXPECT_TRUE(fp.syscalls.empty())
         << "use_dataflow=" << use_dataflow;
     EXPECT_EQ(fp.unknown_syscall_sites, 1)
@@ -430,7 +436,7 @@ TEST(BinaryAnalyzer, GuardedConstantSurvivesJoinOnlyWithDataflow) {
   auto image = Parse(builder.Build());
 
   BinaryAnalysis dataflow_analysis = Analyze(image);
-  EXPECT_EQ(dataflow_analysis.FromEntry().footprint.syscalls,
+  EXPECT_EQ(EntryReach(dataflow_analysis).footprint.syscalls,
             (SortedSet<int>{39}));
   EXPECT_EQ(dataflow_analysis.unknown_syscall_sites, 0);
 
@@ -438,7 +444,7 @@ TEST(BinaryAnalyzer, GuardedConstantSurvivesJoinOnlyWithDataflow) {
   linear.use_dataflow = false;
   auto linear_analysis = BinaryAnalyzer::Analyze(image, linear);
   ASSERT_TRUE(linear_analysis.ok());
-  EXPECT_TRUE(linear_analysis.value().FromEntry().footprint.syscalls.empty());
+  EXPECT_TRUE(EntryReach(linear_analysis.value()).footprint.syscalls.empty());
   EXPECT_EQ(linear_analysis.value().unknown_syscall_sites, 1);
 }
 
@@ -493,11 +499,20 @@ std::shared_ptr<const BinaryAnalysis> MiniUtilLib() {
 }
 
 TEST(LibraryResolver, PerExportFootprints) {
-  auto libc = MiniLibc();
-  auto exports = libc->PerExportReachable();
-  ASSERT_EQ(exports.size(), 3u);
-  EXPECT_EQ(exports.at("read").footprint.syscalls, (SortedSet<int>{0}));
-  EXPECT_EQ(exports.at("printf").footprint.syscalls, (SortedSet<int>{1}));
+  LibraryResolver resolver;
+  ASSERT_TRUE(resolver.AddLibrary(MiniLibc()).ok());
+  for (const char* symbol : {"read", "write", "printf"}) {
+    EXPECT_EQ(resolver.ExporterOf(symbol), "libmini.so") << symbol;
+  }
+  EXPECT_EQ(resolver.ResolveFromSymbols({"read"}).footprint.syscalls,
+            (SortedSet<int>{0}));
+  // printf reaches write through a local call: two functions, one export.
+  auto printf_reach = resolver.ResolveFromSymbols({"printf"});
+  EXPECT_EQ(printf_reach.footprint.syscalls, (SortedSet<int>{1}));
+  EXPECT_EQ(printf_reach.reachable_function_count, 2u);
+  EXPECT_EQ(printf_reach.used_exports,
+            (std::map<std::string, std::set<std::string>>{
+                {"libmini.so", {"printf"}}}));
 }
 
 TEST(LibraryResolver, ResolvesTwoHopImportChain) {
@@ -539,11 +554,12 @@ TEST(LibraryResolver, UnresolvedImportsReported) {
 
 TEST(LibraryResolver, WholeLibraryClosure) {
   LibraryResolver resolver;
-  ASSERT_TRUE(resolver.AddLibrary(MiniLibc()).ok());
-  auto resolution = resolver.ResolveWholeLibrary("libmini.so");
-  ASSERT_TRUE(resolution.ok());
-  EXPECT_EQ(resolution.value().footprint.syscalls, (SortedSet<int>{0, 1}));
-  EXPECT_FALSE(resolver.ResolveWholeLibrary("libmissing.so").ok());
+  auto libc = MiniLibc();
+  ASSERT_TRUE(resolver.AddLibrary(libc).ok());
+  auto resolution = resolver.ResolveFromSymbols(libc->exports());
+  EXPECT_EQ(resolution.footprint.syscalls, (SortedSet<int>{0, 1}));
+  EXPECT_EQ(resolution.used_exports.at("libmini.so").size(), 3u);
+  EXPECT_TRUE(resolution.unresolved_imports.empty());
 }
 
 TEST(LibraryResolver, RejectsDuplicateAndAnonymous) {
@@ -602,18 +618,6 @@ BinaryAnalysis ExeCalling(const std::vector<std::string>& imports) {
   uint32_t idx = builder.AddFunction(fn.Finish(false));
   EXPECT_TRUE(builder.SetEntryFunction(idx).ok());
   return Analyze(Parse(builder.Build()));
-}
-
-void ExpectSameResolution(const LibraryResolver::Resolution& got,
-                          const LibraryResolver::Resolution& want,
-                          const std::string& label) {
-  EXPECT_EQ(got.footprint.syscalls, want.footprint.syscalls) << label;
-  EXPECT_EQ(got.footprint.ioctl_ops, want.footprint.ioctl_ops) << label;
-  EXPECT_EQ(got.footprint.pseudo_paths, want.footprint.pseudo_paths) << label;
-  EXPECT_EQ(got.used_exports, want.used_exports) << label;
-  EXPECT_EQ(got.unresolved_imports, want.unresolved_imports) << label;
-  EXPECT_EQ(got.reachable_function_count, want.reachable_function_count)
-      << label;
 }
 
 TEST(LibraryResolver, ImportCycleAcrossLibrariesSharesFootprint) {
@@ -712,6 +716,41 @@ TEST(LibraryResolver, FirstRegisteredExporterWins) {
             (SortedSet<int>{2}));
 }
 
+TEST(LibraryResolver, NameExportedTwiceRegistersItsFirstDefinition) {
+  // Two exported definitions of `dup`; the lower-addressed one, which makes
+  // syscall 1 and calls `open`, is the one the library registers.
+  ElfBuilder builder(BinaryType::kSharedLibrary);
+  builder.SetSoname("libtwice.so");
+  uint32_t open_imp = builder.AddImport("open");
+  FunctionBuilder first("dup");
+  first.EmitPrologue();
+  first.MovRegImm32(disasm::kRax, 1);
+  first.Syscall();
+  first.CallImport(open_imp);
+  first.EmitEpilogue();
+  builder.AddFunction(first.Finish(true));
+  FunctionBuilder second("dup");
+  second.MovRegImm32(disasm::kRax, 2);
+  second.Syscall();
+  second.Ret();
+  builder.AddFunction(second.Finish(true));
+  auto library =
+      std::make_shared<BinaryAnalysis>(Analyze(Parse(builder.Build())));
+  ASSERT_EQ(std::count(library->exports().begin(), library->exports().end(),
+                       "dup"),
+            2);
+
+  LibraryResolver resolver;
+  ASSERT_TRUE(resolver.AddLibrary(library).ok());
+  auto resolution = resolver.ResolveFromSymbols({"dup"});
+  EXPECT_EQ(resolution.footprint.syscalls, (SortedSet<int>{1}));
+  EXPECT_EQ(resolution.reachable_function_count, 1u);
+  EXPECT_EQ(resolution.unresolved_imports, (std::set<std::string>{"open"}));
+  EXPECT_EQ(resolution.used_exports,
+            (std::map<std::string, std::set<std::string>>{
+                {"libtwice.so", {"dup"}}}));
+}
+
 TEST(LibraryResolver, VectoredOpsAndPseudoPathsFlowThroughImports) {
   ElfBuilder builder(BinaryType::kSharedLibrary);
   builder.SetSoname("libtty.so");
@@ -748,34 +787,6 @@ TEST(LibraryResolver, VectoredOpsAndPseudoPathsFlowThroughImports) {
   EXPECT_EQ(fp.pseudo_paths, (SortedSet<std::string>{"/dev/tty"}));
   EXPECT_EQ(resolution.used_exports.at("libopen.so"),
             (std::set<std::string>{"open"}));
-}
-
-TEST(LibraryResolver, ExecutorRegistrationMatchesSerial) {
-  runtime::Executor executor(4);
-  LibraryResolver parallel(&executor);
-  LibraryResolver serial;
-  for (const auto& library : {MiniLibc(), MiniUtilLib()}) {
-    ASSERT_TRUE(parallel.AddLibrary(library).ok());
-    ASSERT_TRUE(serial.AddLibrary(library).ok());
-  }
-  for (const char* soname : {"libmini.so", "libutil.so"}) {
-    const auto got = parallel.ExportReachOf(soname);
-    const auto want = serial.ExportReachOf(soname);
-    ASSERT_TRUE(got.has_value()) << soname;
-    ASSERT_TRUE(want.has_value()) << soname;
-    ASSERT_EQ(got->size(), want->size()) << soname;
-    for (const auto& [symbol, reach] : *want) {
-      ASSERT_TRUE(got->contains(symbol)) << symbol;
-      EXPECT_EQ(got->at(symbol).footprint.syscalls, reach.footprint.syscalls)
-          << symbol;
-      EXPECT_EQ(got->at(symbol).plt_calls, reach.plt_calls) << symbol;
-    }
-  }
-  EXPECT_EQ(serial.ExportReachOf("libmini.so")->size(), 3u);
-  EXPECT_FALSE(serial.ExportReachOf("libmissing.so").has_value());
-  ExpectSameResolution(parallel.ResolveWholeLibrary("libutil.so").value(),
-                       serial.ResolveWholeLibrary("libutil.so").value(),
-                       "libutil.so");
 }
 
 TEST(Footprint, MergeAndCounts) {

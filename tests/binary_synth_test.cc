@@ -6,14 +6,18 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/analysis/binary_analyzer.h"
 #include "src/analysis/library_resolver.h"
 #include "src/cache/content_hash.h"
 #include "src/corpus/api_universe.h"
 #include "src/corpus/binary_synth.h"
+#include "src/corpus/study_runner.h"
 #include "src/corpus/syscall_table.h"
 #include "src/elf/elf_reader.h"
 
@@ -280,6 +284,89 @@ TEST(BinarySynth, ResolverMatchesReferenceClosure) {
               Fixture().spec.ExpectedSyscalls(it->second))
         << package;
   }
+}
+
+// Pins every executable's resolution over SmallStudyOptions()'s corpus:
+// the core libraries, then each package's libraries, register in
+// RunStudy's order before any executable resolves, and an FNV-1a chain
+// folds each resolution's names and counts. Names, not ids, go in, so the
+// resolver may renumber its tables but not change an answer.
+TEST(BinarySynth, ResolutionsMatchPinnedDigest) {
+  const StudyOptions options = SmallStudyOptions();
+  auto spec = BuildDistroSpec(options.distro);
+  ASSERT_TRUE(spec.ok());
+  const DistroSynthesizer synthesizer(spec.value());
+  auto analyze = [&](const SynthesizedBinary& binary) {
+    auto image = elf::ElfReader::Parse(binary.bytes);
+    EXPECT_TRUE(image.ok()) << binary.name;
+    auto analysis = BinaryAnalyzer::Analyze(image.value(), options.analyzer);
+    EXPECT_TRUE(analysis.ok()) << binary.name;
+    return std::make_shared<const BinaryAnalysis>(analysis.take());
+  };
+  LibraryResolver resolver;
+  auto core_libs = synthesizer.CoreLibraries();
+  ASSERT_TRUE(core_libs.ok());
+  for (const auto& binary : core_libs.value()) {
+    ASSERT_TRUE(resolver.AddLibrary(analyze(binary)).ok()) << binary.name;
+  }
+  std::vector<std::pair<std::string, std::shared_ptr<const BinaryAnalysis>>>
+      executables;
+  for (size_t pkg = 0; pkg < spec.value().packages.size(); ++pkg) {
+    auto binaries = synthesizer.PackageBinaries(pkg);
+    ASSERT_TRUE(binaries.ok());
+    for (const auto& binary : binaries.value()) {
+      if (binary.is_library) {
+        ASSERT_TRUE(resolver.AddLibrary(analyze(binary)).ok()) << binary.name;
+      } else {
+        executables.emplace_back(binary.name, analyze(binary));
+      }
+    }
+  }
+
+  uint64_t digest = cache::kFnvOffsetBasis;
+  auto fold = [&](uint64_t value) { digest = cache::HashU64(value, digest); };
+  auto fold_name = [&](std::string_view name) {
+    fold(name.size());
+    digest = cache::HashString(name, digest);
+  };
+  auto fold_numbers = [&](const auto& values) {
+    fold(values.size());
+    for (auto value : values) {
+      fold(static_cast<uint64_t>(value));
+    }
+  };
+  auto fold_names = [&](const auto& names) {
+    fold(names.size());
+    for (const auto& name : names) {
+      fold_name(name);
+    }
+  };
+  for (const auto& [name, exe] : executables) {
+    const LibraryResolver::Resolution resolution =
+        resolver.Render(resolver.ResolveIds(*exe));
+    const Footprint& fp = resolution.footprint;
+    fold_name(name);
+    fold_numbers(fp.syscalls);
+    fold_numbers(fp.ioctl_ops);
+    fold_numbers(fp.fcntl_ops);
+    fold_numbers(fp.prctl_ops);
+    fold_numbers(fp.int80_syscalls);
+    fold_names(fp.pseudo_paths);
+    fold(static_cast<uint64_t>(fp.unknown_syscall_sites));
+    fold(static_cast<uint64_t>(fp.unknown_opcode_sites));
+    fold(static_cast<uint64_t>(fp.indirect_call_sites));
+    fold(static_cast<uint64_t>(fp.int80_sites));
+    fold(resolution.used_exports.size());
+    for (const auto& [soname, symbols] : resolution.used_exports) {
+      fold_name(soname);
+      fold_names(symbols);
+    }
+    fold_names(resolution.unresolved_imports);
+    fold(resolution.reachable_function_count);
+  }
+  EXPECT_EQ(resolver.library_count(), 642u);
+  EXPECT_EQ(executables.size(), 663u);
+  EXPECT_EQ(digest, 0xfe5a6eb90bca5915u);
 }
 
 TEST(BinarySynth, QemuRealizes270Syscalls) {

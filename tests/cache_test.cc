@@ -214,11 +214,12 @@ TEST(AnalysisCodec, BinaryAnalysisRoundtrip) {
       EXPECT_NE(decoded.value().FunctionNamed(fn.name), nullptr);
     }
     // Reachability over the decoded call graph matches the original.
-    auto a = original.FromEntry();
-    auto b = decoded.value().FromEntry();
+    const analysis::LibraryResolver resolver;
+    auto a = resolver.ResolveExecutable(original);
+    auto b = resolver.ResolveExecutable(decoded.value());
     EXPECT_TRUE(a.footprint == b.footprint);
-    EXPECT_EQ(a.plt_calls, b.plt_calls);
-    EXPECT_EQ(a.function_count, b.function_count);
+    EXPECT_EQ(a.unresolved_imports, b.unresolved_imports);
+    EXPECT_EQ(a.reachable_function_count, b.reachable_function_count);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "src/disasm/decoder.h"
@@ -166,6 +167,16 @@ struct LengthCase {
   uint8_t length;
   const char* what;
 };
+
+// Test names carry the label, not the struct's bytes (heap pointers
+// included), so they are the same in every build and run. CMake's test
+// discovery leaves names with square brackets out of the list that the
+// suite's ctest labels are set on, so memory operands print as <...>.
+void PrintTo(const LengthCase& c, std::ostream* os) {
+  for (const char* p = c.what; *p != '\0'; ++p) {
+    *os << (*p == '[' ? '<' : *p == ']' ? '>' : *p);
+  }
+}
 
 class LengthTest : public ::testing::TestWithParam<LengthCase> {};
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/binary_analyzer.h"
+#include "src/analysis/library_resolver.h"
 #include "src/codegen/function_builder.h"
 #include "src/elf/elf_builder.h"
 #include "src/elf/elf_reader.h"
@@ -37,6 +38,11 @@ BinaryAnalysis AnalyzeWith(const ElfImage& image, bool use_ipa,
   return analysis.take();
 }
 
+// Entry-point reachability alone: no library is registered.
+LibraryResolver::Resolution EntryReach(const BinaryAnalysis& analysis) {
+  return LibraryResolver().ResolveExecutable(analysis);
+}
+
 // _start loads `number` into rdi and calls a local syscall(2) clone
 // (`mov rax, rdi; syscall`).
 ElfImage SingleHopWrapperImage(int number) {
@@ -60,12 +66,12 @@ TEST(Ipa, SingleHopWrapperRecoveredOnlyByIpa) {
   ElfImage image = SingleHopWrapperImage(39);  // getpid
 
   BinaryAnalysis dataflow = AnalyzeWith(image, /*use_ipa=*/false);
-  EXPECT_TRUE(dataflow.FromEntry().footprint.syscalls.empty());
+  EXPECT_TRUE(EntryReach(dataflow).footprint.syscalls.empty());
   EXPECT_EQ(dataflow.total_syscall_sites, 1);
   EXPECT_EQ(dataflow.unknown_syscall_sites, 1);
 
   BinaryAnalysis ipa = AnalyzeWith(image, /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (SortedSet<int>{39}));
+  EXPECT_EQ(EntryReach(ipa).footprint.syscalls, (SortedSet<int>{39}));
   EXPECT_EQ(ipa.total_syscall_sites, 1);
   EXPECT_EQ(ipa.unknown_syscall_sites, 0);
   // The constant is attributed to the call site's owner, not the wrapper.
@@ -92,7 +98,7 @@ TEST(Ipa, MultipleCallSitesEachContributeTheirConstant) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
 
   BinaryAnalysis ipa = AnalyzeWith(Parse(builder.Build()), /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (SortedSet<int>{0, 1}));
+  EXPECT_EQ(EntryReach(ipa).footprint.syscalls, (SortedSet<int>{0, 1}));
   EXPECT_EQ(ipa.unknown_syscall_sites, 0);
 }
 
@@ -117,7 +123,7 @@ TEST(Ipa, TailForwardedPltSyscallRecovered) {
   EXPECT_EQ(dataflow.unknown_syscall_sites, 1);
 
   BinaryAnalysis ipa = AnalyzeWith(image, /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (SortedSet<int>{2}));
+  EXPECT_EQ(EntryReach(ipa).footprint.syscalls, (SortedSet<int>{2}));
   EXPECT_EQ(ipa.unknown_syscall_sites, 0);
 }
 
@@ -147,13 +153,13 @@ TEST(Ipa, TwoHopIoctlOpcodeRecovered) {
   ElfImage image = Parse(builder.Build());
 
   BinaryAnalysis dataflow = AnalyzeWith(image, /*use_ipa=*/false);
-  EXPECT_TRUE(dataflow.FromEntry().footprint.ioctl_ops.empty());
-  EXPECT_EQ(dataflow.FromEntry().footprint.unknown_opcode_sites, 1);
+  EXPECT_TRUE(EntryReach(dataflow).footprint.ioctl_ops.empty());
+  EXPECT_EQ(EntryReach(dataflow).footprint.unknown_opcode_sites, 1);
 
   BinaryAnalysis ipa = AnalyzeWith(image, /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FromEntry().footprint.ioctl_ops,
+  EXPECT_EQ(EntryReach(ipa).footprint.ioctl_ops,
             (SortedSet<uint32_t>{0x5401}));
-  EXPECT_EQ(ipa.FromEntry().footprint.unknown_opcode_sites, 0);
+  EXPECT_EQ(EntryReach(ipa).footprint.unknown_opcode_sites, 0);
 }
 
 TEST(Ipa, GuardedWrapperNeedsCfgJoinAndIpa) {
@@ -181,7 +187,7 @@ TEST(Ipa, GuardedWrapperNeedsCfgJoinAndIpa) {
   EXPECT_EQ(dataflow.unknown_syscall_sites, 1);
 
   BinaryAnalysis ipa = AnalyzeWith(image, /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FromEntry().footprint.syscalls, (SortedSet<int>{60}));
+  EXPECT_EQ(EntryReach(ipa).footprint.syscalls, (SortedSet<int>{60}));
   EXPECT_EQ(ipa.unknown_syscall_sites, 0);
 }
 
@@ -205,7 +211,7 @@ TEST(Ipa, RecursiveWrapperStaysUnknown) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
 
   BinaryAnalysis ipa = AnalyzeWith(Parse(builder.Build()), /*use_ipa=*/true);
-  EXPECT_TRUE(ipa.FromEntry().footprint.syscalls.empty());
+  EXPECT_TRUE(EntryReach(ipa).footprint.syscalls.empty());
   EXPECT_EQ(ipa.unknown_syscall_sites, 1);
 }
 
@@ -232,7 +238,7 @@ TEST(Ipa, MutuallyRecursiveWrappersStayUnknown) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
 
   BinaryAnalysis ipa = AnalyzeWith(Parse(builder.Build()), /*use_ipa=*/true);
-  EXPECT_TRUE(ipa.FromEntry().footprint.syscalls.empty());
+  EXPECT_TRUE(EntryReach(ipa).footprint.syscalls.empty());
   EXPECT_EQ(ipa.unknown_syscall_sites, 1);
 }
 
@@ -265,12 +271,12 @@ TEST(Ipa, DepthBoundCutsLongChains) {
   ElfImage image = TwoHopNumberImage();
 
   BinaryAnalysis deep = AnalyzeWith(image, /*use_ipa=*/true, /*max_depth=*/4);
-  EXPECT_EQ(deep.FromEntry().footprint.syscalls, (SortedSet<int>{39}));
+  EXPECT_EQ(EntryReach(deep).footprint.syscalls, (SortedSet<int>{39}));
   EXPECT_EQ(deep.unknown_syscall_sites, 0);
 
   // max_depth=0 forbids the re-exposure hop through `forward`.
   BinaryAnalysis flat = AnalyzeWith(image, /*use_ipa=*/true, /*max_depth=*/0);
-  EXPECT_TRUE(flat.FromEntry().footprint.syscalls.empty());
+  EXPECT_TRUE(EntryReach(flat).footprint.syscalls.empty());
   EXPECT_EQ(flat.unknown_syscall_sites, 1);
 }
 
@@ -314,7 +320,7 @@ TEST(Ipa, TopArgumentAtRootStaysUnknown) {
   ASSERT_TRUE(builder.SetEntryFunction(idx).ok());
 
   BinaryAnalysis ipa = AnalyzeWith(Parse(builder.Build()), /*use_ipa=*/true);
-  EXPECT_TRUE(ipa.FromEntry().footprint.syscalls.empty());
+  EXPECT_TRUE(EntryReach(ipa).footprint.syscalls.empty());
   EXPECT_EQ(ipa.unknown_syscall_sites, 1);
 }
 
@@ -332,8 +338,8 @@ TEST(Ipa, DirectConstantsUnchangedByIpa) {
 
   BinaryAnalysis dataflow = AnalyzeWith(image, /*use_ipa=*/false);
   BinaryAnalysis ipa = AnalyzeWith(image, /*use_ipa=*/true);
-  EXPECT_EQ(ipa.FromEntry().footprint.syscalls,
-            dataflow.FromEntry().footprint.syscalls);
+  EXPECT_EQ(EntryReach(ipa).footprint.syscalls,
+            EntryReach(dataflow).footprint.syscalls);
   EXPECT_EQ(ipa.total_syscall_sites, dataflow.total_syscall_sites);
   EXPECT_EQ(ipa.unknown_syscall_sites, 0);
   EXPECT_EQ(dataflow.unknown_syscall_sites, 0);

@@ -89,16 +89,6 @@ TEST(Repository, InterpreterActsAsDependency) {
             (std::set<PackageId>{0, 1}));
 }
 
-TEST(Repository, CountBinaries) {
-  Repository repo;
-  Package p;
-  p.name = "p";
-  p.executables = {"a", "b"};
-  p.shared_libraries = {"libp.so"};
-  ASSERT_TRUE(repo.AddPackage(p).ok());
-  EXPECT_EQ(repo.CountBinaries(), 3u);
-}
-
 TEST(InstallationSet, BitOperations) {
   InstallationSet set(130);
   EXPECT_FALSE(set.Contains(0));

@@ -210,11 +210,8 @@ int main(int argc, char** argv) {
       }
     }
     const auto& xstats = study.value().executor_stats;
-    std::printf(
-        "pipeline: %zu worker thread(s), %zu tasks executed, max queue "
-        "depth %zu\n",
-        study.value().jobs_used, xstats.tasks_executed,
-        xstats.max_queue_depth);
+    std::printf("pipeline: %zu worker thread(s), %zu tasks executed\n",
+                study.value().jobs_used, xstats.tasks_executed);
     for (const auto& [stage, record] : study.value().pipeline_stats.stages()) {
       std::printf("  stage %-20s %7.2fs wall  %7.2fs cpu  %zu items\n",
                   stage.c_str(), record.wall_seconds, record.cpu_seconds,
