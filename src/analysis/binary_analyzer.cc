@@ -111,6 +111,19 @@ void CollectFunctionFacts(const elf::ElfImage& image,
     site.op_rdi = state.regs[disasm::kRdi];
     ipa->sites.push_back(site);
   };
+  // A vectored call's opcode in `arg_reg`: recorded when constant,
+  // deferred when it is an argument fact, otherwise counted unknown.
+  auto record_op = [&](const RegState& state, uint8_t arg_reg,
+                       SortedSet<uint32_t>& ops, IpaPendingSite::Kind kind) {
+    const AbsVal& arg = state.regs[arg_reg];
+    if (arg.is_const()) {
+      ops.insert(static_cast<uint32_t>(arg.value));
+    } else if (ipa != nullptr && arg.is_arg()) {
+      defer_site(state, kind, AbsVal::Top());
+    } else {
+      ++info.local.unknown_opcode_sites;
+    }
+  };
   auto add_call_edge = [&](const RegState& state, uint64_t callee) {
     IpaCallEdge edge;
     edge.callee_vaddr = callee;
@@ -140,25 +153,14 @@ void CollectFunctionFacts(const elf::ElfImage& image,
           int nr = static_cast<int>(rax.value);
           info.local.syscalls.insert(nr);
           if (options.resolve_wrapper_opcodes) {
-            auto record_op = [&](uint8_t arg_reg, SortedSet<uint32_t>& ops,
-                                 IpaPendingSite::Kind kind) {
-              const AbsVal& arg = state.regs[arg_reg];
-              if (arg.is_const()) {
-                ops.insert(static_cast<uint32_t>(arg.value));
-              } else if (ipa != nullptr && arg.is_arg()) {
-                defer_site(state, kind, AbsVal::Top());
-              } else {
-                ++info.local.unknown_opcode_sites;
-              }
-            };
             if (nr == kSysIoctl) {
-              record_op(disasm::kRsi, info.local.ioctl_ops,
+              record_op(state, disasm::kRsi, info.local.ioctl_ops,
                         IpaPendingSite::Kind::kIoctlOp);
             } else if (nr == kSysFcntl) {
-              record_op(disasm::kRsi, info.local.fcntl_ops,
+              record_op(state, disasm::kRsi, info.local.fcntl_ops,
                         IpaPendingSite::Kind::kFcntlOp);
             } else if (nr == kSysPrctl) {
-              record_op(disasm::kRdi, info.local.prctl_ops,
+              record_op(state, disasm::kRdi, info.local.prctl_ops,
                         IpaPendingSite::Kind::kPrctlOp);
             }
           }
@@ -194,25 +196,14 @@ void CollectFunctionFacts(const elf::ElfImage& image,
           plt_symbols.push_back(*plt_symbol);
           const std::string& name = image.dynsym()[*plt_symbol].name;
           if (options.resolve_wrapper_opcodes) {
-            auto record_op = [&](uint8_t arg_reg, SortedSet<uint32_t>& ops,
-                                 IpaPendingSite::Kind kind) {
-              const AbsVal& arg = state.regs[arg_reg];
-              if (arg.is_const()) {
-                ops.insert(static_cast<uint32_t>(arg.value));
-              } else if (ipa != nullptr && arg.is_arg()) {
-                defer_site(state, kind, AbsVal::Top());
-              } else {
-                ++info.local.unknown_opcode_sites;
-              }
-            };
             if (name == "ioctl") {
-              record_op(disasm::kRsi, info.local.ioctl_ops,
+              record_op(state, disasm::kRsi, info.local.ioctl_ops,
                         IpaPendingSite::Kind::kIoctlOp);
             } else if (name == "fcntl" || name == "fcntl64") {
-              record_op(disasm::kRsi, info.local.fcntl_ops,
+              record_op(state, disasm::kRsi, info.local.fcntl_ops,
                         IpaPendingSite::Kind::kFcntlOp);
             } else if (name == "prctl") {
-              record_op(disasm::kRdi, info.local.prctl_ops,
+              record_op(state, disasm::kRdi, info.local.prctl_ops,
                         IpaPendingSite::Kind::kPrctlOp);
             } else if (name == "syscall") {
               // long syscall(long number, ...): number in rdi.
@@ -424,11 +415,10 @@ Result<BinaryAnalysis> BinaryAnalyzer::Analyze(const elf::ElfImage& image,
   }
 
   if (options.use_ipa) {
-    IpaStats ipa_stats = PropagateInterprocedural(
+    analysis.unknown_syscall_sites += PropagateInterprocedural(
         ipa_facts, analysis.functions_, analysis.exports_,
         analysis.is_executable_, analysis.entry_,
         std::max(0, options.ipa_max_depth));
-    analysis.unknown_syscall_sites += ipa_stats.unknown_syscall_sites_added;
   }
 
   NumberImports(image, plt_symbols, plt_ends, analysis.functions_,

@@ -59,7 +59,6 @@ struct Exposure {
 struct SiteRecord {
   uint32_t owner = 0;  // function index owning the instruction
   IpaPendingSite::Kind kind = IpaPendingSite::Kind::kSyscallNumber;
-  bool resolved_once = false;   // >= 1 call path pinned a constant
   bool number_unknown = false;  // counts as an unknown syscall site
   bool opcode_unknown = false;  // counts as an unknown opcode site
 };
@@ -150,12 +149,11 @@ SccResult CondenseSccs(size_t n, const std::vector<std::vector<Edge>>& out) {
 
 }  // namespace
 
-IpaStats PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
-                                  std::vector<FunctionInfo>& functions,
-                                  const std::vector<std::string>& exports,
-                                  bool is_executable, uint64_t entry_vaddr,
-                                  int max_depth) {
-  IpaStats stats;
+int PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
+                             std::vector<FunctionInfo>& functions,
+                             const std::vector<std::string>& exports,
+                             bool is_executable, uint64_t entry_vaddr,
+                             int max_depth) {
   const size_t n = functions.size();
 
   // `functions` is sorted by vaddr: the first definition of a vaddr wins,
@@ -173,7 +171,6 @@ IpaStats PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
       const auto callee = static_cast<uint32_t>(it - functions.begin());
       out[i].push_back({callee, &e});
       ++in_degree[callee];
-      ++stats.call_graph_edges;
     }
   }
 
@@ -189,7 +186,6 @@ IpaStats PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
       sites.push_back(rec);
     }
   }
-  stats.pending_sites = sites.size();
 
   SccResult scc = CondenseSccs(n, out);
 
@@ -210,7 +206,6 @@ IpaStats PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
       if (cyclic) {
         // ⊤ at recursion: the function's own deferred sites are unknown
         // and nothing propagates through it.
-        ++stats.cyclic_functions;
         for (size_t j = 0; j < facts[f].sites.size(); ++j) {
           SiteRecord& rec = sites[first_site[f] + j];
           if (IsNumberKind(rec.kind)) {
@@ -244,7 +239,6 @@ IpaStats PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
               } else {
                 fp.syscalls.insert(nr);
               }
-              rec.resolved_once = true;
               if (rec.kind == IpaPendingSite::Kind::kSyscallNumber) {
                 // The number pins a vectored family: the opcode must be
                 // decided here too (no further re-exposure for the mixed
@@ -275,7 +269,6 @@ IpaStats PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
               } else {
                 fp.prctl_ops.insert(code);
               }
-              rec.resolved_once = true;
             } else if (op.is_arg() && !cyclic && x.depth + 1 <= max_depth) {
               summary[f].push_back(
                   Exposure{x.site_id, number, rsi, rdi, x.depth + 1});
@@ -312,22 +305,18 @@ IpaStats PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
   }
 
   // Fold the per-site verdicts into the owners' footprints exactly once.
+  int unknown_syscall_sites = 0;
   for (const SiteRecord& rec : sites) {
     Footprint& fp = functions[rec.owner].local;
     if (IsNumberKind(rec.kind) && rec.number_unknown) {
       ++fp.unknown_syscall_sites;
-      ++stats.unknown_syscall_sites_added;
+      ++unknown_syscall_sites;
     }
     if (rec.opcode_unknown) {
       ++fp.unknown_opcode_sites;
     }
-    if (rec.number_unknown || rec.opcode_unknown) {
-      ++stats.unresolved_sites;
-    } else if (rec.resolved_once) {
-      ++stats.resolved_sites;
-    }
   }
-  return stats;
+  return unknown_syscall_sites;
 }
 
 }  // namespace lapis::analysis

@@ -38,7 +38,6 @@
 #ifndef LAPIS_SRC_ANALYSIS_IPA_H_
 #define LAPIS_SRC_ANALYSIS_IPA_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -82,26 +81,17 @@ struct IpaFunctionFacts {
   std::vector<IpaCallEdge> edges;
 };
 
-// Diagnostics from one PropagateInterprocedural run.
-struct IpaStats {
-  size_t call_graph_edges = 0;  // edges that resolved to a known function
-  size_t cyclic_functions = 0;  // members of nontrivial SCCs (⊤ at recursion)
-  size_t pending_sites = 0;     // sites deferred by the collection pass
-  size_t resolved_sites = 0;    // pending sites fully pinned to constants
-  size_t unresolved_sites = 0;  // pending sites counted unknown after all
-  int unknown_syscall_sites_added = 0;  // binary-level counter delta
-};
-
 // Runs the bottom-up summary / top-down resolution pass over one binary's
 // collected facts, attributing recovered constants (and residual unknown
 // counters) into the owning/resolving functions' local footprints.
 // `facts` must be parallel to `functions`; `max_depth` bounds wrapper-chain
-// re-exposure (AnalyzerOptions::ipa_max_depth).
-IpaStats PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
-                                  std::vector<FunctionInfo>& functions,
-                                  const std::vector<std::string>& exports,
-                                  bool is_executable, uint64_t entry_vaddr,
-                                  int max_depth);
+// re-exposure (AnalyzerOptions::ipa_max_depth). Returns how many deferred
+// syscall-number sites stayed unknown: the binary-level counter's delta.
+int PropagateInterprocedural(const std::vector<IpaFunctionFacts>& facts,
+                             std::vector<FunctionInfo>& functions,
+                             const std::vector<std::string>& exports,
+                             bool is_executable, uint64_t entry_vaddr,
+                             int max_depth);
 
 }  // namespace lapis::analysis
 

@@ -35,21 +35,31 @@ void SurveyCodec::Encode(const package::PopconSurvey& survey,
   }
 }
 
-Result<package::PopconSurvey> SurveyCodec::Decode(ByteReader& reader) {
+Result<package::PopconSurvey> SurveyCodec::Decode(ByteReader& reader,
+                                                  size_t package_count) {
   package::PopconSurvey survey;
   LAPIS_ASSIGN_OR_RETURN(survey.total_reporting, reader.ReadU64());
   // Install counts and sample words are u64s; a sample holds at least its
   // word count.
   LAPIS_ASSIGN_OR_RETURN(uint32_t count_size, reader.ReadCount(8));
+  if (count_size != package_count) {
+    return CorruptDataError("survey counts do not match the package count");
+  }
   survey.install_counts.reserve(count_size);
   for (uint32_t i = 0; i < count_size; ++i) {
     LAPIS_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+    if (count > survey.total_reporting) {
+      return CorruptDataError("install count exceeds the survey size");
+    }
     survey.install_counts.push_back(count);
   }
   LAPIS_ASSIGN_OR_RETURN(uint32_t sample_count, reader.ReadCount(4));
   survey.samples.reserve(sample_count);
   for (uint32_t i = 0; i < sample_count; ++i) {
     LAPIS_ASSIGN_OR_RETURN(uint32_t word_count, reader.ReadCount(8));
+    if (word_count != (package_count + 63) / 64) {
+      return CorruptDataError("sample size does not match the package count");
+    }
     std::vector<uint64_t> words;
     words.reserve(word_count);
     for (uint32_t w = 0; w < word_count; ++w) {

@@ -23,7 +23,12 @@ namespace lapis::cache {
 class SurveyCodec {
  public:
   static void Encode(const package::PopconSurvey& survey, ByteWriter& writer);
-  static Result<package::PopconSurvey> Decode(ByteReader& reader);
+  // A survey that does not fit a repository of `package_count` packages is
+  // kCorruptData, so a damaged record degrades to recomputation: a count
+  // per package, none above total_reporting, and ceil(package_count / 64)
+  // words per sample.
+  static Result<package::PopconSurvey> Decode(ByteReader& reader,
+                                              size_t package_count);
 };
 
 // Content hash over everything PopconSimulator::Run consumes: every package's

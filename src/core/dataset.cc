@@ -1,7 +1,6 @@
 #include "src/core/dataset.h"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_map>
 
 namespace lapis::core {
@@ -12,7 +11,6 @@ StudyDataset::StudyDataset(size_t package_count, uint64_t total_installations)
       install_counts_(package_count, 0),
       footprints_(package_count),
       depends_(package_count),
-      closures_(package_count),
       footprint_begin_(package_count + 1, 0) {}
 
 Status StudyDataset::CheckConstruction(PackageId id) {
@@ -172,26 +170,7 @@ void StudyDataset::BuildIndexes() {
       dependents_[next[dense]++] = id;
     }
   }
-  // Dependency closures (BFS, cycle-safe).
-  std::vector<bool> visited(names_.size());
-  for (PackageId id = 0; id < names_.size(); ++id) {
-    std::fill(visited.begin(), visited.end(), false);
-    std::deque<PackageId> queue = {id};
-    while (!queue.empty()) {
-      PackageId current = queue.front();
-      queue.pop_front();
-      if (visited[current]) {
-        continue;
-      }
-      visited[current] = true;
-      closures_[id].push_back(current);
-      for (PackageId dep : depends_[current]) {
-        if (!visited[dep]) {
-          queue.push_back(dep);
-        }
-      }
-    }
-  }
+  closures_ = package::DependencyClosures(depends_);
   // Name lookup.
   for (PackageId id = 0; id < names_.size(); ++id) {
     if (!names_[id].empty()) {
@@ -212,11 +191,6 @@ double StudyDataset::InstallProbability(PackageId id) const {
   }
   return static_cast<double>(install_counts_[id]) /
          static_cast<double>(total_installations_);
-}
-
-const std::vector<PackageId>& StudyDataset::DependencyClosure(
-    PackageId id) const {
-  return closures_[id];
 }
 
 std::span<const PackageId> StudyDataset::Dependents(ApiId api) const {

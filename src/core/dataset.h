@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/core/api_id.h"
+#include "src/package/repository.h"
 #include "src/util/status.h"
 
 namespace lapis::core {
@@ -63,7 +64,10 @@ class StudyDataset {
         .subspan(footprint_begin_[id],
                  footprint_begin_[id + 1] - footprint_begin_[id]);
   }
-  const std::vector<PackageId>& DependencyClosure(PackageId id) const;
+  // The package and its transitive dependencies, breadth-first from it.
+  std::span<const PackageId> DependencyClosure(PackageId id) const {
+    return closures_.Of(id);
+  }
   // The direct dependency edges as set (closure is derived in Finalize).
   const std::vector<PackageId>& DirectDependencies(PackageId id) const {
     return depends_[id];
@@ -134,7 +138,8 @@ class StudyDataset {
   // Footprints as set, until Finalize numbers them and releases these.
   std::vector<std::vector<ApiId>> footprints_;
   std::vector<std::vector<PackageId>> depends_;
-  std::vector<std::vector<PackageId>> closures_;
+  // Dependency closures (CSR), built from depends_ by DependencyClosures.
+  package::ClosureTable closures_;
   // The dense numbering: used_apis_[d] is dense id d, and kind k's ids are
   // [kind_begin_[k], kind_begin_[k + 1]).
   std::vector<ApiId> used_apis_;

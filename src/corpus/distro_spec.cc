@@ -45,6 +45,13 @@ int CurveInverse(const std::vector<CurvePoint>& curve, double u) {
   return 224;
 }
 
+// Zipf exponent for app-package popularity (0.8 concentrates ~56% of the
+// installation weight in the top 10% of packages, matching the joint
+// Fig 3 / Fig 8 anchor solution; see DESIGN.md).
+constexpr double kZipfS = 0.8;
+// The most popular app package's install probability.
+constexpr double kZipfScale = 0.9;
+
 constexpr int kBaseRankCount = 40;
 constexpr int kTierBEnd = 224;     // ranks 1..224 have 100% importance
 constexpr size_t kTailCount = 96;  // 320 - 224
@@ -276,8 +283,7 @@ Result<DistroSpec> BuildDistroSpec(const DistroOptions& options) {
     char name[32];
     std::snprintf(name, sizeof(name), "app-%04zu", i);
     plan.name = name;
-    double p = options.zipf_scale /
-               std::pow(static_cast<double>(i + 1), options.zipf_s);
+    double p = kZipfScale / std::pow(static_cast<double>(i + 1), kZipfS);
     plan.target_marginal = std::max(0.0006, std::min(0.95, p));
     // Fig 1: shared libraries outnumber executables 52% / 48% among ELF
     // binaries.
@@ -352,7 +358,7 @@ Result<DistroSpec> BuildDistroSpec(const DistroOptions& options) {
         plan.kind = interp.kind;
         plan.target_marginal =
             std::max(0.0006, 0.25 / std::pow(static_cast<double>(created + 2),
-                                             options.zipf_s));
+                                             kZipfS));
         plan.script_count = 4 + prng.NextBelow(14);
         plan.interpreter_package = interp.package;
         plan.depends = {interp.package};

@@ -39,11 +39,6 @@ struct DistroOptions {
   uint64_t installation_count = 100000;
   double popcon_report_rate = 0.97;
   uint64_t seed = 20160418;  // EuroSys'16
-  // Zipf exponent for app-package popularity (0.8 concentrates ~56% of the
-  // installation weight in the top 10% of packages, matching the joint
-  // Fig 3 / Fig 8 anchor solution; see DESIGN.md).
-  double zipf_s = 0.8;
-  double zipf_scale = 0.9;  // most popular app package's install probability
 
   // What-if knob for release simulation: multiplies the adoption (carrier
   // count) of the modern/secure syscall variants in the rare tail

@@ -464,11 +464,14 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
       auto payload = ctx.cache->Lookup(survey_key);
       if (payload != nullptr) {
         ByteReader reader(*payload);
-        auto decoded = cache::SurveyCodec::Decode(reader);
+        auto decoded =
+            cache::SurveyCodec::Decode(reader, result.repository.size());
         if (decoded.ok()) {
           result.survey = decoded.take();
           survey_restored = true;
         }
+        // An undecodable survey, or one that does not fit the repository:
+        // treat as a miss and recompute.
       }
     }
     if (!survey_restored) {
@@ -490,6 +493,8 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     runtime::StageTimer timer(&stats, "dataset");
     result.dataset = std::make_unique<core::StudyDataset>(
         package_count, result.survey.total_reporting);
+    std::vector<std::vector<package::PackageId>> edges =
+        result.repository.DependencyEdges();
     for (size_t pkg = 0; pkg < package_count; ++pkg) {
       const PackagePlan& plan = result.spec.packages[pkg];
       LAPIS_RETURN_IF_ERROR(
@@ -499,15 +504,8 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
           static_cast<uint32_t>(pkg), result.survey.install_counts[pkg]));
       LAPIS_RETURN_IF_ERROR(result.dataset->SetFootprint(
           static_cast<uint32_t>(pkg), std::move(footprints[pkg])));
-      const package::Package& pkg_meta =
-          result.repository.package(static_cast<package::PackageId>(pkg));
-      std::vector<core::PackageId> deps(pkg_meta.depends.begin(),
-                                        pkg_meta.depends.end());
-      if (pkg_meta.interpreter != package::kInvalidPackage) {
-        deps.push_back(pkg_meta.interpreter);
-      }
       LAPIS_RETURN_IF_ERROR(result.dataset->SetDependencies(
-          static_cast<uint32_t>(pkg), std::move(deps)));
+          static_cast<uint32_t>(pkg), std::move(edges[pkg])));
     }
     LAPIS_RETURN_IF_ERROR(result.dataset->Finalize());
     timer.AddItems(package_count);

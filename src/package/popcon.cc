@@ -123,11 +123,8 @@ Result<PopconSurvey> PopconSimulator::Run(
     return InvalidArgumentError("installation_count must be positive");
   }
 
-  // Precompute dependency closures once; sampling touches them constantly.
-  std::vector<std::vector<PackageId>> closures(n);
-  for (PackageId id = 0; id < n; ++id) {
-    closures[id] = repository.DependencyClosure(id);
-  }
+  // Every closure once, up front; sampling touches them constantly.
+  const ClosureTable closures = repository.Closures();
 
   const uint32_t profiles = options.profile_count;
   double boost = options.profile_boost;
@@ -175,7 +172,7 @@ Result<PopconSurvey> PopconSimulator::Run(
       if (stamps[id] == generation) {
         return;
       }
-      for (PackageId member : closures[id]) {
+      for (PackageId member : closures.Of(id)) {
         if (stamps[member] != generation) {
           stamps[member] = generation;
           installed.push_back(member);

@@ -1,7 +1,5 @@
 #include "src/package/repository.h"
 
-#include <deque>
-
 namespace lapis::package {
 
 const char* ProgramKindName(ProgramKind kind) {
@@ -52,43 +50,48 @@ PackageId Repository::FindByName(std::string_view name) const {
   return it == by_name_.end() ? kInvalidPackage : it->second;
 }
 
-std::vector<PackageId> Repository::DependencyClosure(PackageId id) const {
-  std::vector<PackageId> out;
-  std::vector<bool> visited(packages_.size(), false);
-  std::deque<PackageId> queue = {id};
-  while (!queue.empty()) {
-    PackageId current = queue.front();
-    queue.pop_front();
-    if (current >= packages_.size() || visited[current]) {
-      continue;
-    }
-    visited[current] = true;
-    out.push_back(current);
-    const Package& pkg = packages_[current];
-    for (PackageId dep : pkg.depends) {
-      if (!visited[dep]) {
-        queue.push_back(dep);
-      }
-    }
-    if (pkg.interpreter != kInvalidPackage && !visited[pkg.interpreter]) {
-      queue.push_back(pkg.interpreter);
+std::vector<std::vector<PackageId>> Repository::DependencyEdges() const {
+  std::vector<std::vector<PackageId>> edges(packages_.size());
+  for (PackageId id = 0; id < packages_.size(); ++id) {
+    const Package& pkg = packages_[id];
+    edges[id] = pkg.depends;
+    if (pkg.interpreter != kInvalidPackage) {
+      edges[id].push_back(pkg.interpreter);
     }
   }
-  return out;
+  return edges;
 }
 
-std::vector<PackageId> Repository::ReverseDependencyClosure(
-    PackageId id) const {
-  std::vector<PackageId> out;
-  for (PackageId candidate = 0; candidate < packages_.size(); ++candidate) {
-    for (PackageId member : DependencyClosure(candidate)) {
-      if (member == id) {
-        out.push_back(candidate);
-        break;
+ClosureTable Repository::Closures() const {
+  return DependencyClosures(DependencyEdges());
+}
+
+ClosureTable DependencyClosures(
+    const std::vector<std::vector<PackageId>>& edges) {
+  const size_t n = edges.size();
+  ClosureTable table;
+  table.begin.reserve(n + 1);
+  table.begin.push_back(0);
+  // One breadth-first walk per root, with the root's closure, growing at
+  // the end of `members`, as its queue. stamp[v] == root + 1: the walk from
+  // `root` has reached v.
+  std::vector<PackageId> stamp(n, 0);
+  for (PackageId root = 0; root < n; ++root) {
+    const PackageId mark = root + 1;
+    stamp[root] = mark;
+    table.members.push_back(root);
+    for (size_t next = table.begin.back(); next < table.members.size();
+         ++next) {
+      for (PackageId dep : edges[table.members[next]]) {
+        if (stamp[dep] != mark) {
+          stamp[dep] = mark;
+          table.members.push_back(dep);
+        }
       }
     }
+    table.begin.push_back(table.members.size());
   }
-  return out;
+  return table;
 }
 
 }  // namespace lapis::package

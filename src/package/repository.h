@@ -2,15 +2,19 @@
 //
 // A package is the smallest installation unit: it carries binaries
 // (executables and shared libraries) and depends on other packages. The
-// repository validates dependency edges and answers closure queries, which
-// the metrics core needs for weighted completeness ("if a supported package
-// depends on an unsupported package, both are unsupported").
+// repository validates dependency edges. DependencyClosures turns direct
+// edges into every package's closure, held in one ClosureTable: the popcon
+// survey installs a package with its closure (§2.2), and the metrics core
+// (StudyDataset) builds the same table for weighted completeness ("if a
+// supported package depends on an unsupported package, both are
+// unsupported", §A.2).
 
 #ifndef LAPIS_SRC_PACKAGE_REPOSITORY_H_
 #define LAPIS_SRC_PACKAGE_REPOSITORY_H_
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,6 +51,25 @@ struct Package {
   PackageId interpreter = kInvalidPackage;
 };
 
+// Every package's dependency closure in one CSR array: package p's closure
+// is members[begin[p], begin[p + 1]), p first, then the rest in
+// breadth-first discovery order, each once.
+struct ClosureTable {
+  std::vector<size_t> begin;
+  std::vector<PackageId> members;
+
+  std::span<const PackageId> Of(PackageId id) const {
+    return std::span<const PackageId>(members).subspan(
+        begin[id], begin[id + 1] - begin[id]);
+  }
+};
+
+// The closures of the graph whose package p depends directly on edges[p]
+// (every id below edges.size(); cycles, self loops and repeated edges
+// allowed).
+ClosureTable DependencyClosures(
+    const std::vector<std::vector<PackageId>>& edges);
+
 class Repository {
  public:
   // Adds a package; name must be unique. Dependencies may reference ids
@@ -60,12 +83,14 @@ class Repository {
   // kInvalidPackage if absent.
   PackageId FindByName(std::string_view name) const;
 
-  // Transitive dependency closure including `id` itself (cycle-safe;
-  // interpreter edges are treated as dependencies).
-  std::vector<PackageId> DependencyClosure(PackageId id) const;
+  // Each package's direct dependency edges: its depends, then its
+  // interpreter. Installing a script package installs its interpreter, so
+  // the interpreter counts as a dependency.
+  std::vector<std::vector<PackageId>> DependencyEdges() const;
 
-  // Packages whose closure includes `id` (including `id` itself).
-  std::vector<PackageId> ReverseDependencyClosure(PackageId id) const;
+  // DependencyClosures over DependencyEdges(), built on each call. Hold
+  // the table: a span from a temporary's Of() dangles.
+  ClosureTable Closures() const;
 
  private:
   std::vector<Package> packages_;

@@ -160,6 +160,8 @@ int64_t NowMillis() {
 }
 
 constexpr int64_t kMaxBackoffMillis = 5000;
+// Seeds the backoff jitter, so a retry schedule replays exactly.
+constexpr uint64_t kJitterSeed = 0;
 
 }  // namespace
 
@@ -170,7 +172,7 @@ Result<std::vector<QueryResponse>> CallWithRetry(
   RetryTelemetry& tel = telemetry != nullptr ? *telemetry : scratch;
   tel = RetryTelemetry{};
 
-  Prng jitter(options.jitter_seed);
+  Prng jitter(kJitterSeed);
   const int64_t deadline =
       options.timeout_ms > 0 ? NowMillis() + options.timeout_ms : 0;
   Status last_error = UnavailableError("no attempt was made");

@@ -31,7 +31,6 @@ struct RetryOptions {
   int retries = 0;
   int backoff_ms = 100;
   int timeout_ms = 0;  // 0 = no deadline
-  uint64_t jitter_seed = 0;
 };
 
 // What actually happened across the attempts (for banners and benches).

@@ -380,7 +380,7 @@ TEST(SurveyCodec, SurveyRoundtripWithSamples) {
   ByteWriter writer;
   cache::SurveyCodec::Encode(original.value(), writer);
   ByteReader reader(writer.bytes());
-  auto decoded = cache::SurveyCodec::Decode(reader);
+  auto decoded = cache::SurveyCodec::Decode(reader, repo.size());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().total_reporting, original.value().total_reporting);
   EXPECT_EQ(decoded.value().install_counts, original.value().install_counts);
@@ -399,8 +399,39 @@ TEST(SurveyCodec, MutatedWordsNeverAbortTheDecoder) {
   survey.samples.push_back(package::InstallationSet::FromWords({0b00001}));
   ByteWriter writer;
   cache::SurveyCodec::Encode(survey, writer);
-  EXPECT_GT(DecodeMutatedWords(writer.bytes(), cache::SurveyCodec::Decode),
+  EXPECT_GT(DecodeMutatedWords(writer.bytes(),
+                               [](ByteReader& reader) {
+                                 return cache::SurveyCodec::Decode(reader, 5);
+                               }),
             0u);
+}
+
+// A checksummed survey that does not fit the repository is corrupt data:
+// too few or too many counts, a count above total_reporting, or a sample
+// whose word count is not ceil(package_count / 64).
+TEST(SurveyCodec, RejectsSurveysThatDoNotFitTheRepository) {
+  package::PopconSurvey survey;
+  survey.total_reporting = 40;
+  survey.install_counts.assign(65, 7);
+  survey.samples.push_back(package::InstallationSet(65));
+  auto decode = [](const package::PopconSurvey& candidate,
+                   size_t package_count) {
+    ByteWriter writer;
+    cache::SurveyCodec::Encode(candidate, writer);
+    ByteReader reader(writer.bytes());
+    return cache::SurveyCodec::Decode(reader, package_count).status().code();
+  };
+  EXPECT_EQ(decode(survey, 65), StatusCode::kOk);
+  EXPECT_EQ(decode(survey, 64), StatusCode::kCorruptData);
+  EXPECT_EQ(decode(survey, 66), StatusCode::kCorruptData);
+
+  package::PopconSurvey overcounted = survey;
+  overcounted.install_counts[64] = 41;
+  EXPECT_EQ(decode(overcounted, 65), StatusCode::kCorruptData);
+
+  package::PopconSurvey short_sample = survey;
+  short_sample.samples.push_back(package::InstallationSet(64));
+  EXPECT_EQ(decode(short_sample, 65), StatusCode::kCorruptData);
 }
 
 TEST(SurveyCodec, InputHashTracksEveryInput) {
@@ -899,6 +930,106 @@ TEST(CacheStudyTest, ChangedBinariesOnWarmCacheResolveAsUncached) {
   EXPECT_NE(warm_exports.footprints, ExportAll(before.value()).footprints);
   EXPECT_EQ(warm.value().ground_truth_mismatches,
             uncached.value().ground_truth_mismatches);
+}
+
+// Replaces the payload of the survey record in the store at `dir` with
+// `survey`'s bytes, under the same key and with a valid checksum: only the
+// decoder's shape check can tell it from a survey the study wrote.
+void RewriteSurveyRecord(const std::filesystem::path& dir,
+                         const package::PopconSurvey& survey) {
+  const uint64_t survey_fingerprint =
+      cache::BaseFingerprint(EntryKind::kSurvey);
+  ByteWriter encoded;
+  cache::SurveyCodec::Encode(survey, encoded);
+  size_t rewritten = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::vector<uint8_t> log((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+    in.close();
+    // Records: magic, content, fingerprint, payload length, payload, and
+    // the payload's FNV-1a.
+    ByteReader reader(log);
+    ByteWriter out;
+    while (!reader.AtEnd()) {
+      const uint32_t magic = reader.ReadU32().take();
+      const uint64_t content = reader.ReadU64().take();
+      const uint64_t fingerprint = reader.ReadU64().take();
+      const uint32_t length = reader.ReadU32().take();
+      std::vector<uint8_t> payload = reader.ReadBytes(length).take();
+      uint64_t checksum = reader.ReadU64().take();
+      if (fingerprint == survey_fingerprint) {
+        payload = encoded.bytes();
+        checksum = cache::HashBytes(payload);
+        ++rewritten;
+      }
+      out.PutU32(magic);
+      out.PutU64(content);
+      out.PutU64(fingerprint);
+      out.PutU32(static_cast<uint32_t>(payload.size()));
+      out.PutBytes(payload);
+      out.PutU64(checksum);
+    }
+    std::ofstream(entry.path(), std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(out.bytes().data()),
+               static_cast<std::streamsize>(out.size()));
+  }
+  ASSERT_EQ(rewritten, 1u);
+}
+
+// A checksummed survey record that does not fit the study is a miss, as an
+// undecodable analysis is: the warm run recomputes the survey and exports
+// what a run without a cache exports. Each mutant keeps the record's key
+// and checksum.
+TEST(CacheStudyTest, MisfitSurveyRecordIsRecomputed) {
+  auto dir = std::filesystem::temp_directory_path() /
+             "lapis-cache-test-misfit-survey";
+  std::filesystem::remove_all(dir);
+  corpus::StudyOptions options = corpus::SmallStudyOptions();
+  options.popcon_retain_samples = 64;
+  auto uncached = corpus::RunStudy(options);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  const package::PopconSurvey& want = uncached.value().survey;
+  ASSERT_FALSE(want.samples.empty());
+
+  options.cache_dir = dir.string();
+  auto cold = corpus::RunStudy(options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  package::PopconSurvey overcounted = want;
+  overcounted.install_counts[0] = want.total_reporting + 1;
+  package::PopconSurvey short_counts = want;
+  short_counts.install_counts.resize(10);
+  package::PopconSurvey short_sample = want;
+  std::vector<uint64_t> words = want.samples[0].words();
+  words.pop_back();
+  short_sample.samples[0] = package::InstallationSet::FromWords(words);
+  const std::pair<const char*, const package::PopconSurvey*> mutants[] = {
+      {"a count above total_reporting", &overcounted},
+      {"10 counts", &short_counts},
+      {"a sample one word short", &short_sample},
+  };
+  const StudyExports uncached_exports = ExportAll(uncached.value());
+  for (const auto& [name, mutant] : mutants) {
+    SCOPED_TRACE(name);
+    RewriteSurveyRecord(dir, *mutant);
+    auto warm = corpus::RunStudy(options);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm.value().analyses_from_cache,
+              warm.value().analyzed_binaries);
+    const package::PopconSurvey& got = warm.value().survey;
+    EXPECT_EQ(got.total_reporting, want.total_reporting);
+    EXPECT_EQ(got.install_counts, want.install_counts);
+    ASSERT_EQ(got.samples.size(), want.samples.size());
+    for (size_t i = 0; i < want.samples.size(); ++i) {
+      EXPECT_EQ(got.samples[i].words(), want.samples[i].words()) << i;
+    }
+    const StudyExports warm_exports = ExportAll(warm.value());
+    EXPECT_EQ(warm_exports.importance, uncached_exports.importance);
+    EXPECT_EQ(warm_exports.packages, uncached_exports.packages);
+    EXPECT_EQ(warm_exports.footprints, uncached_exports.footprints);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -189,7 +189,7 @@ std::unique_ptr<StudyDataset> MakeGraph(
 }
 
 std::set<PackageId> ClosureOf(const StudyDataset& ds, PackageId id) {
-  const std::vector<PackageId>& closure = ds.DependencyClosure(id);
+  const std::span<const PackageId> closure = ds.DependencyClosure(id);
   std::set<PackageId> members(closure.begin(), closure.end());
   EXPECT_EQ(members.size(), closure.size())
       << "package " << id << " lists a closure member twice";

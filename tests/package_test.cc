@@ -4,7 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <set>
+#include <utility>
 
+#include "src/cache/content_hash.h"
+#include "src/corpus/binary_synth.h"
+#include "src/corpus/distro_spec.h"
+#include "src/corpus/study_runner.h"
 #include "src/package/popcon.h"
 #include "src/package/repository.h"
 #include "src/runtime/executor.h"
@@ -61,17 +68,11 @@ TEST(Repository, RejectsDuplicatesAndBadDeps) {
 
 TEST(Repository, DependencyClosure) {
   Repository repo = ChainRepo();
-  auto closure = repo.DependencyClosure(2);
-  EXPECT_EQ(std::set<PackageId>(closure.begin(), closure.end()),
-            (std::set<PackageId>{0, 1, 2}));
-  EXPECT_EQ(repo.DependencyClosure(3).size(), 1u);
-}
-
-TEST(Repository, ReverseDependencyClosure) {
-  Repository repo = ChainRepo();
-  auto rdeps = repo.ReverseDependencyClosure(0);
-  EXPECT_EQ(std::set<PackageId>(rdeps.begin(), rdeps.end()),
-            (std::set<PackageId>{0, 1, 2}));
+  const ClosureTable closures = repo.Closures();
+  EXPECT_EQ(std::vector<PackageId>(closures.Of(2).begin(),
+                                   closures.Of(2).end()),
+            (std::vector<PackageId>{2, 1, 0}));
+  EXPECT_EQ(closures.Of(3).size(), 1u);
 }
 
 TEST(Repository, InterpreterActsAsDependency) {
@@ -84,9 +85,104 @@ TEST(Repository, InterpreterActsAsDependency) {
   script.kind = ProgramKind::kPython;
   script.interpreter = 0;
   ASSERT_TRUE(repo.AddPackage(script).ok());
-  auto closure = repo.DependencyClosure(1);
-  EXPECT_EQ(std::set<PackageId>(closure.begin(), closure.end()),
+  const ClosureTable closures = repo.Closures();
+  EXPECT_EQ(std::set<PackageId>(closures.Of(1).begin(), closures.Of(1).end()),
             (std::set<PackageId>{0, 1}));
+}
+
+// A script package's edges list its depends, then its interpreter, and its
+// closure walks both breadth-first.
+TEST(Repository, ClosuresFollowInterpreterEdges) {
+  Repository repo;
+  for (const char* name : {"libc", "python", "perl"}) {
+    Package p;
+    p.name = name;
+    if (repo.size() > 0) {
+      p.depends = {0};
+    }
+    ASSERT_TRUE(repo.AddPackage(p).ok());
+  }
+  Package script;
+  script.name = "script";
+  script.kind = ProgramKind::kPython;
+  script.depends = {2};
+  script.interpreter = 1;
+  ASSERT_EQ(repo.AddPackage(script).value(), 3u);
+
+  const std::vector<std::vector<PackageId>> edges = repo.DependencyEdges();
+  EXPECT_EQ(edges, (std::vector<std::vector<PackageId>>{{}, {0}, {0}, {2, 1}}));
+  const ClosureTable closures = repo.Closures();
+  EXPECT_EQ(closures.begin, (std::vector<size_t>{0, 1, 3, 5, 9}));
+  EXPECT_EQ(closures.members,
+            (std::vector<PackageId>{0, 1, 0, 2, 0, 3, 2, 1, 0}));
+}
+
+// The breadth-first walk the closure table replaced, one package at a
+// time: a deque, and a member marked when it leaves the queue.
+std::vector<PackageId> ReferenceClosure(
+    const std::vector<std::vector<PackageId>>& edges, PackageId id) {
+  std::vector<PackageId> out;
+  std::vector<bool> visited(edges.size(), false);
+  std::deque<PackageId> queue = {id};
+  while (!queue.empty()) {
+    PackageId current = queue.front();
+    queue.pop_front();
+    if (visited[current]) {
+      continue;
+    }
+    visited[current] = true;
+    out.push_back(current);
+    for (PackageId dep : edges[current]) {
+      if (!visited[dep]) {
+        queue.push_back(dep);
+      }
+    }
+  }
+  return out;
+}
+
+// Seeded random graphs with edges in both directions, so cycles, self
+// loops and repeated edges all occur; every closure must list the
+// reference walk's members in its order.
+TEST(DependencyClosures, MatchReferenceWalkMemberByMember) {
+  Prng prng(0xc105);
+  size_t cyclic = 0;
+  size_t self_loops = 0;
+  size_t repeats = 0;
+  for (size_t n : {1, 2, 7, 40, 300}) {
+    std::vector<std::vector<PackageId>> edges(n);
+    for (PackageId p = 0; p < n; ++p) {
+      const size_t degree = prng.NextBelow(5);
+      for (size_t e = 0; e < degree; ++e) {
+        const auto dep = static_cast<PackageId>(prng.NextBelow(n));
+        self_loops += dep == p ? 1 : 0;
+        repeats += std::count(edges[p].begin(), edges[p].end(), dep);
+        edges[p].push_back(dep);
+      }
+    }
+    const ClosureTable closures = DependencyClosures(edges);
+    ASSERT_EQ(closures.begin.size(), n + 1);
+    EXPECT_EQ(closures.begin.back(), closures.members.size());
+    for (PackageId p = 0; p < n; ++p) {
+      const std::vector<PackageId> want = ReferenceClosure(edges, p);
+      EXPECT_EQ(std::vector<PackageId>(closures.Of(p).begin(),
+                                       closures.Of(p).end()),
+                want)
+          << n << " packages, closure of " << p;
+      // p lies on a cycle through another package if one of its
+      // dependencies' closures leads back to it.
+      for (PackageId dep : edges[p]) {
+        const std::vector<PackageId> back = ReferenceClosure(edges, dep);
+        if (dep != p && std::count(back.begin(), back.end(), p) > 0) {
+          ++cyclic;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cyclic, 0u);
+  EXPECT_GT(self_loops, 0u);
+  EXPECT_GT(repeats, 0u);
 }
 
 TEST(InstallationSet, BitOperations) {
@@ -298,6 +394,7 @@ std::vector<double> AnalyticInstallProbability(
   const double dampen =
       profiles > 1 ? (profiles - boost) / (profiles - 1.0) : 1.0;
   std::vector<double> probability(repo.size(), 0.0);
+  const ClosureTable closures = repo.Closures();
   for (uint32_t profile = 0; profile < profiles; ++profile) {
     std::vector<double> none(repo.size(), 1.0);
     for (PackageId j = 0; j < repo.size(); ++j) {
@@ -306,7 +403,7 @@ std::vector<double> AnalyticInstallProbability(
         marginal = std::min(
             1.0, marginal * (j % profiles == profile ? boost : dampen));
       }
-      for (PackageId i : repo.DependencyClosure(j)) {
+      for (PackageId i : closures.Of(j)) {
         none[i] *= 1.0 - marginal;
       }
     }
@@ -406,6 +503,60 @@ TEST(Popcon, RetainedSamplesStayWithinCap) {
   }
   for (PackageId id = 0; id < repo.size(); ++id) {
     EXPECT_LE(recount[id], survey.install_counts[id]) << id;
+  }
+}
+
+// Pins the survey of SmallStudyOptions()'s repository: an FNV-1a chain
+// over total_reporting, every install count and every retained sample
+// word. It covers RunStudy's popcon options (report rate 0.97, here with
+// retained samples) and 4 profiles at boost 3, each run inline and on a
+// 4-thread executor.
+TEST(Popcon, SurveyMatchesPinnedDigest) {
+  const corpus::StudyOptions study = corpus::SmallStudyOptions();
+  auto spec = corpus::BuildDistroSpec(study.distro);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto repo = corpus::DistroSynthesizer(spec.value()).BuildRepository();
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  std::vector<double> marginals;
+  for (const corpus::PackagePlan& plan : spec.value().packages) {
+    marginals.push_back(plan.target_marginal);
+  }
+  PopconOptions options;
+  options.installation_count = study.distro.installation_count;
+  options.report_rate = study.distro.popcon_report_rate;
+  options.seed = study.distro.seed ^ 0x9e3779b97f4a7c15ULL;
+  options.retain_samples = 300;
+  PopconOptions profiled = options;
+  profiled.profile_count = 4;
+  profiled.profile_boost = 3.0;
+
+  runtime::Executor pool(4);
+  runtime::Executor* const executors[] = {nullptr, &pool};
+  const std::pair<PopconOptions, uint64_t> cases[] = {
+      {options, 0xdb85640f68a11d2au},
+      {profiled, 0x8f658ebc87d3eed1u},
+  };
+  for (const auto& [popcon, want] : cases) {
+    for (runtime::Executor* executor : executors) {
+      auto survey =
+          PopconSimulator::Run(repo.value(), marginals, popcon, executor);
+      ASSERT_TRUE(survey.ok()) << survey.status().ToString();
+      uint64_t digest = cache::HashU64(survey.value().total_reporting,
+                                       cache::kFnvOffsetBasis);
+      for (uint64_t count : survey.value().install_counts) {
+        digest = cache::HashU64(count, digest);
+      }
+      for (const InstallationSet& sample : survey.value().samples) {
+        for (uint64_t word : sample.words()) {
+          digest = cache::HashU64(word, digest);
+        }
+      }
+      EXPECT_EQ(survey.value().install_counts.size(), repo.value().size());
+      EXPECT_EQ(survey.value().samples.size(), popcon.retain_samples);
+      EXPECT_EQ(digest, want)
+          << std::hex << digest << std::dec << ": " << popcon.profile_count
+          << " profiles, " << (executor == nullptr ? "inline" : "4 threads");
+    }
   }
 }
 
