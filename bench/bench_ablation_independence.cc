@@ -98,7 +98,6 @@ int main() {
   // popcon data cannot reveal this structure; this measures how wrong the
   // independence assumption could be if it exists.
   options.popcon_profile_count = 3;
-  options.popcon_profile_boost = 3.0;
   auto correlated = corpus::RunStudy(options);
   if (!correlated.ok()) {
     std::fprintf(stderr, "study failed\n");

@@ -57,23 +57,6 @@ FsyncPolicy FsyncPolicyFromEnv() {
 
 }  // namespace
 
-CacheStats CacheStats::operator-(const CacheStats& start) const {
-  CacheStats delta;
-  delta.hits = hits - start.hits;
-  delta.misses = misses - start.misses;
-  delta.inserts = inserts - start.inserts;
-  delta.bytes_read = bytes_read - start.bytes_read;
-  delta.bytes_written = bytes_written - start.bytes_written;
-  // Open-time and resident gauges are not windowed: report current values.
-  delta.entries_loaded = entries_loaded;
-  delta.corrupt_entries_dropped = corrupt_entries_dropped;
-  delta.entries = entries;
-  delta.truncated_tails = truncated_tails;
-  delta.open_failures = open_failures;
-  delta.quarantined_shards = quarantined_shards;
-  return delta;
-}
-
 Result<std::unique_ptr<FootprintCache>> FootprintCache::Open(
     const std::string& dir) {
   CacheOptions options;
@@ -84,11 +67,8 @@ Result<std::unique_ptr<FootprintCache>> FootprintCache::Open(
 
 Result<std::unique_ptr<FootprintCache>> FootprintCache::Open(
     const CacheOptions& options) {
-  std::unique_ptr<FootprintCache> cache(new FootprintCache());
-  cache->dir_ = options.dir;
-  cache->fsync_ = options.fsync;
   if (options.dir.empty()) {
-    return cache;
+    return InvalidArgumentError("cache dir must not be empty");
   }
   std::error_code ec;
   std::filesystem::create_directories(options.dir, ec);
@@ -96,6 +76,8 @@ Result<std::unique_ptr<FootprintCache>> FootprintCache::Open(
     return IoError("cannot create cache dir " + options.dir + ": " +
                    ec.message());
   }
+  std::unique_ptr<FootprintCache> cache(new FootprintCache());
+  cache->fsync_ = options.fsync;
   for (size_t i = 0; i < kShardCount; ++i) {
     const std::string path = ShardPath(options.dir, i);
     cache->LoadShard(i, path);
@@ -131,14 +113,11 @@ void FootprintCache::LoadShard(size_t index, const std::string& path) {
     Quarantine(index, shard, "cannot read log: " + read.status().ToString());
     return;
   }
-  std::vector<uint8_t> data = read.take();
+  const std::vector<uint8_t> data = read.take();
 
   size_t pos = 0;
-  size_t valid_end = 0;
-  bool corrupt_tail = false;
   while (data.size() - pos >= kHeaderSize) {
     if (ReadLeU32(&data[pos]) != kRecordMagic) {
-      corrupt_tail = true;
       break;
     }
     CacheKey key;
@@ -146,35 +125,29 @@ void FootprintCache::LoadShard(size_t index, const std::string& path) {
     key.fingerprint = ReadLeU64(&data[pos + 12]);
     const uint32_t len = ReadLeU32(&data[pos + 20]);
     if (data.size() - pos - kHeaderSize < len + kTrailerSize) {
-      corrupt_tail = true;  // truncated mid-record
-      break;
+      break;  // truncated mid-record
     }
     const uint8_t* payload = &data[pos + kHeaderSize];
     const uint64_t checksum = ReadLeU64(payload + len);
     if (HashBytes(std::span<const uint8_t>(payload, len)) != checksum) {
-      corrupt_tail = true;
       break;
     }
-    auto value = std::make_shared<std::vector<uint8_t>>(payload,
-                                                        payload + len);
-    if (shard.entries
-            .emplace(key,
-                     std::shared_ptr<const std::vector<uint8_t>>(value))
-            .second) {
-      ++entries_loaded_;
-      entries_.fetch_add(1, std::memory_order_relaxed);
-    }
+    shard.index.insert_or_assign(key, Extent{pos + kHeaderSize, len});
     pos += kHeaderSize + len + kTrailerSize;
-    valid_end = pos;
   }
-  shard.committed_bytes = valid_end;
-  if (pos != data.size() || corrupt_tail) {
+  // Keep the valid records, not the read buffer: its capacity grew in
+  // whole zero-filled chunks.
+  shard.records.assign(data.begin(), data.begin() + pos);
+  shard.committed_bytes = pos;
+  entries_loaded_ += shard.index.size();
+  entries_.fetch_add(shard.index.size(), std::memory_order_relaxed);
+  if (pos != data.size()) {
     ++corrupt_entries_dropped_;
     ++truncated_tails_;
     // Truncate back to the last whole record so future appends land on a
     // readable boundary.
     std::error_code ec;
-    std::filesystem::resize_file(path, valid_end, ec);
+    std::filesystem::resize_file(path, pos, ec);
     if (ec) {
       Quarantine(index, shard, "cannot truncate corrupt tail: " +
                                    ec.message());
@@ -191,42 +164,39 @@ void FootprintCache::Quarantine(size_t index, Shard& shard,
   shard.log.Close();
   quarantined_shards_.fetch_add(1, std::memory_order_relaxed);
   std::fprintf(stderr,
-               "lapis cache: shard %02zu quarantined, memory-only for this "
-               "run (%s)\n",
+               "lapis cache: shard %02zu quarantined, write-back off for "
+               "this run (%s)\n",
                index, reason.c_str());
 }
 
 FootprintCache::~FootprintCache() = default;
 
-std::shared_ptr<const std::vector<uint8_t>> FootprintCache::Lookup(
+std::optional<std::span<const uint8_t>> FootprintCache::Lookup(
     const CacheKey& key) {
-  Shard& shard = shards_[key.content % kShardCount];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
+  const Shard& shard = shards_[key.content % kShardCount];
+  auto it = shard.index.find(key);
+  if (it == shard.index.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    return std::nullopt;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  bytes_read_.fetch_add(it->second->size(), std::memory_order_relaxed);
-  return it->second;
+  bytes_read_.fetch_add(it->second.size, std::memory_order_relaxed);
+  return std::span<const uint8_t>(shard.records)
+      .subspan(it->second.offset, it->second.size);
 }
 
 void FootprintCache::Insert(const CacheKey& key,
                             std::span<const uint8_t> payload) {
-  Shard& shard = shards_[key.content % kShardCount];
-  size_t shard_index = static_cast<size_t>(key.content % kShardCount);
-  auto value = std::make_shared<std::vector<uint8_t>>(payload.begin(),
-                                                      payload.end());
+  const size_t shard_index = static_cast<size_t>(key.content % kShardCount);
+  Shard& shard = shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [it, fresh] = shard.entries.emplace(
-      key, std::shared_ptr<const std::vector<uint8_t>>(std::move(value)));
-  if (!fresh) {
-    return;  // already resident; identical payload by construction
+  if (!shard.appended.insert(key).second) {
+    return;  // this run appended it already; identical payload
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
-  entries_.fetch_add(1, std::memory_order_relaxed);
-  bytes_written_.fetch_add(payload.size(), std::memory_order_relaxed);
+  if (!shard.index.contains(key)) {
+    entries_.fetch_add(1, std::memory_order_relaxed);
+  }
   if (shard.quarantined || !shard.log.valid()) {
     return;
   }
@@ -247,6 +217,7 @@ void FootprintCache::Insert(const CacheKey& key,
   if (status.ok()) {
     // Record-level commit: only now is the append part of the durable log.
     shard.committed_bytes += record.size();
+    bytes_written_.fetch_add(payload.size(), std::memory_order_relaxed);
     return;
   }
   // Partial or failed append: roll the log back to the last committed

@@ -1,10 +1,18 @@
 // Persistent, content-addressed cache of per-binary analysis artifacts.
 //
 // The store maps CacheKey{content hash, config fingerprint} to an opaque
-// payload (analysis_codec.h). It is sharded 16 ways: each shard owns a
-// mutex, an in-memory index, and one append-only log file, so lookups and
-// write-backs from the thread pool's workers contend only when they hash
-// to the same shard.
+// payload (analysis_codec.h). It is sharded 16 ways by content hash, and
+// each shard is one append-only log file. The cache is its log: Open
+// reads each shard's valid records once and keeps exactly those bytes,
+// plus an index from key to its payload's span within them.
+//   - A lookup is a view of those bytes. It takes no lock, because the
+//     index is fixed once Open returns, and the view stays valid for the
+//     cache's lifetime.
+//   - Insert appends a record and keeps no copy, so a run's appends serve
+//     the next run, never the run that made them. A run appends each key
+//     at most once (a per-shard key set under the shard's mutex), and
+//     Open keeps a key's last record: a record that a run rejected and
+//     recomputed is replaced on the next Open.
 //
 // On-disk layout (per shard, `shard-NN.bin`):
 //   repeated records of
@@ -23,22 +31,20 @@
 //   - Record-level commit: each shard tracks committed_bytes, the byte
 //     offset of its last fully-written record. A failed or partial append
 //     first tries to ftruncate back to that boundary; whether or not the
-//     repair lands, the shard is quarantined — memory-only for the rest of
-//     the run — so a half-record is never followed by more appends. The
-//     next Open's tail validation cleans up anything repair couldn't.
-//   - A shard whose log cannot be opened or read degrades to memory-only
-//     with a counted warning (stats().open_failures / quarantined_shards),
-//     never a null-handle crash or a lost run.
+//     repair lands, the shard is quarantined — its write-back is off for
+//     the rest of the run — so a half-record is never followed by more
+//     appends. The next Open's tail validation cleans up anything repair
+//     couldn't.
+//   - A shard whose log cannot be opened or read is quarantined with a
+//     counted warning (stats().open_failures / quarantined_shards), never
+//     a null-handle crash or a lost run; an unreadable log serves no hits.
 //   - Fsync policy: kNever (default) trusts the kernel page cache —
 //     crash-consistent thanks to tail validation, but the tail may be lost;
 //     kEachRecord fsyncs after every append (LAPIS_CACHE_FSYNC=record).
 //
-// Eviction: none. Entries are immutable (content-addressed) and a
-// methodology or schema change alters the fingerprint, so stale entries are
-// simply never hit again; reclaiming space is deleting the directory.
-//
-// With an empty directory string the cache is memory-only (same semantics,
-// process lifetime) — what the warm-run benchmarks use in-process.
+// Eviction: none. Entries are content-addressed and a methodology or
+// schema change alters the fingerprint, so stale entries are simply never
+// hit again; reclaiming space is deleting the directory.
 
 #ifndef LAPIS_SRC_CACHE_FOOTPRINT_CACHE_H_
 #define LAPIS_SRC_CACHE_FOOTPRINT_CACHE_H_
@@ -47,9 +53,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/cache/content_hash.h"
@@ -74,25 +82,25 @@ enum class FsyncPolicy : uint8_t {
 };
 
 struct CacheOptions {
-  std::string dir;  // empty = memory-only
+  std::string dir;  // where the shard logs live; must not be empty
   FsyncPolicy fsync = FsyncPolicy::kNever;
 };
 
-// Monotonic counters; Snapshot deltas give per-run windows.
+// Counters since Open. RunStudy opens a cache per run, so they are the
+// run's.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t inserts = 0;
+  uint64_t inserts = 0;        // keys handed to the log, each once
   uint64_t bytes_read = 0;     // payload bytes served from the cache
-  uint64_t bytes_written = 0;  // payload bytes appended (memory or disk)
-  uint64_t entries_loaded = 0;            // restored from disk at Open
+  uint64_t bytes_written = 0;  // payload bytes of committed appends
+  uint64_t entries_loaded = 0;            // distinct keys loaded at Open
   uint64_t corrupt_entries_dropped = 0;   // malformed tails at Open
-  uint64_t entries = 0;                   // resident entry count
+  uint64_t entries = 0;                   // distinct keys loaded or inserted
   uint64_t truncated_tails = 0;      // shard logs whose tail was cut at Open
   uint64_t open_failures = 0;        // shard logs that failed to open/read
-  uint64_t quarantined_shards = 0;   // shards degraded to memory-only
+  uint64_t quarantined_shards = 0;   // shards whose write-back is off
 
-  CacheStats operator-(const CacheStats& start) const;
   uint64_t Lookups() const { return hits + misses; }
   double HitRate() const {
     return Lookups() == 0 ? 0.0
@@ -103,11 +111,11 @@ struct CacheStats {
 
 class FootprintCache {
  public:
-  // Opens (creating if needed) a persistent store rooted at `dir`, or a
-  // memory-only store when `dir` is empty. Unreadable or corrupt shard
-  // files degrade that shard to memory-only (counted, warned), never an
-  // error; only an uncreatable directory fails. The fsync policy defaults
-  // from LAPIS_CACHE_FSYNC ("never" | "record").
+  // Opens (creating if needed) the store rooted at `dir`. An empty `dir`
+  // is INVALID_ARGUMENT and an uncreatable one an I/O error; an
+  // unreadable, unwritable or corrupt shard log is not an error, but is
+  // counted, warned about and quarantined. The fsync policy defaults from
+  // LAPIS_CACHE_FSYNC ("never" | "record").
   static Result<std::unique_ptr<FootprintCache>> Open(const std::string& dir);
   static Result<std::unique_ptr<FootprintCache>> Open(
       const CacheOptions& options);
@@ -116,20 +124,19 @@ class FootprintCache {
   FootprintCache(const FootprintCache&) = delete;
   FootprintCache& operator=(const FootprintCache&) = delete;
 
-  // Returns the payload for `key`, or nullptr (counted as hit/miss).
-  // The payload is immutable and shared; safe to hold across inserts.
-  std::shared_ptr<const std::vector<uint8_t>> Lookup(const CacheKey& key);
+  // The payload Open loaded for `key`, or nullopt (counted as hit/miss).
+  // Lock-free; the view stays valid for the cache's lifetime. Inserts of
+  // this instance are never returned.
+  std::optional<std::span<const uint8_t>> Lookup(const CacheKey& key);
 
-  // Stores `payload` under `key` and appends it to the shard log. A key
-  // that is already resident is left untouched (first write wins; entries
-  // are content-addressed so any racer wrote identical bytes). Append
-  // failures quarantine the shard (memory-only) after attempting to roll
-  // the log back to its last committed record.
+  // Appends `payload` under `key` to the shard log, unless this instance
+  // already appended `key` (entries are content-addressed, so any racer
+  // wrote identical bytes). Keeps no copy. An append failure quarantines
+  // the shard after attempting to roll the log back to its last committed
+  // record.
   void Insert(const CacheKey& key, std::span<const uint8_t> payload);
 
   CacheStats stats() const;
-  const std::string& dir() const { return dir_; }
-  bool persistent() const { return !dir_.empty(); }
 
   static constexpr size_t kShardCount = 16;
 
@@ -142,12 +149,20 @@ class FootprintCache {
     }
   };
 
+  // Where a key's payload sits in its shard's `records`.
+  struct Extent {
+    size_t offset = 0;
+    uint32_t size = 0;
+  };
+
   struct Shard {
+    // Fixed once Open returns, and read without the mutex.
+    std::vector<uint8_t> records;  // the log's valid records, as Open read
+    std::unordered_map<CacheKey, Extent, KeyHash> index;  // last record wins
+    // Write-back, under `mutex`.
     std::mutex mutex;
-    std::unordered_map<CacheKey, std::shared_ptr<const std::vector<uint8_t>>,
-                       KeyHash>
-        entries;
-    io::File log;                  // append handle; invalid when memory-only
+    std::unordered_set<CacheKey, KeyHash> appended;  // keys this run appended
+    io::File log;                  // append handle; invalid when quarantined
     uint64_t committed_bytes = 0;  // offset of the last whole record on disk
     bool quarantined = false;      // write-back disabled for this run
   };
@@ -155,7 +170,6 @@ class FootprintCache {
   void LoadShard(size_t index, const std::string& path);
   void Quarantine(size_t index, Shard& shard, const std::string& reason);
 
-  std::string dir_;
   FsyncPolicy fsync_ = FsyncPolicy::kNever;
   Shard shards_[kShardCount];
   std::atomic<uint64_t> hits_{0};

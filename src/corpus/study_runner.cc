@@ -60,7 +60,7 @@ Status AnalyzeInto(const std::vector<uint8_t>& bytes,
   if (ctx) {
     key = {cache::HashBytes(bytes), ctx.analysis_fp};
     auto payload = ctx.cache->Lookup(key);
-    if (payload != nullptr) {
+    if (payload.has_value()) {
       ByteReader reader(*payload);
       auto decoded = AnalysisCodec::Decode(reader);
       if (decoded.ok()) {
@@ -190,21 +190,16 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   runtime::Executor* executor = &pool;
 
   // ---- Incremental cache (optional) ----
-  std::unique_ptr<FootprintCache> owned_cache;
-  FootprintCache* cache_ptr = options.cache;
-  if (cache_ptr == nullptr && !options.cache_dir.empty()) {
-    LAPIS_ASSIGN_OR_RETURN(owned_cache,
-                           FootprintCache::Open(options.cache_dir));
-    cache_ptr = owned_cache.get();
+  std::unique_ptr<FootprintCache> cache;
+  if (!options.cache_dir.empty()) {
+    LAPIS_ASSIGN_OR_RETURN(cache, FootprintCache::Open(options.cache_dir));
   }
   CacheContext ctx;
-  ctx.cache = cache_ptr;
+  ctx.cache = cache.get();
   if (ctx) {
     ctx.analysis_fp = cache::ConfigFingerprint(options.analyzer,
                                                cache::EntryKind::kAnalysis);
   }
-  const cache::CacheStats cache_start =
-      ctx ? ctx.cache->stats() : cache::CacheStats{};
 
   StudyResult result;
   result.jobs_used = executor->thread_count();
@@ -449,7 +444,6 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     popcon.report_rate = options.distro.popcon_report_rate;
     popcon.retain_samples = options.popcon_retain_samples;
     popcon.profile_count = options.popcon_profile_count;
-    popcon.profile_boost = options.popcon_profile_boost;
     popcon.seed = options.distro.seed ^ 0x9e3779b97f4a7c15ULL;
     // The survey is a pure function of (repository, marginals, options):
     // cacheable by input hash. Its fingerprint deliberately excludes the
@@ -462,7 +456,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
       survey_key.fingerprint =
           cache::BaseFingerprint(cache::EntryKind::kSurvey);
       auto payload = ctx.cache->Lookup(survey_key);
-      if (payload != nullptr) {
+      if (payload.has_value()) {
         ByteReader reader(*payload);
         auto decoded =
             cache::SurveyCodec::Decode(reader, result.repository.size());
@@ -548,7 +542,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
 
   result.executor_stats = executor->stats();
   if (ctx) {
-    result.cache_stats = ctx.cache->stats() - cache_start;
+    result.cache_stats = ctx.cache->stats();
   }
   return result;
 }

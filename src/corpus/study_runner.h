@@ -51,21 +51,19 @@ struct StudyOptions {
   uint64_t popcon_retain_samples = 0;
   // Install-profile correlation (see package::PopconOptions); 0 = off.
   uint32_t popcon_profile_count = 0;
-  double popcon_profile_boost = 3.0;
   // Worker threads for the pipeline: 0 = runtime::DefaultJobs(),
   // 1 = fully sequential (no threads spawned). Dataset exports are
   // byte-identical at every jobs value.
   size_t jobs = 0;
   // Content-addressed incremental cache (src/cache). Non-empty `cache_dir`
-  // opens (creating if needed) a persistent store there; on a hit the whole
-  // per-binary analysis chain (ELF parse, linear sweep, CFG, dataflow, IPA)
-  // or the popcon survey is skipped. Library reach and executable
-  // resolution always run, on the restored analyses: rebuilding them costs
-  // less than decoding them would. Exports are byte-identical cold vs. warm.
+  // opens (creating if needed) the store there for this run; on a hit the
+  // whole per-binary analysis chain (ELF parse, linear sweep, CFG,
+  // dataflow, IPA) or the popcon survey is skipped. Library reach and
+  // executable resolution always run, on the restored analyses: rebuilding
+  // them costs less than decoding them would. What a run computes serves
+  // the next run on the same directory. Exports are byte-identical cold
+  // vs. warm.
   std::string cache_dir;
-  // Run against an existing cache instance instead (overrides `cache_dir`;
-  // not owned). In-process warm-run benches use this.
-  cache::FootprintCache* cache = nullptr;
 };
 
 struct BinaryStats {
@@ -130,8 +128,7 @@ struct StudyResult {
   size_t jobs_used = 1;
 
   // Incremental-cache accounting for this run (all-zero when no cache was
-  // configured). `cache_stats` is windowed to this run even on a shared
-  // cache instance.
+  // configured).
   bool cache_enabled = false;
   cache::CacheStats cache_stats;
   size_t analyses_from_cache = 0;  // binaries restored via kAnalysis hits

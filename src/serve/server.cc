@@ -13,6 +13,7 @@ namespace lapis::serve {
 
 namespace {
 constexpr int kAcceptPollMillis = 100;
+constexpr int kListenBacklog = 64;
 }  // namespace
 
 Result<std::unique_ptr<Server>> Server::Start(const ServerOptions& options,
@@ -32,11 +33,11 @@ Result<std::unique_ptr<Server>> Server::Start(const ServerOptions& options,
   if (!options.unix_socket_path.empty()) {
     LAPIS_ASSIGN_OR_RETURN(
         server->listen_fd_,
-        ListenUnixSocket(options.unix_socket_path, options.backlog));
+        ListenUnixSocket(options.unix_socket_path, kListenBacklog));
   } else {
     LAPIS_ASSIGN_OR_RETURN(
         server->listen_fd_,
-        ListenTcpSocket(options.tcp_host, options.tcp_port, options.backlog,
+        ListenTcpSocket(options.tcp_host, options.tcp_port, kListenBacklog,
                         &server->bound_port_));
   }
 

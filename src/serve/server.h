@@ -47,7 +47,6 @@ struct ServerOptions {
   uint16_t tcp_port = 0;
   // Connection worker threads; 0 = runtime::DefaultJobs().
   size_t workers = 0;
-  int backlog = 64;
   // Overload shedding (0 = uncapped). A connection accepted past
   // max_connections gets one kBusy frame and is closed; a frame arriving
   // while max_inflight_frames are already executing gets a kBusy response

@@ -5,14 +5,17 @@
 // byte-identical exports).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/binary_analyzer.h"
@@ -483,32 +486,96 @@ std::vector<uint8_t> Payload(uint8_t fill, size_t n = 64) {
   return std::vector<uint8_t>(n, fill);
 }
 
-TEST(FootprintCacheTest, MemoryOnlyHitMissAndFirstWriteWins) {
-  auto cache = FootprintCache::Open("");
-  ASSERT_TRUE(cache.ok());
-  FootprintCache& store = *cache.value();
-  EXPECT_FALSE(store.persistent());
+std::vector<uint8_t> Bytes(std::span<const uint8_t> view) {
+  return std::vector<uint8_t>(view.begin(), view.end());
+}
 
-  CacheKey key{0x1234, 0x5678};
-  EXPECT_EQ(store.Lookup(key), nullptr);
-  store.Insert(key, Payload(0xab));
-  auto hit = store.Lookup(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, Payload(0xab));
+// An empty path for one test's cache directory, unique to this process.
+std::filesystem::path FreshCacheDir(const std::string& name) {
+  auto dir = std::filesystem::temp_directory_path() /
+             (name + "-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  return dir;
+}
 
-  // Content-addressed: a second insert under the same key is a no-op.
-  store.Insert(key, Payload(0xcd));
-  EXPECT_EQ(*store.Lookup(key), Payload(0xab));
+// One record of a shard log: magic, content, fingerprint, payload length,
+// payload, and the payload's FNV-1a.
+struct LogRecord {
+  CacheKey key;
+  std::vector<uint8_t> payload;
+};
 
-  auto stats = store.stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.inserts, 1u);
+// Every record of every shard log under `dir`.
+std::vector<LogRecord> ReadLogs(const std::filesystem::path& dir) {
+  std::vector<LogRecord> records;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::vector<uint8_t> log((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+    ByteReader reader(log);
+    while (!reader.AtEnd()) {
+      reader.ReadU32().take();  // magic
+      LogRecord record;
+      record.key.content = reader.ReadU64().take();
+      record.key.fingerprint = reader.ReadU64().take();
+      const uint32_t length = reader.ReadU32().take();
+      record.payload = reader.ReadBytes(length).take();
+      EXPECT_EQ(reader.ReadU64().take(), cache::HashBytes(record.payload));
+      records.push_back(std::move(record));
+    }
+  }
+  return records;
+}
 
-  // Fingerprint half must discriminate as strongly as the content half.
-  EXPECT_EQ(store.Lookup(CacheKey{0x1234, 0x9999}), nullptr);
-  EXPECT_EQ(store.Lookup(CacheKey{0x9999, 0x5678}), nullptr);
+TEST(FootprintCacheTest, LookupsServeOnlyWhatOpenLoaded) {
+  EXPECT_EQ(FootprintCache::Open("").status().code(),
+            StatusCode::kInvalidArgument);
+
+  const auto dir = FreshCacheDir("lapis-cache-test-open-loaded");
+  const CacheKey key{0x1234, 0x5678};
+  {
+    auto cache = FootprintCache::Open(dir.string());
+    ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+    FootprintCache& store = *cache.value();
+    EXPECT_FALSE(store.Lookup(key).has_value());
+    store.Insert(key, Payload(0xab));
+    // The run's own append is for the next run, not this one.
+    EXPECT_FALSE(store.Lookup(key).has_value());
+    // A run appends each key once.
+    store.Insert(key, Payload(0xcd));
+    auto stats = store.stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.inserts, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.bytes_written, Payload(0xab).size());
+  }
+  {
+    auto cache = FootprintCache::Open(dir.string());
+    ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+    FootprintCache& store = *cache.value();
+    EXPECT_EQ(store.stats().entries_loaded, 1u);
+    auto hit = store.Lookup(key);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(Bytes(*hit), Payload(0xab));
+    // Fingerprint half must discriminate as strongly as the content half.
+    EXPECT_FALSE(store.Lookup(CacheKey{0x1234, 0x9999}).has_value());
+    EXPECT_FALSE(store.Lookup(CacheKey{0x9999, 0x5678}).has_value());
+    // A run that rejects a loaded payload appends its replacement; the
+    // view of the loaded bytes stays valid.
+    store.Insert(key, Payload(0xcd));
+    EXPECT_EQ(Bytes(*hit), Payload(0xab));
+    EXPECT_EQ(store.stats().entries, 1u);
+  }
+  // The next Open keeps the key's last record.
+  auto cache = FootprintCache::Open(dir.string());
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  EXPECT_EQ(cache.value()->stats().entries_loaded, 1u);
+  auto hit = cache.value()->Lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(Bytes(*hit), Payload(0xcd));
+  EXPECT_EQ(ReadLogs(dir).size(), 2u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FootprintCacheTest, PersistentStoreSurvivesReopen) {
@@ -520,7 +587,6 @@ TEST(FootprintCacheTest, PersistentStoreSurvivesReopen) {
   {
     auto cache = FootprintCache::Open(dir.string());
     ASSERT_TRUE(cache.ok()) << cache.status().ToString();
-    EXPECT_TRUE(cache.value()->persistent());
     for (size_t i = 0; i < kEntries; ++i) {
       cache.value()->Insert(CacheKey{i, ~i},
                             Payload(static_cast<uint8_t>(i), 32 + i));
@@ -532,8 +598,8 @@ TEST(FootprintCacheTest, PersistentStoreSurvivesReopen) {
   EXPECT_EQ(reopened.value()->stats().corrupt_entries_dropped, 0u);
   for (size_t i = 0; i < kEntries; ++i) {
     auto hit = reopened.value()->Lookup(CacheKey{i, ~i});
-    ASSERT_NE(hit, nullptr) << "entry " << i << " lost across reopen";
-    EXPECT_EQ(*hit, Payload(static_cast<uint8_t>(i), 32 + i));
+    ASSERT_TRUE(hit.has_value()) << "entry " << i << " lost across reopen";
+    EXPECT_EQ(Bytes(*hit), Payload(static_cast<uint8_t>(i), 32 + i));
   }
   std::filesystem::remove_all(dir);
 }
@@ -566,7 +632,7 @@ TEST(FootprintCacheTest, CorruptTailsAreDroppedAndTruncated) {
     EXPECT_EQ(cache.value()->stats().entries_loaded, kEntries);
     EXPECT_EQ(cache.value()->stats().corrupt_entries_dropped, garbaged);
     for (size_t i = 0; i < kEntries; ++i) {
-      ASSERT_NE(cache.value()->Lookup(CacheKey{i, i * 31}), nullptr);
+      ASSERT_TRUE(cache.value()->Lookup(CacheKey{i, i * 31}).has_value());
     }
     // Appending after recovery must produce a readable log again...
     cache.value()->Insert(CacheKey{999, 999}, Payload(0x77));
@@ -576,7 +642,7 @@ TEST(FootprintCacheTest, CorruptTailsAreDroppedAndTruncated) {
   ASSERT_TRUE(cache.ok());
   EXPECT_EQ(cache.value()->stats().corrupt_entries_dropped, 0u);
   EXPECT_EQ(cache.value()->stats().entries_loaded, kEntries + 1);
-  ASSERT_NE(cache.value()->Lookup(CacheKey{999, 999}), nullptr);
+  ASSERT_TRUE(cache.value()->Lookup(CacheKey{999, 999}).has_value());
   std::filesystem::remove_all(dir);
 }
 
@@ -605,39 +671,65 @@ TEST(FootprintCacheTest, TruncatedRecordDegradesToRecompute) {
   ASSERT_TRUE(cache.ok()) << cache.status().ToString();
   EXPECT_EQ(cache.value()->stats().entries_loaded, 0u);
   EXPECT_EQ(cache.value()->stats().corrupt_entries_dropped, 1u);
-  EXPECT_EQ(cache.value()->Lookup(CacheKey{1, 2}), nullptr);  // recompute
+  EXPECT_FALSE(cache.value()->Lookup(CacheKey{1, 2}).has_value());  // recompute
   std::filesystem::remove_all(dir);
 }
 
 TEST(FootprintCacheTest, ConcurrentInsertLookupHammer) {
-  auto cache = FootprintCache::Open("");
-  ASSERT_TRUE(cache.ok());
-  FootprintCache& store = *cache.value();
+  const auto dir = FreshCacheDir("lapis-cache-test-hammer");
   constexpr size_t kThreads = 8;
   constexpr size_t kKeys = 256;  // shared across threads: every shard races
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store] {
-      for (size_t i = 0; i < kKeys; ++i) {
-        CacheKey key{i, i ^ 0xdead};
-        auto hit = store.Lookup(key);
-        if (hit == nullptr) {
-          store.Insert(key, Payload(static_cast<uint8_t>(i)));
-        } else {
-          ASSERT_EQ(*hit, Payload(static_cast<uint8_t>(i)));
+  auto run_threads = [](FootprintCache& store, bool warm) {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&store, warm] {
+        for (size_t i = 0; i < kKeys; ++i) {
+          CacheKey key{i, i ^ 0xdead};
+          auto hit = store.Lookup(key);
+          ASSERT_EQ(hit.has_value(), warm);
+          if (hit.has_value()) {
+            ASSERT_EQ(Bytes(*hit), Payload(static_cast<uint8_t>(i)));
+          } else {
+            store.Insert(key, Payload(static_cast<uint8_t>(i)));
+          }
         }
-      }
-    });
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+  };
+  {
+    auto cache = FootprintCache::Open(dir.string());
+    ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+    run_threads(*cache.value(), /*warm=*/false);
+    EXPECT_EQ(cache.value()->stats().inserts, kKeys);
+    EXPECT_EQ(cache.value()->stats().entries, kKeys);
   }
-  for (auto& thread : threads) {
-    thread.join();
+  // However the threads raced, each key was appended exactly once.
+  const std::vector<LogRecord> records = ReadLogs(dir);
+  ASSERT_EQ(records.size(), kKeys);
+  std::set<uint64_t> contents;
+  for (const LogRecord& record : records) {
+    EXPECT_EQ(record.key.fingerprint, record.key.content ^ 0xdead);
+    EXPECT_EQ(record.payload,
+              Payload(static_cast<uint8_t>(record.key.content)));
+    contents.insert(record.key.content);
   }
-  EXPECT_EQ(store.stats().entries, kKeys);
-  for (size_t i = 0; i < kKeys; ++i) {
-    auto hit = store.Lookup(CacheKey{i, i ^ 0xdead});
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, Payload(static_cast<uint8_t>(i)));
+  EXPECT_EQ(contents.size(), kKeys);
+  uint64_t shard_bytes = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    shard_bytes += std::filesystem::file_size(entry.path());
   }
+  EXPECT_EQ(shard_bytes, kKeys * (24 + Payload(0).size() + 8));
+
+  auto reopened = FootprintCache::Open(dir.string());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->stats().entries_loaded, kKeys);
+  run_threads(*reopened.value(), /*warm=*/true);
+  EXPECT_EQ(reopened.value()->stats().hits, kThreads * kKeys);
+  EXPECT_EQ(reopened.value()->stats().inserts, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 // --- StringInterner: concurrent readers once writes stop -----------------
@@ -698,11 +790,9 @@ StudyExports ExportAll(const corpus::StudyResult& result) {
 }
 
 TEST(CacheStudyTest, WarmRunSkipsAnalysesWithByteIdenticalExports) {
-  auto cache = FootprintCache::Open("");
-  ASSERT_TRUE(cache.ok());
-
+  const auto dir = FreshCacheDir("lapis-cache-test-warm");
   corpus::StudyOptions options = corpus::SmallStudyOptions();
-  options.cache = cache.value().get();
+  options.cache_dir = dir.string();
 
   auto cold = corpus::RunStudy(options);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
@@ -724,7 +814,7 @@ TEST(CacheStudyTest, WarmRunSkipsAnalysesWithByteIdenticalExports) {
             warm.value().analyzed_binaries + 1);
   EXPECT_EQ(warm.value().cache_stats.misses, 0u);
   EXPECT_EQ(warm.value().cache_stats.HitRate(), 1.0);
-  // Per-run stats windows: the warm window must not re-count cold inserts.
+  // A fully warm run has nothing to append.
   EXPECT_EQ(warm.value().cache_stats.inserts, 0u);
 
   StudyExports cold_exports = ExportAll(cold.value());
@@ -734,40 +824,59 @@ TEST(CacheStudyTest, WarmRunSkipsAnalysesWithByteIdenticalExports) {
   EXPECT_EQ(warm_exports.footprints, cold_exports.footprints);
   EXPECT_EQ(warm.value().ground_truth_mismatches,
             cold.value().ground_truth_mismatches);
+  std::filesystem::remove_all(dir);
+}
+
+// A run serves only what earlier runs appended, so a cold run hits nothing
+// at any worker count, even where one binary occurs twice in the corpus,
+// and appends each key exactly once.
+TEST(CacheStudyTest, ColdRunNeverHitsItsOwnAppends) {
+  for (size_t jobs : {1, 2, 4, 8}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const auto dir = FreshCacheDir("lapis-cache-test-cold-jobs");
+    corpus::StudyOptions options = corpus::SmallStudyOptions();
+    options.jobs = jobs;
+    options.cache_dir = dir.string();
+    auto cold = corpus::RunStudy(options);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    const cache::CacheStats& stats = cold.value().cache_stats;
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(cold.value().analyses_from_cache, 0u);
+    EXPECT_EQ(stats.Lookups(), cold.value().analyzed_binaries + 1);
+
+    auto reopened = FootprintCache::Open(dir.string());
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened.value()->stats().entries_loaded, stats.inserts);
+    const std::vector<LogRecord> records = ReadLogs(dir);
+    EXPECT_EQ(records.size(), stats.inserts);
+    std::set<std::pair<uint64_t, uint64_t>> keys;
+    for (const LogRecord& record : records) {
+      keys.emplace(record.key.content, record.key.fingerprint);
+    }
+    EXPECT_EQ(keys.size(), records.size());
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(CacheStudyTest, MethodologyFlipForcesRecompute) {
-  // Baseline: a cold linear run on its own cache. Identical binaries inside
-  // one run hit each other's fresh entries (content-level dedup), so the
-  // from-cache counters are not zero even cold; what the flip must NOT add
-  // is a single hit against the other methodology's entries.
+  // Warm a cache with the dataflow methodology and rerun linear on it.
+  const auto dir = FreshCacheDir("lapis-cache-test-methodology");
   corpus::StudyOptions options = corpus::SmallStudyOptions();
-  auto baseline_cache = FootprintCache::Open("");
-  ASSERT_TRUE(baseline_cache.ok());
-  options.cache = baseline_cache.value().get();
-  options.analyzer.use_dataflow = false;
-  auto baseline = corpus::RunStudy(options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  // Now warm a cache with the dataflow methodology and rerun linear on it.
-  auto cache = FootprintCache::Open("");
-  ASSERT_TRUE(cache.ok());
-  options.cache = cache.value().get();
+  options.cache_dir = dir.string();
   options.analyzer.use_dataflow = true;
   auto dataflow = corpus::RunStudy(options);
   ASSERT_TRUE(dataflow.ok()) << dataflow.status().ToString();
 
   // A stale dataflow payload served to the linear ablation would silently
-  // corrupt the ablation study: the linear run must behave exactly as on
-  // its own empty cache, except for the analyzer-independent survey entry,
-  // which is deliberately shared across methodologies.
+  // corrupt the ablation study: the linear run must restore no analysis.
+  // Its one hit is the analyzer-independent survey entry, which is
+  // deliberately shared across methodologies.
   options.analyzer.use_dataflow = false;
   auto linear = corpus::RunStudy(options);
   ASSERT_TRUE(linear.ok()) << linear.status().ToString();
-  EXPECT_EQ(linear.value().analyses_from_cache,
-            baseline.value().analyses_from_cache);
-  EXPECT_EQ(linear.value().cache_stats.hits,
-            baseline.value().cache_stats.hits + 1);
+  EXPECT_EQ(linear.value().analyses_from_cache, 0u);
+  EXPECT_EQ(linear.value().cache_stats.hits, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CacheStudyTest, IpaTierFlipMissesButNeverCorrupts) {
@@ -780,18 +889,9 @@ TEST(CacheStudyTest, IpaTierFlipMissesButNeverCorrupts) {
   auto ipa_reference = corpus::RunStudy(options);
   ASSERT_TRUE(ipa_reference.ok()) << ipa_reference.status().ToString();
 
-  // Cold ipa baseline on its own cache: within-run content-level dedup
-  // makes the from-cache counters nonzero even cold.
-  auto ipa_cache = FootprintCache::Open("");
-  ASSERT_TRUE(ipa_cache.ok());
-  options.cache = ipa_cache.value().get();
-  auto ipa_baseline = corpus::RunStudy(options);
-  ASSERT_TRUE(ipa_baseline.ok()) << ipa_baseline.status().ToString();
-
   // Warm a cache with the dataflow tier, then flip to ipa on top of it.
-  auto cache = FootprintCache::Open("");
-  ASSERT_TRUE(cache.ok());
-  options.cache = cache.value().get();
+  const auto dir = FreshCacheDir("lapis-cache-test-ipa-flip");
+  options.cache_dir = dir.string();
   options.analyzer.use_ipa = false;
   auto dataflow = corpus::RunStudy(options);
   ASSERT_TRUE(dataflow.ok()) << dataflow.status().ToString();
@@ -799,12 +899,10 @@ TEST(CacheStudyTest, IpaTierFlipMissesButNeverCorrupts) {
   options.analyzer.use_ipa = true;
   auto ipa_on_warm = corpus::RunStudy(options);
   ASSERT_TRUE(ipa_on_warm.ok()) << ipa_on_warm.status().ToString();
-  // Exactly as many hits as on an empty cache, plus the tier-independent
-  // survey entry — no dataflow analysis was reused.
-  EXPECT_EQ(ipa_on_warm.value().analyses_from_cache,
-            ipa_baseline.value().analyses_from_cache);
-  EXPECT_EQ(ipa_on_warm.value().cache_stats.hits,
-            ipa_baseline.value().cache_stats.hits + 1);
+  // No dataflow analysis was reused; the one hit is the tier-independent
+  // survey entry.
+  EXPECT_EQ(ipa_on_warm.value().analyses_from_cache, 0u);
+  EXPECT_EQ(ipa_on_warm.value().cache_stats.hits, 1u);
   // And the recovered precision is the no-cache ipa result, not dataflow's.
   EXPECT_EQ(ipa_on_warm.value().unknown_syscall_sites,
             ipa_reference.value().unknown_syscall_sites);
@@ -820,6 +918,7 @@ TEST(CacheStudyTest, IpaTierFlipMissesButNeverCorrupts) {
             dataflow_warm.value().analyzed_binaries);
   EXPECT_EQ(dataflow_warm.value().unknown_syscall_sites,
             dataflow.value().unknown_syscall_sites);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CacheStudyTest, PersistentCacheDirSurvivesAcrossRuns) {
@@ -902,19 +1001,19 @@ TEST(CacheStudyTest, RetiredKindRecordsLoadButAreNeverLookedUp) {
 // unchanged analyses and recomputes the rest; resolution over the mix
 // must give exactly what a run without a cache gives.
 TEST(CacheStudyTest, ChangedBinariesOnWarmCacheResolveAsUncached) {
-  auto cache = FootprintCache::Open("");
-  ASSERT_TRUE(cache.ok());
+  const auto dir = FreshCacheDir("lapis-cache-test-changed");
   corpus::StudyOptions options = corpus::SmallStudyOptions();
-  options.cache = cache.value().get();
+  options.cache_dir = dir.string();
   auto before = corpus::RunStudy(options);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
 
   options.distro.modern_variant_adoption = 2.0;
   auto warm = corpus::RunStudy(options);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  options.cache = nullptr;
+  options.cache_dir.clear();
   auto uncached = corpus::RunStudy(options);
   ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  std::filesystem::remove_all(dir);
 
   EXPECT_GT(warm.value().analyses_from_cache, 0u);
   EXPECT_LT(warm.value().analyses_from_cache,
@@ -978,13 +1077,13 @@ void RewriteSurveyRecord(const std::filesystem::path& dir,
 }
 
 // A checksummed survey record that does not fit the study is a miss, as an
-// undecodable analysis is: the warm run recomputes the survey and exports
-// what a run without a cache exports. Each mutant keeps the record's key
-// and checksum.
+// undecodable analysis is: the warm run recomputes the survey, exports
+// what a run without a cache exports, and appends the survey again, which
+// the next Open serves in place of the misfit. Each mutant keeps the
+// record's key and checksum.
 TEST(CacheStudyTest, MisfitSurveyRecordIsRecomputed) {
-  auto dir = std::filesystem::temp_directory_path() /
-             "lapis-cache-test-misfit-survey";
-  std::filesystem::remove_all(dir);
+  const auto cold_dir = FreshCacheDir("lapis-cache-test-misfit-cold");
+  const auto dir = FreshCacheDir("lapis-cache-test-misfit-survey");
   corpus::StudyOptions options = corpus::SmallStudyOptions();
   options.popcon_retain_samples = 64;
   auto uncached = corpus::RunStudy(options);
@@ -992,9 +1091,10 @@ TEST(CacheStudyTest, MisfitSurveyRecordIsRecomputed) {
   const package::PopconSurvey& want = uncached.value().survey;
   ASSERT_FALSE(want.samples.empty());
 
-  options.cache_dir = dir.string();
+  options.cache_dir = cold_dir.string();
   auto cold = corpus::RunStudy(options);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  options.cache_dir = dir.string();
 
   package::PopconSurvey overcounted = want;
   overcounted.install_counts[0] = want.total_reporting + 1;
@@ -1009,9 +1109,15 @@ TEST(CacheStudyTest, MisfitSurveyRecordIsRecomputed) {
       {"10 counts", &short_counts},
       {"a sample one word short", &short_sample},
   };
+  const uint64_t survey_fingerprint =
+      cache::BaseFingerprint(EntryKind::kSurvey);
   const StudyExports uncached_exports = ExportAll(uncached.value());
   for (const auto& [name, mutant] : mutants) {
     SCOPED_TRACE(name);
+    // Each mutant starts from the cold cache: a healed log holds a second
+    // survey record.
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(cold_dir, dir);
     RewriteSurveyRecord(dir, *mutant);
     auto warm = corpus::RunStudy(options);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
@@ -1028,8 +1134,27 @@ TEST(CacheStudyTest, MisfitSurveyRecordIsRecomputed) {
     EXPECT_EQ(warm_exports.importance, uncached_exports.importance);
     EXPECT_EQ(warm_exports.packages, uncached_exports.packages);
     EXPECT_EQ(warm_exports.footprints, uncached_exports.footprints);
+
+    // The recomputed survey was written back, and heals the store.
+    EXPECT_GT(warm.value().cache_stats.bytes_written, 0u);
+    CacheKey survey_key;
+    for (const LogRecord& record : ReadLogs(dir)) {
+      if (record.key.fingerprint == survey_fingerprint) {
+        survey_key = record.key;
+      }
+    }
+    ASSERT_EQ(survey_key.fingerprint, survey_fingerprint);
+    auto reopened = FootprintCache::Open(dir.string());
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    auto payload = reopened.value()->Lookup(survey_key);
+    ASSERT_TRUE(payload.has_value());
+    ByteReader reader(*payload);
+    EXPECT_TRUE(cache::SurveyCodec::Decode(
+                    reader, uncached.value().repository.size())
+                    .ok());
   }
   std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(cold_dir);
 }
 
 }  // namespace

@@ -3,12 +3,13 @@
 // the ParallelMap + FoldInOrder reduction layer must not.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/cache/footprint_cache.h"
 #include "src/core/report.h"
 #include "src/corpus/dataset_io.h"
 #include "src/corpus/study_runner.h"
@@ -27,15 +28,23 @@ struct Exports {
   size_t analyses_from_cache = 0;
 };
 
+// An empty path for one test's cache directory, unique to this process.
+std::filesystem::path FreshCacheDir(const std::string& name) {
+  auto dir = std::filesystem::temp_directory_path() /
+             (name + "-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
 Exports RunAndExport(uint64_t seed, size_t jobs, bool use_dataflow = true,
-                     cache::FootprintCache* cache = nullptr,
+                     const std::string& cache_dir = "",
                      bool use_ipa = false) {
   corpus::StudyOptions options = corpus::SmallStudyOptions();
   options.distro.seed = seed;
   options.jobs = jobs;
   options.analyzer.use_dataflow = use_dataflow;
   options.analyzer.use_ipa = use_ipa;
-  options.cache = cache;
+  options.cache_dir = cache_dir;
   auto study = corpus::RunStudy(options);
   EXPECT_TRUE(study.ok()) << study.status().ToString();
   Exports out;
@@ -121,11 +130,11 @@ TEST(RuntimeDeterminism, LinearModeExportsAreByteIdenticalAcrossJobCounts) {
 TEST(RuntimeDeterminism, IpaModeExportsAreByteIdenticalAcrossJobCounts) {
   const uint64_t seed = 20160418;
   Exports sequential = RunAndExport(seed, 1, /*use_dataflow=*/true,
-                                    /*cache=*/nullptr, /*use_ipa=*/true);
+                                    /*cache_dir=*/"", /*use_ipa=*/true);
   ASSERT_FALSE(sequential.footprints.empty());
   EXPECT_EQ(sequential.ground_truth_mismatches, 0u);
   Exports parallel = RunAndExport(seed, 8, /*use_dataflow=*/true,
-                                  /*cache=*/nullptr, /*use_ipa=*/true);
+                                  /*cache_dir=*/"", /*use_ipa=*/true);
   EXPECT_EQ(parallel.analyzed_binaries, sequential.analyzed_binaries);
   EXPECT_EQ(parallel.importance, sequential.importance);
   EXPECT_EQ(parallel.packages, sequential.packages);
@@ -142,18 +151,19 @@ TEST_P(CacheDeterminismTest, ColdAndWarmExportsAreByteIdentical) {
   const uint64_t seed = GetParam();
   Exports reference = RunAndExport(seed, 1);  // no cache at all
 
-  auto cache = cache::FootprintCache::Open("");
-  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  const auto dir = FreshCacheDir("lapis-determinism-cache-" +
+                                 std::to_string(seed));
   struct Config {
     const char* label;
     size_t jobs;
   };
-  // First iteration populates the cache (cold); later ones run warm.
+  // First iteration populates the cache (cold); later ones run warm, each
+  // reopening the directory.
   for (const Config& config : {Config{"cold jobs=1", 1},
                                Config{"warm jobs=1", 1},
                                Config{"warm jobs=8", 8}}) {
     Exports run = RunAndExport(seed, config.jobs, /*use_dataflow=*/true,
-                               cache.value().get());
+                               dir.string());
     EXPECT_EQ(run.jobs_used, config.jobs) << config.label;
     EXPECT_EQ(run.analyzed_binaries, reference.analyzed_binaries)
         << config.label;
@@ -165,10 +175,10 @@ TEST_P(CacheDeterminismTest, ColdAndWarmExportsAreByteIdentical) {
         << "footprints.tsv differs: " << config.label;
   }
   // The last (warm, parallel) run must actually have exercised the cache.
-  Exports warm = RunAndExport(seed, 8, /*use_dataflow=*/true,
-                              cache.value().get());
+  Exports warm = RunAndExport(seed, 8, /*use_dataflow=*/true, dir.string());
   EXPECT_EQ(warm.analyses_from_cache, warm.analyzed_binaries);
   EXPECT_EQ(warm.footprints, reference.footprints);
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(TwoSeeds, CacheDeterminismTest,
@@ -180,26 +190,24 @@ INSTANTIATE_TEST_SUITE_P(TwoSeeds, CacheDeterminismTest,
 // A warm run audits the footprints it resolves from cache-restored analyses
 // (the footprints the study exports), and must agree with the cold runs.
 TEST(RuntimeDeterminism, AuditReportIsIdenticalAcrossJobCounts) {
-  auto cache = cache::FootprintCache::Open("");
-  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  const std::string dir = FreshCacheDir("lapis-determinism-audit").string();
   struct Run {
     const char* label;
     size_t jobs;
-    cache::FootprintCache* cache;
+    std::string cache_dir;
     bool warm;
   };
-  const Run reference_run{"uncached jobs=1", 1, nullptr, false};
-  const std::vector<Run> runs = {
-      {"uncached jobs=8", 8, nullptr, false},
-      {"cold jobs=1", 1, cache.value().get(), false},
-      {"warm jobs=8", 8, cache.value().get(), true},
-      {"warm jobs=1", 1, cache.value().get(), true}};
+  const Run reference_run{"uncached jobs=1", 1, "", false};
+  const std::vector<Run> runs = {{"uncached jobs=8", 8, "", false},
+                                 {"cold jobs=1", 1, dir, false},
+                                 {"warm jobs=8", 8, dir, true},
+                                 {"warm jobs=1", 1, dir, true}};
 
   auto run_audited = [](const Run& run) {
     corpus::StudyOptions options = corpus::SmallStudyOptions();
     options.audit = true;
     options.jobs = run.jobs;
-    options.cache = run.cache;
+    options.cache_dir = run.cache_dir;
     return corpus::RunStudy(options);
   };
   auto serialize = [](const corpus::StudyResult& study) {
@@ -243,6 +251,7 @@ TEST(RuntimeDeterminism, AuditReportIsIdenticalAcrossJobCounts) {
           << run.label;
     }
   }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

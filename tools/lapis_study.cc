@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
           cs.quarantined_shards > 0) {
         std::printf(
             "cache recovery: %llu truncated tails, %llu shard open "
-            "failures, %llu shards quarantined (memory-only)\n",
+            "failures, %llu shards quarantined (write-back off)\n",
             static_cast<unsigned long long>(cs.truncated_tails),
             static_cast<unsigned long long>(cs.open_failures),
             static_cast<unsigned long long>(cs.quarantined_shards));
