@@ -189,12 +189,18 @@ void FootprintCache::Insert(const CacheKey& key,
                             std::span<const uint8_t> payload) {
   const size_t shard_index = static_cast<size_t>(key.content % kShardCount);
   Shard& shard = shards_[shard_index];
+  // A loaded key is inserted only if its lookup's payload was rejected.
+  const bool loaded = shard.index.contains(key);
+  if (loaded) {
+    hits_.fetch_sub(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
+  }
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (!shard.appended.insert(key).second) {
     return;  // this run appended it already; identical payload
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
-  if (!shard.index.contains(key)) {
+  if (!loaded) {
     entries_.fetch_add(1, std::memory_order_relaxed);
   }
   if (shard.quarantined || !shard.log.valid()) {

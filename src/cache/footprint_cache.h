@@ -13,6 +13,9 @@
 //     at most once (a per-shard key set under the shard's mutex), and
 //     Open keeps a key's last record: a record that a run rejected and
 //     recomputed is replaced on the next Open.
+//   - A hit is a lookup whose payload the caller used. A caller inserts
+//     a key Open loaded only after rejecting its lookup's payload, so each
+//     such Insert call moves one lookup from hits to misses.
 //
 // On-disk layout (per shard, `shard-NN.bin`):
 //   repeated records of
@@ -131,9 +134,10 @@ class FootprintCache {
 
   // Appends `payload` under `key` to the shard log, unless this instance
   // already appended `key` (entries are content-addressed, so any racer
-  // wrote identical bytes). Keeps no copy. An append failure quarantines
-  // the shard after attempting to roll the log back to its last committed
-  // record.
+  // wrote identical bytes). Keeps no copy. Look `key` up first: if Open
+  // loaded it, this call recounts that lookup as a miss. An append failure
+  // quarantines the shard after attempting to roll the log back to its
+  // last committed record.
   void Insert(const CacheKey& key, std::span<const uint8_t> payload);
 
   CacheStats stats() const;

@@ -1,6 +1,7 @@
 #include "src/corpus/binary_synth.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 
@@ -99,6 +100,15 @@ ElfBuilder& ThreadBuilder(BinaryType type) {
   thread_local ElfBuilder builder(type);
   builder.Reset(type);
   return builder;
+}
+
+// A package's `lib`-th shared library: its soname and its one export.
+std::string LibrarySoname(const PackagePlan& plan, int lib) {
+  return "lib" + plan.name + std::to_string(lib) + ".so.1";
+}
+
+std::string LibraryExport(const PackagePlan& plan, int lib) {
+  return plan.name + "_api_" + std::to_string(lib);
 }
 
 uint64_t HashName(const std::string& name) {
@@ -233,6 +243,52 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::CoreLibraries()
 
 Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
     size_t package_index) const {
+  LAPIS_ASSIGN_OR_RETURN(auto out, PackageLibraries(package_index));
+  LAPIS_ASSIGN_OR_RETURN(auto executables, PackageExecutables(package_index));
+  std::move(executables.begin(), executables.end(), std::back_inserter(out));
+  return out;
+}
+
+Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageLibraries(
+    size_t package_index) const {
+  if (package_index >= spec_.packages.size()) {
+    return InvalidArgumentError("package index out of range");
+  }
+  const PackagePlan& plan = spec_.packages[package_index];
+  std::vector<SynthesizedBinary> out;
+  if (plan.data_only || !plan.interpreter_package.empty() ||
+      plan.static_binary) {
+    return out;  // no shared libraries
+  }
+  for (int lib = 0; lib < plan.lib_count; ++lib) {
+    ElfBuilder& builder = ThreadBuilder(BinaryType::kSharedLibrary);
+    builder.SetSoname(LibrarySoname(plan, lib));
+    builder.AddNeeded(kLibcSoname);
+    FunctionBuilder fn(LibraryExport(plan, lib));
+    fn.EmitPrologue();
+    // Library code leans on a couple of common libc APIs.
+    fn.CallImport(builder.AddImport("strlen"));
+    fn.CallImport(builder.AddImport("malloc"));
+    // Table 1 pattern: the tail syscall's call site lives inside the
+    // package's library, not its executable.
+    if (plan.extras_via_library && lib == 0) {
+      for (int nr : plan.extra_syscalls) {
+        fn.CallImport(builder.AddImport(SyscallName(nr)));
+      }
+    }
+    fn.EmitEpilogue();
+    builder.AddFunction(fn.Finish(/*exported=*/true));
+    SynthesizedBinary binary;
+    LAPIS_RETURN_IF_ERROR(builder.BuildInto(binary.bytes));
+    binary.name = LibrarySoname(plan, lib);
+    binary.is_library = true;
+    out.push_back(std::move(binary));
+  }
+  return out;
+}
+
+Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageExecutables(
+    size_t package_index) const {
   if (package_index >= spec_.packages.size()) {
     return InvalidArgumentError("package index out of range");
   }
@@ -241,6 +297,8 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
   if (plan.data_only || !plan.interpreter_package.empty()) {
     return out;  // no ELF binaries
   }
+  // The libraries draw nothing from the package's stream, so emitting them
+  // apart leaves every executable's bytes unchanged.
   Prng prng(spec_.options.seed ^ HashName(plan.name));
   const auto& universe = LibcUniverse();
   const auto& ioctl_ops = IoctlOps();
@@ -275,44 +333,12 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
     return out;
   }
 
-  // ---- Shared libraries shipped by the package ----
-  std::vector<std::string> lib_sonames;
-  std::vector<std::string> lib_exports;
-  for (int lib = 0; lib < plan.lib_count; ++lib) {
-    ElfBuilder& builder = ThreadBuilder(BinaryType::kSharedLibrary);
-    std::string soname = "lib" + plan.name + std::to_string(lib) + ".so.1";
-    builder.SetSoname(soname);
-    builder.AddNeeded(kLibcSoname);
-    std::string export_name = plan.name + "_api_" + std::to_string(lib);
-    FunctionBuilder fn(export_name);
-    fn.EmitPrologue();
-    // Library code leans on a couple of common libc APIs.
-    fn.CallImport(builder.AddImport("strlen"));
-    fn.CallImport(builder.AddImport("malloc"));
-    // Table 1 pattern: the tail syscall's call site lives inside the
-    // package's library, not its executable.
-    if (plan.extras_via_library && lib == 0) {
-      for (int nr : plan.extra_syscalls) {
-        fn.CallImport(builder.AddImport(SyscallName(nr)));
-      }
-    }
-    fn.EmitEpilogue();
-    builder.AddFunction(fn.Finish(/*exported=*/true));
-    SynthesizedBinary binary;
-    LAPIS_RETURN_IF_ERROR(builder.BuildInto(binary.bytes));
-    binary.name = soname;
-    binary.is_library = true;
-    out.push_back(std::move(binary));
-    lib_sonames.push_back(soname);
-    lib_exports.push_back(export_name);
-  }
-
   // ---- Executables ----
   for (int exe = 0; exe < plan.exe_count; ++exe) {
     ElfBuilder& builder = ThreadBuilder(BinaryType::kExecutable);
     builder.AddNeeded(kLibcSoname);
-    for (const auto& soname : lib_sonames) {
-      builder.AddNeeded(soname);
+    for (int lib = 0; lib < plan.lib_count; ++lib) {
+      builder.AddNeeded(LibrarySoname(plan, lib));
     }
     uint32_t import_start_main = builder.AddImport("__libc_start_main");
     uint32_t import_cxa = builder.AddImport("__cxa_finalize");
@@ -404,8 +430,8 @@ Result<std::vector<SynthesizedBinary>> DistroSynthesizer::PackageBinaries(
         main_fn.CallImport(builder.AddImport(universe[rank].name));
       }
       // Own libraries.
-      for (const auto& export_name : lib_exports) {
-        main_fn.CallImport(builder.AddImport(export_name));
+      for (int lib = 0; lib < plan.lib_count; ++lib) {
+        main_fn.CallImport(builder.AddImport(LibraryExport(plan, lib)));
       }
       // Inline system calls (11% of executables).
       if (plan.emits_direct_syscalls) {

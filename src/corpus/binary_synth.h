@@ -40,9 +40,15 @@ class DistroSynthesizer {
   // The four core libraries (order: ld.so, libpthread, librt, libc).
   Result<std::vector<SynthesizedBinary>> CoreLibraries() const;
 
-  // All binaries of one package (executables first, then its libraries).
+  // All binaries of one package: its libraries, then its executables.
   // Deterministic per package index.
   Result<std::vector<SynthesizedBinary>> PackageBinaries(
+      size_t package_index) const;
+  // The two halves of PackageBinaries, byte for byte. An executable needs
+  // only its package's plan, not its libraries' bytes.
+  Result<std::vector<SynthesizedBinary>> PackageLibraries(
+      size_t package_index) const;
+  Result<std::vector<SynthesizedBinary>> PackageExecutables(
       size_t package_index) const;
 
   // Interpreted programs of one package: shebang'd script files (empty for

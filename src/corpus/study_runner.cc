@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "src/analysis/binary_analyzer.h"
@@ -25,17 +26,14 @@ using analysis::LibraryResolver;
 using cache::AnalysisCodec;
 using cache::FootprintCache;
 
-// One synthesized binary after the per-binary analysis fan-out. The raw
-// ELF bytes are dropped inside the worker shard; only the analysis
-// (everything downstream needs) and, for a library under audit, the parsed
-// image the tracer follows calls into survive.
+// One synthesized binary's analysis. Under audit its parsed image is kept
+// too, for the tracer: it follows calls into a library's image and replays
+// an executable's, so no binary is parsed twice.
 struct AnalyzedBinary {
   std::string name;
-  bool is_library = false;
-  bool is_static = false;
   bool from_cache = false;
   std::shared_ptr<const BinaryAnalysis> analysis;
-  std::shared_ptr<const elf::ElfImage> image;  // audited libraries only
+  std::shared_ptr<const elf::ElfImage> image;  // under audit only
 };
 
 // Per-run cache context threaded through the pipeline stages. `cache` may be
@@ -47,18 +45,18 @@ struct CacheContext {
   explicit operator bool() const { return cache != nullptr; }
 };
 
-// Analyzes one ELF binary into `out`, going through the cache when
+// Analyzes one synthesized binary into `out`, going through the cache when
 // enabled: on a hit the serialized BinaryAnalysis is decoded (no
 // parse/sweep/CFG/dataflow); on a miss (or an undecodable payload) the
-// analysis runs and is written back. With `keep_image` the parsed image is
-// kept too, parsing even on a hit. Safe on any worker shard.
-Status AnalyzeInto(const std::vector<uint8_t>& bytes,
-                   const analysis::AnalyzerOptions& analyzer,
-                   const CacheContext& ctx, bool keep_image,
+// analysis runs and is written back. Under audit the parsed image is kept
+// too, parsing even on a hit. Safe on any worker shard.
+Status AnalyzeInto(const SynthesizedBinary& binary,
+                   const StudyOptions& options, const CacheContext& ctx,
                    AnalyzedBinary& out) {
+  out.name = binary.name;
   cache::CacheKey key;
   if (ctx) {
-    key = {cache::HashBytes(bytes), ctx.analysis_fp};
+    key = {cache::HashBytes(binary.bytes), ctx.analysis_fp};
     auto payload = ctx.cache->Lookup(key);
     if (payload.has_value()) {
       ByteReader reader(*payload);
@@ -70,13 +68,13 @@ Status AnalyzeInto(const std::vector<uint8_t>& bytes,
       // Undecodable payload: treat as a miss and recompute.
     }
   }
-  if (out.analysis != nullptr && !keep_image) {
+  if (out.analysis != nullptr && !options.audit) {
     return Status::Ok();
   }
-  LAPIS_ASSIGN_OR_RETURN(auto image, elf::ElfReader::Parse(bytes));
+  LAPIS_ASSIGN_OR_RETURN(auto image, elf::ElfReader::Parse(binary.bytes));
   if (out.analysis == nullptr) {
     LAPIS_ASSIGN_OR_RETURN(auto analysis,
-                           BinaryAnalyzer::Analyze(image, analyzer));
+                           BinaryAnalyzer::Analyze(image, options.analyzer));
     out.analysis = std::make_shared<BinaryAnalysis>(std::move(analysis));
     if (ctx) {
       ByteWriter writer;
@@ -84,95 +82,114 @@ Status AnalyzeInto(const std::vector<uint8_t>& bytes,
       ctx.cache->Insert(key, writer.bytes());
     }
   }
-  if (keep_image) {
+  if (options.audit) {
     out.image = std::make_shared<const elf::ElfImage>(std::move(image));
   }
   return Status::Ok();
 }
 
-// Shard result of the synthesize+analyze stage for one package.
-struct PackageAnalysis {
-  Status status;  // first synthesis/parse/analysis error, if any
-  std::vector<AnalyzedBinary> binaries;
-  // Script programs by kind (Fig 1), measured by scanning the synthesized
-  // script files' shebangs, not by trusting the plan.
-  std::map<package::ProgramKind, size_t> script_kinds;
-};
+// What the study result counts of binaries and scripts, summed on a worker
+// shard and folded into the result in canonical order.
+struct ShardCounters {
+  BinaryStats kinds;
+  size_t from_cache = 0;
+  int total_syscall_sites = 0;
+  int unknown_syscall_sites = 0;
+  int int80_sites = 0;
+  std::set<int> int80_numbers;
+  std::map<int, std::set<std::string>> syscall_site_binaries;
 
-// Shard result of the resolve stage for one package: its executables'
-// footprints as dataset ApiIds, ready for the canonical merge.
-struct PackageFootprint {
-  Status status;
-  PackageApis apis;
-  size_t executables = 0;
-  std::vector<analysis::BinaryAuditResult> audits;  // executable order
-};
-
-// Synthesizes and analyzes every ELF binary of one package and classifies
-// its scripts by shebang. Pure: touches only the (const) synthesizer and
-// its own shard — safe on any worker.
-PackageAnalysis AnalyzePackage(const DistroSynthesizer& synthesizer,
-                               const DistroSpec& spec,
-                               const StudyOptions& options,
-                               const CacheContext& ctx, size_t pkg) {
-  PackageAnalysis out;
-  const PackagePlan& plan = spec.packages[pkg];
-  if (plan.script_count > 0) {
-    auto scripts = synthesizer.PackageScripts(pkg);
-    if (!scripts.ok()) {
-      out.status = scripts.status();
-      return out;
-    }
-    for (const auto& script : scripts.value()) {
-      auto info = analysis::ClassifyScript(script.contents);
-      if (info.ok()) {
-        ++out.script_kinds[info.value().kind];
+  void Add(const SynthesizedBinary& binary, const AnalyzedBinary& analyzed) {
+    ++(binary.is_library  ? kinds.elf_shared_libraries
+       : binary.is_static ? kinds.elf_static
+                          : kinds.elf_executables);
+    from_cache += analyzed.from_cache ? 1 : 0;
+    total_syscall_sites += analyzed.analysis->total_syscall_sites;
+    unknown_syscall_sites += analyzed.analysis->unknown_syscall_sites;
+    // Site attribution: which binary's own code issues which syscall.
+    for (const auto& fn : analyzed.analysis->functions()) {
+      for (int nr : fn.local.syscalls) {
+        syscall_site_binaries[nr].insert(binary.name);
       }
+      int80_sites += fn.local.int80_sites;
+      int80_numbers.insert(fn.local.int80_syscalls.begin(),
+                           fn.local.int80_syscalls.end());
     }
   }
-  if (plan.data_only || !plan.interpreter_package.empty()) {
-    return out;  // scripts and data ship no ELF binaries
+
+  void FoldInto(StudyResult& result) {
+    result.binary_stats.elf_executables += kinds.elf_executables;
+    result.binary_stats.elf_shared_libraries += kinds.elf_shared_libraries;
+    result.binary_stats.elf_static += kinds.elf_static;
+    for (const auto& [kind, count] : kinds.script_programs) {
+      result.binary_stats.script_programs[kind] += count;
+    }
+    result.analyzed_binaries += kinds.TotalElf();
+    result.analyses_from_cache += from_cache;
+    result.total_syscall_sites += total_syscall_sites;
+    result.unknown_syscall_sites += unknown_syscall_sites;
+    result.int80_sites += int80_sites;
+    result.int80_numbers.merge(int80_numbers);
+    for (auto& [nr, names] : syscall_site_binaries) {
+      result.syscall_site_binaries[nr].merge(names);
+    }
   }
-  auto binaries = synthesizer.PackageBinaries(pkg);
-  if (!binaries.ok()) {
-    out.status = binaries.status();
+};
+
+// A libraries-phase shard: one core library, or one package's shared
+// libraries and scripts.
+struct LibraryShard {
+  Status status;  // first synthesis/parse/analysis error, if any
+  std::vector<AnalyzedBinary> libraries;
+  ShardCounters counters;
+};
+
+// Analyzes and counts `libraries` into `out`. Safe on any worker shard.
+void AnalyzeLibraries(std::span<const SynthesizedBinary> libraries,
+                      const StudyOptions& options, const CacheContext& ctx,
+                      LibraryShard& out) {
+  for (const SynthesizedBinary& library : libraries) {
+    AnalyzedBinary& analyzed = out.libraries.emplace_back();
+    out.status = AnalyzeInto(library, options, ctx, analyzed);
+    if (!out.status.ok()) {
+      return;
+    }
+    out.counters.Add(library, analyzed);
+  }
+}
+
+// Synthesizes and analyzes one package's shared libraries and classifies
+// its scripts by shebang (Fig 1), not by trusting the plan. Pure: touches
+// only the (const) synthesizer and its own shard — safe on any worker.
+LibraryShard AnalyzePackageLibraries(const DistroSynthesizer& synthesizer,
+                                     const StudyOptions& options,
+                                     const CacheContext& ctx, size_t pkg) {
+  LibraryShard out;
+  auto scripts = synthesizer.PackageScripts(pkg);
+  auto libraries = synthesizer.PackageLibraries(pkg);
+  if (!scripts.ok() || !libraries.ok()) {
+    out.status = scripts.ok() ? libraries.status() : scripts.status();
     return out;
   }
-  for (auto& binary : binaries.value()) {
-    AnalyzedBinary analyzed;
-    analyzed.name = std::move(binary.name);
-    analyzed.is_library = binary.is_library;
-    analyzed.is_static = binary.is_static;
-    Status status =
-        AnalyzeInto(binary.bytes, options.analyzer, ctx,
-                    options.audit && binary.is_library, analyzed);
-    if (!status.ok()) {
-      out.status = status;
-      return out;
+  for (const auto& script : scripts.value()) {
+    auto info = analysis::ClassifyScript(script.contents);
+    if (info.ok()) {
+      ++out.counters.kinds.script_programs[info.value().kind];
     }
-    out.binaries.push_back(std::move(analyzed));
   }
+  AnalyzeLibraries(libraries.value(), options, ctx, out);
   return out;
 }
 
-// Folds one analyzed binary's counters into the study result — called in
-// canonical (package, binary) order only, never from a worker.
-void FoldBinaryCounters(const AnalyzedBinary& binary, StudyResult& result) {
-  const BinaryAnalysis& analysis = *binary.analysis;
-  ++result.analyzed_binaries;
-  result.total_syscall_sites += analysis.total_syscall_sites;
-  result.unknown_syscall_sites += analysis.unknown_syscall_sites;
-
-  // Site attribution: which binary's own code issues which syscall.
-  for (const auto& fn : analysis.functions()) {
-    for (int nr : fn.local.syscalls) {
-      result.syscall_site_binaries[nr].insert(binary.name);
-    }
-    result.int80_sites += fn.local.int80_sites;
-    result.int80_numbers.insert(fn.local.int80_syscalls.begin(),
-                                fn.local.int80_syscalls.end());
-  }
-}
+// An executables-phase shard: one package's executables as dataset ApiIds,
+// their counters and audits, ready for the canonical merge.
+struct PackageFootprint {
+  Status status;
+  PackageApis apis;
+  ShardCounters counters;
+  std::vector<analysis::BinaryAuditResult> audits;  // executable order
+  bool matches_ground_truth = false;
+};
 
 }  // namespace
 
@@ -189,7 +206,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   runtime::Executor pool(options.jobs);
   runtime::Executor* executor = &pool;
 
-  // ---- Incremental cache (optional) ----
+  // ---- Incremental cache (optional), closed after its last reader ----
   std::unique_ptr<FootprintCache> cache;
   if (!options.cache_dir.empty()) {
     LAPIS_ASSIGN_OR_RETURN(cache, FootprintCache::Open(options.cache_dir));
@@ -214,224 +231,11 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   }
   DistroSynthesizer synthesizer(result.spec);
   LAPIS_ASSIGN_OR_RETURN(result.repository, synthesizer.BuildRepository());
-
-  // Intern the full universes upfront so unused entries exist with
-  // zero importance (Fig 7's unused tail; Table 7 profiles).
-  for (const auto& spec : LibcUniverse()) {
-    result.libc_interner.Intern(spec.name);
-  }
-  for (const auto& file : PseudoFiles()) {
-    result.path_interner.Intern(file.path);
-  }
-
-  LibraryResolver resolver;
-  analysis::FootprintAuditor auditor;
-  // Called in canonical order only. The resolver keeps just the per-export
-  // reachability, so the library's analysis is freed here.
-  auto register_library = [&](AnalyzedBinary& library) -> Status {
-    LAPIS_RETURN_IF_ERROR(resolver.AddLibrary(library.analysis));
-    if (options.audit) {
-      LAPIS_RETURN_IF_ERROR(auditor.AddLibrary(std::move(library.image)));
-    }
-    result.binary_stats.elf_shared_libraries += 1;
-    library.analysis.reset();
-    return Status::Ok();
-  };
-
-  // ---- Stage 1: synthesize + analyze on worker shards. The core
-  // libraries are queued first, so libc's analysis starts at once and the
-  // packages overlap it; under audit each keeps its image for the tracer.
-  // The packages keep a ParallelMap of their own, chunked as if the core
-  // libraries were not there: which within-run duplicates share a chunk,
-  // and so hit the cache in a cold run, does not move. ----
   const size_t package_count = result.spec.packages.size();
-  std::vector<PackageAnalysis> core;
-  std::vector<PackageAnalysis> analyzed;
-  {
-    runtime::StageTimer timer(&stats, "synthesize+analyze");
-    LAPIS_ASSIGN_OR_RETURN(auto core_libs, synthesizer.CoreLibraries());
-    core.resize(core_libs.size());
-    for (size_t i = 0; i < core_libs.size(); ++i) {
-      executor->Submit([&core, &core_libs, &options, &ctx, i] {
-        AnalyzedBinary& library = core[i].binaries.emplace_back();
-        library.name = core_libs[i].name;
-        library.is_library = true;
-        core[i].status = AnalyzeInto(core_libs[i].bytes, options.analyzer,
-                                     ctx, options.audit, library);
-      });
-    }
-    analyzed = runtime::ParallelMap(
-        executor, package_count,
-        [&synthesizer, &result, &options, &ctx](size_t pkg) {
-          return AnalyzePackage(synthesizer, result.spec, options, ctx, pkg);
-        });
-    executor->WaitAll();
-    timer.AddItems(core_libs.size());
-    for (const auto& shard : analyzed) {
-      timer.AddItems(shard.binaries.size());
-    }
-  }
 
-  // ---- Stage 2: deterministic merge — counters + library registration
-  // in canonical order: the core libraries, then every package ----
-  {
-    runtime::StageTimer timer(&stats, "register");
-    for (size_t i = 0; i < core.size() + package_count; ++i) {
-      const bool is_core = i < core.size();
-      PackageAnalysis& shard = is_core ? core[i] : analyzed[i - core.size()];
-      LAPIS_RETURN_IF_ERROR(shard.status);
-      for (const auto& [kind, count] : shard.script_kinds) {
-        result.binary_stats.script_programs[kind] += count;
-      }
-      for (auto& binary : shard.binaries) {
-        FoldBinaryCounters(binary, result);
-        if (binary.from_cache) {
-          ++result.analyses_from_cache;
-        }
-        if (is_core && binary.name == kLibcSoname) {
-          // Record measured per-symbol sizes for the §3.5 analysis.
-          for (const auto& fn : binary.analysis->functions()) {
-            uint32_t id = result.libc_interner.Find(fn.name);
-            if (id != UINT32_MAX) {
-              result.libc_symbol_sizes[id] = fn.size;
-            }
-          }
-        }
-        if (binary.is_library) {
-          LAPIS_RETURN_IF_ERROR(register_library(binary));
-        } else if (binary.is_static) {
-          result.binary_stats.elf_static += 1;
-        } else {
-          result.binary_stats.elf_executables += 1;
-        }
-      }
-    }
-    timer.AddItems(package_count);
-  }
-  core.clear();
-
-  // ---- Stage 3: take each executable from resolution to
-  // dataset ApiIds (and, under audit, through a replay against that very
-  // footprint) on worker shards. The resolver, tracer and interners are
-  // read-only now, so any shard may use them; each shard frees its own
-  // executables' analyses. ----
-  std::vector<std::vector<core::ApiId>> footprints(package_count);
-  std::vector<std::vector<int>> recovered_syscalls(package_count);
-  {
-    runtime::StageTimer timer(&stats, "resolve");
-    const ApiIdMap api_ids(resolver, kLibcSoname, result.path_interner,
-                           result.libc_interner);
-    auto shards = runtime::ParallelMap(
-        executor, package_count,
-        [&analyzed, &resolver, &api_ids, &auditor, &synthesizer,
-         &options](size_t pkg) {
-          PackageFootprint out;
-          std::vector<AnalyzedBinary>& binaries = analyzed[pkg].binaries;
-          // The analysis stage dropped the bytes; replay needs them again.
-          std::vector<SynthesizedBinary> synthesized;
-          if (options.audit && !binaries.empty()) {
-            auto resynthesized = synthesizer.PackageBinaries(pkg);
-            if (!resynthesized.ok()) {
-              out.status = resynthesized.status();
-              return out;
-            }
-            synthesized = resynthesized.take();
-          }
-          for (size_t i = 0; i < binaries.size(); ++i) {
-            AnalyzedBinary& binary = binaries[i];
-            if (binary.is_library) {
-              continue;
-            }
-            const LibraryResolver::ResolvedIds ids =
-                resolver.ResolveIds(*binary.analysis);
-            binary.analysis.reset();
-            ++out.executables;
-            api_ids.Add(ids, out.apis);
-            if (!options.audit) {
-              continue;
-            }
-            auto image = elf::ElfReader::Parse(synthesized[i].bytes);
-            if (!image.ok()) {
-              out.status = image.status();
-              return out;
-            }
-            auto audited = auditor.AuditExecutable(
-                image.value(), binary.name, resolver.Render(ids).footprint);
-            if (!audited.ok()) {
-              out.status = audited.status();
-              return out;
-            }
-            out.audits.push_back(audited.take());
-          }
-          out.apis.Finish();
-          return out;
-        });
-    // Canonical-order merge: paths outside the universe are interned in
-    // (package, executable, path) order, and audit results fold in the same
-    // order, so both are identical at every worker count.
-    analysis::AuditReport report;
-    std::vector<size_t> path_packages;
-    for (size_t pkg = 0; pkg < package_count; ++pkg) {
-      PackageFootprint& shard = shards[pkg];
-      LAPIS_RETURN_IF_ERROR(shard.status);
-      MergeNewPaths(shard.apis, result.path_interner);
-      path_packages.resize(result.path_interner.size());
-      for (const core::ApiId& api : shard.apis.footprint) {
-        if (api.kind == core::ApiKind::kPseudoFile) {
-          ++path_packages[api.code];
-        }
-      }
-      footprints[pkg] = std::move(shard.apis.footprint);
-      recovered_syscalls[pkg] = std::move(shard.apis.recovered_syscalls);
-      for (auto& audited : shard.audits) {
-        report.Fold(std::move(audited));
-      }
-      timer.AddItems(shard.executables);
-    }
-    for (uint32_t path = 0; path < path_packages.size(); ++path) {
-      if (path_packages[path] != 0) {
-        result.pseudo_path_binary_counts.emplace(
-            result.path_interner.NameOf(path), path_packages[path]);
-      }
-    }
-    if (options.audit) {
-      result.audit = std::move(report);
-    }
-  }
-  analyzed.clear();
-
-  // Script packages inherit the interpreter's footprint (§2.3
-  // over-approximation); data packages stay empty.
-  for (size_t pkg = 0; pkg < package_count; ++pkg) {
-    const PackagePlan& plan = result.spec.packages[pkg];
-    if (plan.interpreter_package.empty()) {
-      continue;
-    }
-    auto it = result.spec.by_name.find(plan.interpreter_package);
-    if (it != result.spec.by_name.end()) {
-      footprints[pkg] = footprints[it->second];
-      recovered_syscalls[pkg] = recovered_syscalls[it->second];
-    }
-  }
-
-  // ---- Ground-truth verification ----
-  {
-    runtime::StageTimer timer(&stats, "ground-truth");
-    auto mismatches = runtime::ParallelMap(
-        executor, package_count,
-        [&result, &recovered_syscalls](size_t pkg) -> uint8_t {
-          return std::ranges::equal(result.spec.ExpectedSyscalls(pkg),
-                                    recovered_syscalls[pkg])
-                     ? 0
-                     : 1;
-        });
-    for (uint8_t mismatch : mismatches) {
-      result.ground_truth_mismatches += mismatch;
-    }
-    timer.AddItems(package_count);
-  }
-
-  // ---- Popularity-contest survey ----
+  // ---- Popularity-contest survey. It reads only the repository, the
+  // plan's marginals and the options, so it runs before the analyses, and
+  // the cache can close when they end. ----
   {
     runtime::StageTimer timer(&stats, "popcon");
     std::vector<double> marginals;
@@ -480,6 +284,172 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
       }
     }
     timer.AddItems(options.distro.installation_count);
+  }
+
+  // Intern the full universes upfront so unused entries exist with
+  // zero importance (Fig 7's unused tail; Table 7 profiles).
+  for (const auto& spec : LibcUniverse()) {
+    result.libc_interner.Intern(spec.name);
+  }
+  for (const auto& file : PseudoFiles()) {
+    result.path_interner.Intern(file.path);
+  }
+
+  std::vector<std::vector<core::ApiId>> footprints(package_count);
+  {
+    LibraryResolver resolver;
+    analysis::FootprintAuditor auditor;
+
+    // ---- Libraries phase: synthesize + analyze the core libraries, then
+    // every package's shared libraries and scripts, on worker shards ----
+    std::vector<LibraryShard> libraries;
+    {
+      runtime::StageTimer timer(&stats, "synthesize+analyze");
+      LAPIS_ASSIGN_OR_RETURN(auto core_libs, synthesizer.CoreLibraries());
+      libraries = runtime::ParallelMap(
+          executor, core_libs.size() + package_count,
+          [&core_libs, &synthesizer, &options, &ctx](size_t i) {
+            if (i >= core_libs.size()) {
+              return AnalyzePackageLibraries(synthesizer, options, ctx,
+                                             i - core_libs.size());
+            }
+            LibraryShard out;
+            AnalyzeLibraries(std::span(&core_libs[i], 1), options, ctx, out);
+            return out;
+          });
+      for (const LibraryShard& shard : libraries) {
+        timer.AddItems(shard.libraries.size());
+      }
+    }
+
+    // ---- Deterministic merge in canonical order, the core libraries
+    // first: counters, then each library's registration. The resolver
+    // keeps just the per-export reachability, so each analysis is freed
+    // here. ----
+    {
+      runtime::StageTimer timer(&stats, "register");
+      for (LibraryShard& shard : libraries) {
+        LAPIS_RETURN_IF_ERROR(shard.status);
+        shard.counters.FoldInto(result);
+        for (AnalyzedBinary& library : shard.libraries) {
+          if (library.name == kLibcSoname) {
+            // Record measured per-symbol sizes for the §3.5 analysis.
+            for (const auto& fn : library.analysis->functions()) {
+              uint32_t id = result.libc_interner.Find(fn.name);
+              if (id != UINT32_MAX) {
+                result.libc_symbol_sizes[id] = fn.size;
+              }
+            }
+          }
+          LAPIS_RETURN_IF_ERROR(
+              resolver.AddLibrary(std::move(library.analysis)));
+          if (options.audit) {
+            LAPIS_RETURN_IF_ERROR(auditor.AddLibrary(std::move(library.image)));
+          }
+        }
+      }
+      timer.AddItems(package_count);
+    }
+    libraries.clear();
+
+    // ---- Executables phase: each package shard synthesizes its
+    // executables and takes them one at a time through analysis,
+    // resolution, the join to dataset ApiIds and, under audit, a replay
+    // against that very footprint, dropping each analysis before the next.
+    // The resolver, tracer and interners are read-only now, so any shard
+    // may use them. ----
+    runtime::StageTimer timer(&stats, "resolve");
+    const ApiIdMap api_ids(resolver, kLibcSoname, result.path_interner,
+                           result.libc_interner);
+    auto shards = runtime::ParallelMap(
+        executor, package_count,
+        [&synthesizer, &result, &options, &ctx, &resolver, &api_ids,
+         &auditor](size_t pkg) {
+          PackageFootprint out;
+          auto executables = synthesizer.PackageExecutables(pkg);
+          if (!executables.ok()) {
+            out.status = executables.status();
+            return out;
+          }
+          for (const SynthesizedBinary& executable : executables.value()) {
+            AnalyzedBinary binary;
+            out.status = AnalyzeInto(executable, options, ctx, binary);
+            if (!out.status.ok()) {
+              return out;
+            }
+            out.counters.Add(executable, binary);
+            const LibraryResolver::ResolvedIds ids =
+                resolver.ResolveIds(*binary.analysis);
+            api_ids.Add(ids, out.apis);
+            if (options.audit) {
+              auto audited = auditor.AuditExecutable(
+                  *binary.image, executable.name,
+                  resolver.Render(ids).footprint);
+              if (!audited.ok()) {
+                out.status = audited.status();
+                return out;
+              }
+              out.audits.push_back(audited.take());
+            }
+          }
+          out.apis.Finish();
+          // The ground-truth check is the recovered syscalls' last reader.
+          out.matches_ground_truth = std::ranges::equal(
+              result.spec.ExpectedSyscalls(pkg), out.apis.recovered_syscalls);
+          std::vector<int>().swap(out.apis.recovered_syscalls);
+          return out;
+        });
+    // Canonical-order merge: paths outside the universe are interned in
+    // (package, executable, path) order, and audit results fold in the same
+    // order, so both are identical at every worker count.
+    analysis::AuditReport report;
+    std::vector<size_t> path_packages;
+    for (size_t pkg = 0; pkg < package_count; ++pkg) {
+      PackageFootprint& shard = shards[pkg];
+      LAPIS_RETURN_IF_ERROR(shard.status);
+      shard.counters.FoldInto(result);
+      MergeNewPaths(shard.apis, result.path_interner);
+      path_packages.resize(result.path_interner.size());
+      for (const core::ApiId& api : shard.apis.footprint) {
+        if (api.kind == core::ApiKind::kPseudoFile) {
+          ++path_packages[api.code];
+        }
+      }
+      footprints[pkg] = std::move(shard.apis.footprint);
+      for (auto& audited : shard.audits) {
+        report.Fold(std::move(audited));
+      }
+      timer.AddItems(shard.counters.kinds.TotalElf());
+    }
+    for (uint32_t path = 0; path < path_packages.size(); ++path) {
+      if (path_packages[path] != 0) {
+        result.pseudo_path_binary_counts.emplace(
+            result.path_interner.NameOf(path), path_packages[path]);
+      }
+    }
+    if (options.audit) {
+      result.audit = std::move(report);
+    }
+    // Script packages inherit the interpreter's footprint (§2.3
+    // over-approximation) and its ground-truth verdict; data packages stay
+    // empty.
+    for (size_t pkg = 0; pkg < package_count; ++pkg) {
+      const std::string& interpreter =
+          result.spec.packages[pkg].interpreter_package;
+      auto it = result.spec.by_name.find(interpreter);
+      if (!interpreter.empty() && it != result.spec.by_name.end()) {
+        footprints[pkg] = footprints[it->second];
+        shards[pkg].matches_ground_truth =
+            shards[it->second].matches_ground_truth;
+      }
+      result.ground_truth_mismatches +=
+          shards[pkg].matches_ground_truth ? 0 : 1;
+    }
+  }
+  // The executables phase made the last lookup and the last append.
+  if (ctx) {
+    result.cache_stats = cache->stats();
+    cache.reset();
   }
 
   // ---- Dataset assembly ----
@@ -541,9 +511,6 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   }
 
   result.executor_stats = executor->stats();
-  if (ctx) {
-    result.cache_stats = ctx.cache->stats();
-  }
   return result;
 }
 

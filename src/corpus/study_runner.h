@@ -1,15 +1,18 @@
 // End-to-end study orchestration: the lapis public entry point.
 //
 // RunStudy() executes the whole paper pipeline:
-//   1. Build the calibrated distribution plan (distro_spec.h).
-//   2. Synthesize core libraries + every package's ELF binaries
-//      (binary_synth.h) and run the static-analysis pipeline over them
-//      (src/analysis): disassembly, call graphs, constant back-tracking,
+//   1. Build the calibrated distribution plan (distro_spec.h) and simulate
+//      the popularity-contest survey (src/package).
+//   2. Libraries phase: synthesize the core and package shared libraries
+//      (binary_synth.h), analyze them (src/analysis: disassembly, call
+//      graphs, constant back-tracking) and register them for
 //      cross-library resolution.
-//   3. Simulate the popularity-contest survey (src/package).
+//   3. Executables phase: each package shard synthesizes its executables,
+//      takes them one at a time through analysis, resolution and (under
+//      audit) a replay, dropping each analysis before the next, and checks
+//      the package against the plan's ground truth.
 //   4. Join footprints with installation counts into a StudyDataset
-//      (src/core) and verify the recovered footprints against the plan's
-//      ground truth.
+//      (src/core).
 //
 // Benches and examples consume the returned StudyResult.
 
@@ -45,7 +48,8 @@ struct StudyOptions {
   // soundness-fixed linear baseline.
   analysis::AnalyzerOptions analyzer;
   // Differentially replay every executable in the DynamicTracer against its
-  // resolved static footprint (audit.h) and attach the AuditReport.
+  // resolved static footprint (audit.h) and attach the AuditReport. The
+  // replay reuses the analysis's parse; exports are the same without it.
   bool audit = false;
   // Retain joint popcon samples for the independence ablation.
   uint64_t popcon_retain_samples = 0;
@@ -61,8 +65,8 @@ struct StudyOptions {
   // dataflow, IPA) or the popcon survey is skipped. Library reach and
   // executable resolution always run, on the restored analyses: rebuilding
   // them costs less than decoding them would. What a run computes serves
-  // the next run on the same directory. Exports are byte-identical cold
-  // vs. warm.
+  // the next run on the same directory, and is closed after its last
+  // lookup. Exports are byte-identical cold vs. warm.
   std::string cache_dir;
 };
 

@@ -562,10 +562,13 @@ TEST(FootprintCacheTest, LookupsServeOnlyWhatOpenLoaded) {
     EXPECT_FALSE(store.Lookup(CacheKey{0x1234, 0x9999}).has_value());
     EXPECT_FALSE(store.Lookup(CacheKey{0x9999, 0x5678}).has_value());
     // A run that rejects a loaded payload appends its replacement; the
-    // view of the loaded bytes stays valid.
+    // view of the loaded bytes stays valid, and the rejected lookup counts
+    // as a miss.
     store.Insert(key, Payload(0xcd));
     EXPECT_EQ(Bytes(*hit), Payload(0xab));
     EXPECT_EQ(store.stats().entries, 1u);
+    EXPECT_EQ(store.stats().hits, 0u);
+    EXPECT_EQ(store.stats().misses, 3u);
   }
   // The next Open keeps the key's last record.
   auto cache = FootprintCache::Open(dir.string());
@@ -1135,7 +1138,10 @@ TEST(CacheStudyTest, MisfitSurveyRecordIsRecomputed) {
     EXPECT_EQ(warm_exports.packages, uncached_exports.packages);
     EXPECT_EQ(warm_exports.footprints, uncached_exports.footprints);
 
-    // The recomputed survey was written back, and heals the store.
+    // The rejected survey lookup is a miss, and the recomputed survey was
+    // written back, and heals the store.
+    EXPECT_EQ(warm.value().cache_stats.hits + 1,
+              warm.value().cache_stats.Lookups());
     EXPECT_GT(warm.value().cache_stats.bytes_written, 0u);
     CacheKey survey_key;
     for (const LogRecord& record : ReadLogs(dir)) {

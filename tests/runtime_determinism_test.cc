@@ -36,19 +36,8 @@ std::filesystem::path FreshCacheDir(const std::string& name) {
   return dir;
 }
 
-Exports RunAndExport(uint64_t seed, size_t jobs, bool use_dataflow = true,
-                     const std::string& cache_dir = "",
-                     bool use_ipa = false) {
-  corpus::StudyOptions options = corpus::SmallStudyOptions();
-  options.distro.seed = seed;
-  options.jobs = jobs;
-  options.analyzer.use_dataflow = use_dataflow;
-  options.analyzer.use_ipa = use_ipa;
-  options.cache_dir = cache_dir;
-  auto study = corpus::RunStudy(options);
-  EXPECT_TRUE(study.ok()) << study.status().ToString();
+Exports ExportStudy(const corpus::StudyResult& result) {
   Exports out;
-  const auto& result = study.value();
   out.analyzed_binaries = result.analyzed_binaries;
   out.ground_truth_mismatches = result.ground_truth_mismatches;
   out.jobs_used = result.jobs_used;
@@ -75,6 +64,20 @@ Exports RunAndExport(uint64_t seed, size_t jobs, bool use_dataflow = true,
                   .ok());
   out.footprints = footprints.str();
   return out;
+}
+
+Exports RunAndExport(uint64_t seed, size_t jobs, bool use_dataflow = true,
+                     const std::string& cache_dir = "",
+                     bool use_ipa = false) {
+  corpus::StudyOptions options = corpus::SmallStudyOptions();
+  options.distro.seed = seed;
+  options.jobs = jobs;
+  options.analyzer.use_dataflow = use_dataflow;
+  options.analyzer.use_ipa = use_ipa;
+  options.cache_dir = cache_dir;
+  auto study = corpus::RunStudy(options);
+  EXPECT_TRUE(study.ok()) << study.status().ToString();
+  return ExportStudy(study.value());
 }
 
 class RuntimeDeterminismTest : public ::testing::TestWithParam<uint64_t> {};
@@ -189,6 +192,8 @@ INSTANTIATE_TEST_SUITE_P(TwoSeeds, CacheDeterminismTest,
 // it lifts and the saved artifact must be identical at any worker count.
 // A warm run audits the footprints it resolves from cache-restored analyses
 // (the footprints the study exports), and must agree with the cold runs.
+// The audit replays inside the analysis shards but never changes what the
+// study exports: an unaudited run exports what the audited ones do.
 TEST(RuntimeDeterminism, AuditReportIsIdenticalAcrossJobCounts) {
   const std::string dir = FreshCacheDir("lapis-determinism-audit").string();
   struct Run {
@@ -223,6 +228,23 @@ TEST(RuntimeDeterminism, AuditReportIsIdenticalAcrossJobCounts) {
   ASSERT_GT(a.executables_audited, 0u);
   ASSERT_FALSE(reference.value().evidence_observed.empty());
   const std::vector<uint8_t> reference_bytes = serialize(reference.value());
+
+  corpus::StudyOptions unaudited_options = corpus::SmallStudyOptions();
+  unaudited_options.jobs = 1;
+  auto unaudited = corpus::RunStudy(unaudited_options);
+  ASSERT_TRUE(unaudited.ok()) << unaudited.status().ToString();
+  EXPECT_FALSE(unaudited.value().audit.has_value());
+  const Exports audited_exports = ExportStudy(reference.value());
+  const Exports unaudited_exports = ExportStudy(unaudited.value());
+  EXPECT_EQ(unaudited_exports.importance, audited_exports.importance);
+  EXPECT_EQ(unaudited_exports.packages, audited_exports.packages);
+  EXPECT_EQ(unaudited_exports.footprints, audited_exports.footprints);
+  EXPECT_EQ(unaudited.value().analyzed_binaries,
+            reference.value().analyzed_binaries);
+  EXPECT_EQ(unaudited.value().total_syscall_sites,
+            reference.value().total_syscall_sites);
+  EXPECT_EQ(unaudited.value().unknown_syscall_sites,
+            reference.value().unknown_syscall_sites);
 
   for (const Run& run : runs) {
     auto study = run_audited(run);
